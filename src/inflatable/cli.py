@@ -316,7 +316,6 @@ def _cmd_search(args, stream) -> CommandResult:
         central_only=args.central,
         limit=args.limit,
         threads=threads,
-        emit_all=args.emit_all,
         timeout=args.timeout,
     )
     progress = None

@@ -71,5 +71,6 @@ def block_partitions(pi: PermLike) -> list[BlockPartition]:
     out.sort(key=lambda bp: bp.sizes)
     for bp in out:
         # reconstruction is a definitional invariant, cheap at n <= 10
-        assert generalized_inflate(bp.outer, bp.inner) == p
+        if generalized_inflate(bp.outer, bp.inner) != p:
+            raise RuntimeError(f"block partition {bp} does not rebuild {p}")
     return out

@@ -6,30 +6,28 @@ is a constraint scan, not a verification loop: partial placements carry
 incremental counts and a branch dies as soon as any count overshoots its
 target or can no longer reach it.
 
-Two engines sit behind the public entry point:
-
-* a vectorized breadth-first scanner (numpy) that expands whole levels of
-  the centrally symmetric space at once; it covers exhaustive central
-  scans up to length 17 (10,321,920 candidates) in seconds on one core,
-* a depth-first backtracker in plain Python for everything else: the
-  unrestricted space, partial scans with a result limit or timeout, and
-  lengths the breadth-first arrays would not fit.
-
-Both engines walk the same tree, apply the same pruning rule, and are
-cross-checked against each other and against brute-force filtering in the
-test suite.
+Centrally symmetric candidates go through one vectorized kernel (numpy).
+It extends a block of partial states by every admissible next value at
+once and descends into the surviving children a block at a time, depth
+first, so the arrays it holds stay bounded. The same kernel serves full
+scans (length 17, 10,321,920 candidates, in seconds on one core) and
+scans cut by a result limit or a timeout: each shard is scanned whole and
+its sorted hits are cut at the limit. The unrestricted space goes through
+a depth-first backtracker in plain Python. The test suite checks both
+against brute-force filtering.
 
 Centrally symmetric states place complementary value pairs outside-in:
 after d steps positions 1..d and n-d+1..n are filled and the pair
 (u, n+1-u) enters at positions d+1 and n-d. The 180-degree rotation R maps
 the partial state to itself, so every new pattern occurrence involving the
-right copy is the R-image of one involving the left copy; the engines
-count the left ones and add the image counts, which halves the work.
+right copy is the R-image of one involving the left copy; the kernel
+counts the left ones and adds the image counts, which halves the work.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from math import comb, factorial
 from multiprocessing import get_context
@@ -58,9 +56,9 @@ _P21_IDX = 7
 # index image of each length-3 pattern under R (132 <-> 213, 231 <-> 312)
 _RMAP = (0, 2, 1, 4, 3, 5)
 
-_BFS_LEAF_CAP = 40_000_000  # breadth-first only when the shard arrays stay sane
 _NODE_CHECK = 4096  # deadline poll interval for the depth-first engine
-_CHUNK = 1 << 17
+_KERNEL_NODE_CHECK = 1 << 16  # the same for the central kernel
+_PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
 
 
 class SearchTimeout(Exception):
@@ -87,7 +85,6 @@ class SearchConfig:
     central_only: restrict to centrally symmetric candidates.
     limit: stop after this many hits (None scans everything).
     threads: worker processes; results are identical for any thread count.
-    emit_all: stream hits through the progress callback as shards finish.
     timeout: wall-clock seconds before SearchTimeout (None = no timeout).
     """
 
@@ -95,7 +92,6 @@ class SearchConfig:
     central_only: bool = True
     limit: Optional[int] = None
     threads: int = 1
-    emit_all: bool = False
     timeout: Optional[float] = None
 
 
@@ -192,144 +188,7 @@ def _tri_index(x: int, y: int, z: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# depth-first engine
-
-
-def _dfs_central_shard(
-    n: int,
-    tv: tuple,
-    first_u: int,
-    limit: Optional[int],
-    deadline: Optional[float],
-) -> tuple:
-    """Scan the central subtree rooted at first value first_u.
-
-    Returns (hits, scanned, timed_out) with hits as plain value tuples in
-    scan (= lexicographic) order.
-    """
-    nn1 = n + 1
-    m = n // 2
-    odd = n & 1
-    center = nn1 // 2 if odd else 0
-    leaves = [factorial(m - d) * (1 << (m - d)) for d in range(m + 1)]
-    rem = [
-        (comb(n, 3) - comb(2 * d + odd, 3), comb(n, 2) - comb(2 * d + odd, 2))
-        for d in range(m + 1)
-    ]
-    hits: list = []
-    W: list[int] = []
-    used = bytearray(m + 1)
-    counts = [0] * 8
-    state = {"scanned": 0, "nodes": 0, "timed_out": False, "capped": False}
-
-    def rec(d: int) -> None:
-        lo, hi = 1, n
-        cand = range(first_u, first_u + 1) if d == 0 else range(lo, hi + 1)
-        r3, r2 = rem[d + 1]
-        for u in cand:
-            if state["timed_out"] or state["capped"]:
-                return
-            if odd and u == center:
-                continue
-            pid = u if 2 * u < nn1 else nn1 - u
-            if used[pid]:
-                continue
-            state["nodes"] += 1
-            if deadline is not None and state["nodes"] % _NODE_CHECK == 0:
-                if time.time() > deadline:
-                    state["timed_out"] = True
-                    return
-            delta = _central_delta(W, n, u)
-            ok = True
-            for i in range(8):
-                c = counts[i] + delta[i]
-                r = r3 if i < 6 else r2
-                if c > tv[i] or c + r < tv[i]:
-                    ok = False
-                    break
-            if not ok:
-                state["scanned"] += leaves[d + 1]
-                continue
-            if d + 1 == m:
-                state["scanned"] += 1
-                left = W + [u]
-                full = tuple(left) + ((center,) if odd else ()) + tuple(
-                    nn1 - v for v in reversed(left)
-                )
-                hits.append(full)
-                if limit is not None and len(hits) >= limit:
-                    state["capped"] = True
-                    return
-                continue
-            W.append(u)
-            used[pid] = 1
-            for i in range(8):
-                counts[i] += delta[i]
-            rec(d + 1)
-            for i in range(8):
-                counts[i] -= delta[i]
-            used[pid] = 0
-            W.pop()
-
-    rec(0)
-    if not state["capped"] and not state["timed_out"]:
-        assert state["scanned"] == leaves[1], "shard coverage accounting is off"
-    return hits, state["scanned"], state["timed_out"]
-
-
-def _central_delta(W: list, n: int, u: int) -> list:
-    """Count-vector increment for placing the pair (u, n+1-u) next.
-
-    W holds the left values already placed. New occurrences involving the
-    right copy are R-images of ones involving the left copy; only triples
-    containing both copies and the center are classified directly.
-    """
-    nn1 = n + 1
-    d = len(W)
-    odd = n & 1
-    up = nn1 - u
-    olds = list(W)
-    if odd:
-        olds.append(nn1 // 2)
-    olds.extend(nn1 - w for w in reversed(W))
-    delta = [0] * 8
-
-    # pairs touching the new points: mirror doubles the old-new ones
-    c12 = 0
-    for idx, v in enumerate(olds):
-        if idx < d:
-            c12 += v < u
-        else:
-            c12 += v > u
-    asc_new = 1 if u < up else 0
-    delta[_P12_IDX] = 2 * c12 + asc_new
-    delta[_P21_IDX] = 2 * (len(olds) - c12) + (1 - asc_new)
-
-    # triples {left copy, right copy, old}: position of the old decides
-    for idx, v in enumerate(olds):
-        if idx < d:
-            delta[_tri_index(v, u, up)] += 1
-        elif odd and idx == d:
-            delta[_tri_index(u, v, up)] += 1
-        else:
-            delta[_tri_index(u, up, v)] += 1
-
-    # triples {old, old, one new copy}: classify with the left copy, then
-    # add the R-image counts for the right copy
-    b = [0] * 6
-    for j in range(len(olds)):
-        vj = olds[j]
-        for i in range(j):
-            vi = olds[i]
-            if j < d:
-                b[_tri_index(vi, vj, u)] += 1
-            elif i < d:
-                b[_tri_index(vi, u, vj)] += 1
-            else:
-                b[_tri_index(u, vi, vj)] += 1
-    for p in range(6):
-        delta[p] += b[p] + b[_RMAP[p]]
-    return delta
+# depth-first engine (unrestricted space)
 
 
 def _dfs_full_shard(
@@ -358,7 +217,7 @@ def _dfs_full_shard(
                 continue
             state["nodes"] += 1
             if deadline is not None and state["nodes"] % _NODE_CHECK == 0:
-                if time.time() > deadline:
+                if time.monotonic() > deadline:
                     state["timed_out"] = True
                     return
             delta = [0] * 8
@@ -399,13 +258,13 @@ def _dfs_full_shard(
             W.pop()
 
     rec(0)
-    if not state["capped"] and not state["timed_out"]:
-        assert state["scanned"] == leaves[1], "shard coverage accounting is off"
+    if not state["capped"] and not state["timed_out"] and state["scanned"] != leaves[1]:
+        raise RuntimeError("shard coverage accounting is off")
     return hits, state["scanned"], state["timed_out"]
 
 
 # ---------------------------------------------------------------------------
-# breadth-first engine (numpy)
+# central kernel (numpy)
 
 
 def _pair_stats(M: np.ndarray) -> tuple:
@@ -429,179 +288,201 @@ def _pair_stats(M: np.ndarray) -> tuple:
     return asc_before, asc_after, desc_before, desc_after, asc_total
 
 
+def _kernel_dtypes(n: int, tv: tuple) -> tuple:
+    """Dtypes of the central kernel's stored values and stored counts.
+
+    Values take the smallest unsigned type that holds n + 1, since the
+    kernel forms n + 1 - v. Stored counts never exceed their targets, so
+    int16 holds them while every target does. Working counts are int32 and
+    stay below 3 * C(n, 3); lengths past that bound raise ValueError.
+    """
+    if 3 * comb(n, 3) > np.iinfo(np.int32).max:
+        raise ValueError(f"length {n} is too long for the search kernel's int32 counts")
+    counts = np.int16 if max(tv) <= np.iinfo(np.int16).max else np.int32
+    return np.min_scalar_type(n + 1), counts
+
+
 def _bfs_central_shard(
     n: int, tv: tuple, first_u: int, deadline: Optional[float]
 ) -> tuple:
-    """Level-synchronous scan of the central subtree rooted at first_u.
+    """Scan the central subtree rooted at first value first_u.
 
-    Same tree and same pruning rule as _dfs_central_shard, expanded one
-    depth at a time over numpy arrays.
+    Returns (hits, scanned, timed_out) with hits as sorted value tuples.
+    The level kernel extends a block of partial states by every next pair
+    at once. Surviving children queue up and are descended into, depth
+    first, as soon as a full block of them is ready. A block with d values
+    placed has at most _PATH_CELLS / (m * d) rows, so the blocks held along
+    one descent path hold at most _PATH_CELLS values at any length. Like
+    the depth-first engine, the kernel polls the deadline by node count:
+    before a block, once _KERNEL_NODE_CHECK (state, value) pairs have been
+    tried since the last poll, so a scan always gets past its first few
+    tiny blocks before it can time out.
     """
+    vdtype, cdtype = _kernel_dtypes(n, tv)
     nn1 = n + 1
     m = n // 2
     odd = n & 1
     center = nn1 // 2 if odd else 0
     T = np.array(tv, dtype=np.int32)
     leaves = [factorial(m - d) * (1 << (m - d)) for d in range(m + 1)]
+    others = [u for u in range(1, n + 1) if 2 * u != nn1]
     hits_rows: list[np.ndarray] = []
     scanned = 0
     timed_out = False
+    nodes = 0
 
-    W = np.zeros((1, 0), dtype=np.uint8)
-    C = np.zeros((1, 8), dtype=np.int16)
-
-    for depth in range(m):
-        final = depth + 1 == m
-        r3 = comb(n, 3) - comb(2 * (depth + 1) + odd, 3)
-        r2 = comb(n, 2) - comb(2 * (depth + 1) + odd, 2)
-        remv = np.array([r3] * 6 + [r2] * 2, dtype=np.int32)
-        cands = (
-            [first_u]
-            if depth == 0
-            else [u for u in range(1, n + 1) if 2 * u != nn1]
-        )
-        nextW: list[np.ndarray] = []
-        nextC: list[np.ndarray] = []
-        for start in range(0, W.shape[0], _CHUNK):
-            if deadline is not None and time.time() > deadline:
-                timed_out = True
-                break
-            Wc = W[start:start + _CHUNK]
-            Cc = C[start:start + _CHUNK]
-            d = depth
-            asc_b, asc_a, desc_b, desc_a, asc_tot = _pair_stats(Wc)
-            total2 = d * (d - 1) // 2
-            desc_tot = total2 - asc_tot
-            if odd:
-                A = np.concatenate(
-                    [
-                        np.full((Wc.shape[0], 1), center, dtype=np.uint8),
-                        (nn1 - Wc[:, ::-1]).astype(np.uint8),
-                    ],
-                    axis=1,
-                )
-            else:
-                A = (nn1 - Wc[:, ::-1]).astype(np.uint8)
-            dA = d + odd
-            ascA_b, ascA_a, descA_b, descA_a, ascA_tot = _pair_stats(A)
-            totalA2 = dA * (dA - 1) // 2
-            descA_tot = totalA2 - ascA_tot
-            # AB[s, i] = how many A-values sit below W[s, i]
-            AB = (A[:, None, :] < Wc[:, :, None]).sum(axis=2, dtype=np.int32)
-
-            for u in cands:
-                up = nn1 - u
-                sel = ~((Wc == u) | (Wc == up)).any(axis=1)
-                if not sel.any():
-                    continue
-                Ws = Wc[sel]
-                As = A[sel]
-                Ns = Ws.shape[0]
-                B = Ws < u
-                nb = B.sum(axis=1, dtype=np.int32)
-                nbp = (Ws < up).sum(axis=1, dtype=np.int32)
-                BA = As < u
-                naB = BA.sum(axis=1, dtype=np.int32)
-                delta = np.zeros((Ns, 8), dtype=np.int32)
-
-                # pairs: old-new doubled by the mirror, plus the new pair
-                c12 = nb + (dA - naB)
-                delta[:, _P12_IDX] = 2 * c12 + (1 if u < up else 0)
-                delta[:, _P21_IDX] = 2 * (d + dA - c12) + (0 if u < up else 1)
-
-                # triples {left copy, right copy, old}
-                if u < up:
-                    a1, a2, a3 = nb, nbp - nb, d - nbp  # 123, 213, 312 via left
-                    delta[:, 0] += 2 * a1 + odd  # center triple is 123
-                    delta[:, 2] += a2
-                    delta[:, 1] += a2  # R(213) = 132
-                    delta[:, 4] += a3
-                    delta[:, 3] += a3  # R(312) = 231
-                else:
-                    a1, a2, a3 = nbp, nb - nbp, d - nb  # 132, 231, 321 via left
-                    delta[:, 1] += a1
-                    delta[:, 2] += a1  # R(132) = 213
-                    delta[:, 3] += a2
-                    delta[:, 4] += a2  # R(231) = 312
-                    delta[:, 5] += 2 * a3 + odd  # center triple is 321
-
-                # triples {old, old, new}, left copy; mirror added afterwards
-                b = np.zeros((Ns, 6), dtype=np.int32)
-                sb_asc = asc_b[sel]
-                sa_asc = asc_a[sel]
-                sb_desc = desc_b[sel]
-                sa_desc = desc_a[sel]
-                st_asc = asc_tot[sel]
-                # both olds on the left: new point is last
-                b[:, 0] += (B * sb_asc).sum(axis=1, dtype=np.int32)
-                b231 = ((~B) * sa_asc).sum(axis=1, dtype=np.int32)
-                b[:, 3] += b231
-                b[:, 1] += st_asc - b[:, 0] - b231
-                b213 = (B * sa_desc).sum(axis=1, dtype=np.int32)
-                b321 = ((~B) * sb_desc).sum(axis=1, dtype=np.int32)
-                b[:, 2] += b213
-                b[:, 5] += b321
-                b[:, 4] += (total2 - st_asc) - b213 - b321
-                # one old each side: new point is in the middle
-                ABs = AB[sel]
-                sab = (B * ABs).sum(axis=1, dtype=np.int32)
-                b[:, 0] += nb * (dA - naB)
-                b[:, 1] += nb * naB - sab
-                b[:, 3] += sab
-                b[:, 2] += ((~B) * (dA - ABs)).sum(axis=1, dtype=np.int32)
-                b312 = ((~B) * ABs).sum(axis=1, dtype=np.int32) - (d - nb) * naB
-                b[:, 4] += b312
-                b[:, 5] += (d - nb) * naB
-                # both olds on the right: new point is first
-                sbA_asc = ascA_b[sel]
-                saA_asc = ascA_a[sel]
-                sbA_desc = descA_b[sel]
-                saA_desc = descA_a[sel]
-                stA_asc = ascA_tot[sel]
-                b123 = ((~BA) * saA_asc).sum(axis=1, dtype=np.int32)
-                b312a = (BA * sbA_asc).sum(axis=1, dtype=np.int32)
-                b[:, 0] += b123
-                b[:, 4] += b312a
-                b[:, 2] += stA_asc - b123 - b312a
-                b132 = ((~BA) * sbA_desc).sum(axis=1, dtype=np.int32)
-                b321a = (BA * saA_desc).sum(axis=1, dtype=np.int32)
-                b[:, 1] += b132
-                b[:, 5] += b321a
-                b[:, 3] += (totalA2 - stA_asc) - b132 - b321a
-
-                for p in range(6):
-                    delta[:, p] += b[:, p] + b[:, _RMAP[p]]
-
-                C2 = Cc[sel].astype(np.int32) + delta
-                keep = ((C2 <= T) & (C2 + remv >= T)).all(axis=1)
-                kept = int(keep.sum())
-                if final:
-                    scanned += Ns
-                    if kept:
-                        hit_rows = np.concatenate(
-                            [Ws[keep], np.full((kept, 1), u, dtype=np.uint8)],
-                            axis=1,
-                        )
-                        hits_rows.append(hit_rows)
-                else:
-                    scanned += (Ns - kept) * leaves[depth + 1]
-                    if kept:
-                        nextW.append(
-                            np.concatenate(
-                                [Ws[keep], np.full((kept, 1), u, dtype=np.uint8)],
-                                axis=1,
-                            )
-                        )
-                        nextC.append(C2[keep].astype(np.int16))
+    def descend(Wc: np.ndarray, Cc: np.ndarray) -> None:
+        nonlocal scanned, timed_out, nodes
+        if deadline is not None and nodes >= _KERNEL_NODE_CHECK:
+            nodes = 0
+            timed_out = time.monotonic() > deadline
         if timed_out:
-            break
-        if final or not nextW:
-            if not final and not nextW:
-                pass  # every branch pruned; scanned already accounts for them
-            break
-        W = np.concatenate(nextW, axis=0)
-        C = np.concatenate(nextC, axis=0)
+            return
+        d = Wc.shape[1]
+        final = d + 1 == m
+        cands = [first_u] if d == 0 else others
+        nodes += Wc.shape[0] * len(cands)
+        size = _PATH_CELLS // (m * (d + 1))
+        r3 = comb(n, 3) - comb(2 * (d + 1) + odd, 3)
+        r2 = comb(n, 2) - comb(2 * (d + 1) + odd, 2)
+        remv = np.array([r3] * 6 + [r2] * 2, dtype=np.int32)
+        queue_W: list[np.ndarray] = []
+        queue_C: list[np.ndarray] = []
+        queued = 0
 
+        asc_b, asc_a, desc_b, desc_a, asc_tot = _pair_stats(Wc)
+        total2 = d * (d - 1) // 2
+        if odd:
+            A = np.concatenate(
+                [
+                    np.full((Wc.shape[0], 1), center, dtype=vdtype),
+                    (nn1 - Wc[:, ::-1]).astype(vdtype),
+                ],
+                axis=1,
+            )
+        else:
+            A = (nn1 - Wc[:, ::-1]).astype(vdtype)
+        dA = d + odd
+        ascA_b, ascA_a, descA_b, descA_a, ascA_tot = _pair_stats(A)
+        totalA2 = dA * (dA - 1) // 2
+        # AB[s, i] = how many A-values sit below W[s, i]
+        AB = (A[:, None, :] < Wc[:, :, None]).sum(axis=2, dtype=np.int32)
+
+        for u in cands:
+            up = nn1 - u
+            sel = ~((Wc == u) | (Wc == up)).any(axis=1)
+            if not sel.any():
+                continue
+            Ws = Wc[sel]
+            As = A[sel]
+            Ns = Ws.shape[0]
+            B = Ws < u
+            nb = B.sum(axis=1, dtype=np.int32)
+            nbp = (Ws < up).sum(axis=1, dtype=np.int32)
+            BA = As < u
+            naB = BA.sum(axis=1, dtype=np.int32)
+            delta = np.zeros((Ns, 8), dtype=np.int32)
+
+            # pairs: old-new doubled by the mirror, plus the new pair
+            c12 = nb + (dA - naB)
+            delta[:, _P12_IDX] = 2 * c12 + (1 if u < up else 0)
+            delta[:, _P21_IDX] = 2 * (d + dA - c12) + (0 if u < up else 1)
+
+            # triples {left copy, right copy, old}
+            if u < up:
+                a1, a2, a3 = nb, nbp - nb, d - nbp  # 123, 213, 312 via left
+                delta[:, 0] += 2 * a1 + odd  # center triple is 123
+                delta[:, 2] += a2
+                delta[:, 1] += a2  # R(213) = 132
+                delta[:, 4] += a3
+                delta[:, 3] += a3  # R(312) = 231
+            else:
+                a1, a2, a3 = nbp, nb - nbp, d - nb  # 132, 231, 321 via left
+                delta[:, 1] += a1
+                delta[:, 2] += a1  # R(132) = 213
+                delta[:, 3] += a2
+                delta[:, 4] += a2  # R(231) = 312
+                delta[:, 5] += 2 * a3 + odd  # center triple is 321
+
+            # triples {old, old, new}, left copy; mirror added afterwards
+            b = np.zeros((Ns, 6), dtype=np.int32)
+            sb_asc = asc_b[sel]
+            sa_asc = asc_a[sel]
+            sb_desc = desc_b[sel]
+            sa_desc = desc_a[sel]
+            st_asc = asc_tot[sel]
+            # both olds on the left: new point is last
+            b[:, 0] += (B * sb_asc).sum(axis=1, dtype=np.int32)
+            b231 = ((~B) * sa_asc).sum(axis=1, dtype=np.int32)
+            b[:, 3] += b231
+            b[:, 1] += st_asc - b[:, 0] - b231
+            b213 = (B * sa_desc).sum(axis=1, dtype=np.int32)
+            b321 = ((~B) * sb_desc).sum(axis=1, dtype=np.int32)
+            b[:, 2] += b213
+            b[:, 5] += b321
+            b[:, 4] += (total2 - st_asc) - b213 - b321
+            # one old each side: new point is in the middle
+            ABs = AB[sel]
+            sab = (B * ABs).sum(axis=1, dtype=np.int32)
+            b[:, 0] += nb * (dA - naB)
+            b[:, 1] += nb * naB - sab
+            b[:, 3] += sab
+            b[:, 2] += ((~B) * (dA - ABs)).sum(axis=1, dtype=np.int32)
+            b312 = ((~B) * ABs).sum(axis=1, dtype=np.int32) - (d - nb) * naB
+            b[:, 4] += b312
+            b[:, 5] += (d - nb) * naB
+            # both olds on the right: new point is first
+            sbA_asc = ascA_b[sel]
+            saA_asc = ascA_a[sel]
+            sbA_desc = descA_b[sel]
+            saA_desc = descA_a[sel]
+            stA_asc = ascA_tot[sel]
+            b123 = ((~BA) * saA_asc).sum(axis=1, dtype=np.int32)
+            b312a = (BA * sbA_asc).sum(axis=1, dtype=np.int32)
+            b[:, 0] += b123
+            b[:, 4] += b312a
+            b[:, 2] += stA_asc - b123 - b312a
+            b132 = ((~BA) * sbA_desc).sum(axis=1, dtype=np.int32)
+            b321a = (BA * saA_desc).sum(axis=1, dtype=np.int32)
+            b[:, 1] += b132
+            b[:, 5] += b321a
+            b[:, 3] += (totalA2 - stA_asc) - b132 - b321a
+
+            for p in range(6):
+                delta[:, p] += b[:, p] + b[:, _RMAP[p]]
+
+            C2 = Cc[sel].astype(np.int32) + delta
+            keep = ((C2 <= T) & (C2 + remv >= T)).all(axis=1)
+            kept = int(keep.sum())
+            if final:
+                scanned += Ns
+            else:
+                scanned += (Ns - kept) * leaves[d + 1]
+            if not kept:
+                continue
+            children = np.concatenate(
+                [Ws[keep], np.full((kept, 1), u, dtype=vdtype)], axis=1
+            )
+            if final:
+                hits_rows.append(children)
+                continue
+            queue_W.append(children)
+            queue_C.append(C2[keep].astype(cdtype))
+            queued += kept
+            if queued >= size:
+                Wq = np.concatenate(queue_W)
+                Cq = np.concatenate(queue_C)
+                cut = queued - queued % size
+                for start in range(0, cut, size):
+                    descend(Wq[start:start + size], Cq[start:start + size])
+                    if timed_out:
+                        return
+                queue_W, queue_C = [Wq[cut:]], [Cq[cut:]]
+                queued -= cut
+        if queued:
+            descend(np.concatenate(queue_W), np.concatenate(queue_C))
+
+    descend(np.zeros((1, 0), dtype=vdtype), np.zeros((1, 8), dtype=cdtype))
     hits: list = []
     for rows in hits_rows:
         for row in rows:
@@ -611,21 +492,47 @@ def _bfs_central_shard(
             )
             hits.append(full)
     hits.sort()
-    if not timed_out:
-        assert scanned == leaves[1], "shard coverage accounting is off"
+    if not timed_out and scanned != leaves[1]:
+        raise RuntimeError("shard coverage accounting is off")
     return hits, scanned, timed_out
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _covered_through(n: int, hit: tuple) -> int:
+    """Candidates of hit's central shard up to and including hit.
+
+    This is what a lexicographic scan of the shard covers when it stops at
+    hit: each free value below the one placed at position i stands for a
+    whole subtree of 2^k * k! leaves, k = n // 2 - 1 - i.
+    """
+    nn1 = n + 1
+    m = n // 2
+    free = {u for u in range(1, n + 1) if 2 * u != nn1} - {hit[0], nn1 - hit[0]}
+    covered = 1
+    for i in range(1, m):
+        v = hit[i]
+        k = m - 1 - i
+        covered += sum(u < v for u in free) * (1 << k) * factorial(k)
+        free -= {v, nn1 - v}
+    return covered
+
+
 def _run_shard(args: tuple) -> tuple:
-    kind, n, tv, first_u, limit, deadline = args
-    if kind == "bfs":
-        return _bfs_central_shard(n, tv, first_u, deadline)
-    if kind == "central":
-        return _dfs_central_shard(n, tv, first_u, limit, deadline)
-    return _dfs_full_shard(n, tv, first_u, limit, deadline)
+    """Scan one shard; returns (hits, scanned, timed_out).
+
+    A shard stops at its own limit-th hit. Central shards are scanned
+    whole and then cut there, with scanned counted up to that hit.
+    """
+    central, n, tv, first_u, limit, deadline = args
+    if not central:
+        return _dfs_full_shard(n, tv, first_u, limit, deadline)
+    hits, scanned, timed_out = _bfs_central_shard(n, tv, first_u, deadline)
+    if limit is not None and len(hits) >= limit and not timed_out:
+        hits = hits[:limit]
+        scanned = _covered_through(n, hits[-1])
+    return hits, scanned, timed_out
 
 
 def _search_space(
@@ -645,15 +552,13 @@ def _search_space(
     """
     t0 = time.monotonic()
     nn1 = n + 1
-    deadline = time.time() + timeout if timeout is not None else None
+    deadline = time.monotonic() + timeout if timeout is not None else None
     if central_only:
+        _kernel_dtypes(n, tv)  # raises ValueError before any worker starts
         firsts = [u for u in range(1, n + 1) if 2 * u != nn1]
-        use_bfs = limit is None and space_size(n, True) <= _BFS_LEAF_CAP
-        kind = "bfs" if use_bfs else "central"
     else:
         firsts = list(range(1, n + 1))
-        kind = "full"
-    shards = [(kind, n, tv, u, limit, deadline) for u in firsts]
+    shards = [(central_only, n, tv, u, limit, deadline) for u in firsts]
 
     hits: list = []
     scanned = 0
@@ -681,11 +586,22 @@ def _search_space(
             if not consume(i, _run_shard(sh)):
                 break
     else:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=min(threads, len(shards))) as pool:
-            for i, res in enumerate(pool.imap(_run_shard, shards)):
+        # At most one shard per worker is in flight, and the pool is closed
+        # only once they are all back: terminating a worker that is sending
+        # its result leaves the result queue locked and the pool hangs.
+        workers = min(threads, len(shards))
+        with get_context("fork").Pool(processes=workers) as pool:
+            jobs = deque(pool.apply_async(_run_shard, (sh,)) for sh in shards[:workers])
+            for i in range(len(shards)):
+                res = jobs.popleft().get()
+                if i + workers < len(shards):
+                    jobs.append(pool.apply_async(_run_shard, (shards[i + workers],)))
                 if not consume(i, res):
                     break
+            for job in jobs:
+                job.wait()
+            pool.close()
+            pool.join()
 
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     if timed_out:
@@ -700,7 +616,9 @@ def search_3_inflatable(
 
     Inadmissible lengths short-circuit to an empty result without scanning.
     progress, when given, is called with (shard_index, [hits]) as shards
-    complete; with emit_all the CLI uses it to stream hits.
+    complete; the CLI's --emit-all uses it to stream hits. Centrally
+    symmetric lengths above 1626 raise ValueError: the search kernel's
+    int32 counts would overflow there.
 
     >>> search_3_inflatable(SearchConfig(n=9)).status
     'inadmissible'

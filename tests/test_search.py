@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from inflatable import (
@@ -17,8 +18,8 @@ from inflatable import (
 )
 from inflatable.search import (
     _bfs_central_shard,
-    _dfs_central_shard,
     _dfs_full_shard,
+    _kernel_dtypes,
     _search_space,
     _target_vector,
 )
@@ -41,16 +42,6 @@ def inv_perm(tau: Perm) -> Perm:
 
 def central_firsts(n: int) -> list:
     return [u for u in range(1, n + 1) if 2 * u != n + 1]
-
-
-def run_central_dfs(n: int, tv: tuple) -> tuple:
-    hits, scanned = [], 0
-    for u in central_firsts(n):
-        h, s, t = _dfs_central_shard(n, tv, u, None, None)
-        assert not t
-        hits += [Perm(x) for x in h]
-        scanned += s
-    return sorted(hits), scanned
 
 
 def run_central_bfs(n: int, tv: tuple) -> tuple:
@@ -121,8 +112,31 @@ def test_config_validation():
         search_3_inflatable(SearchConfig(n=17, limit=0))
 
 
+def old_limit_rule(pool: list, vectors: list, tv: tuple, limit: int) -> tuple:
+    """The limited scan's (hits, scanned), from brute-force lexicographic order.
+
+    pool lists the central candidates in lexicographic order, vectors their
+    count vectors. Shards (first values) run in order. Each shard stops at
+    its own limit-th hit and counts the candidates up to and including it;
+    a shard with fewer hits counts in full. The scan ends with the shard
+    that brings the hits to the limit.
+    """
+    hits, scanned = [], 0
+    for u in sorted({p[0] for p in pool}):
+        shard = [(p, v) for p, v in zip(pool, vectors) if p[0] == u]
+        own = [p for p, v in shard if v == tv]
+        if len(own) >= limit:
+            scanned += shard.index((own[limit - 1], tv)) + 1
+        else:
+            scanned += len(shard)
+        hits += own
+        if len(hits) >= limit:
+            break
+    return hits[:limit], scanned
+
+
 def test_engines_agree_with_brute_force_central():
-    # run both engines against exhaustive filtering on targets that are
+    # run the kernel against exhaustive filtering on targets that are
     # guaranteed achievable (count vectors of actual central permutations)
     rng = random.Random(7)
     for n in range(4, 9):
@@ -131,15 +145,12 @@ def test_engines_agree_with_brute_force_central():
         targets.add(count_vector(Perm(tuple(range(1, n + 1)))))
         for tv in targets:
             brute = sorted(p for p in pool if count_vector(p) == tv)
-            dfs_hits, dfs_scanned = run_central_dfs(n, tv)
             bfs_hits, bfs_scanned = run_central_bfs(n, tv)
-            assert dfs_hits == brute
             assert bfs_hits == brute
-            assert dfs_scanned == space_size(n, True)
             assert bfs_scanned == space_size(n, True)
             # central targets have equal 231/312 entries, so the hit set
             # is closed under taking inverses
-            assert {inv_perm(h) for h in dfs_hits} == set(dfs_hits)
+            assert {inv_perm(h) for h in bfs_hits} == set(bfs_hits)
 
 
 def test_engine_agrees_with_brute_force_full():
@@ -158,24 +169,25 @@ def test_impossible_target_scans_everything_finds_nothing():
     # inconsistent vector: a lone 123 with every pair descending
     n = 6
     tv = (1, 0, 0, 0, 0, comb(n, 3) - 1, 0, comb(n, 2))
-    hits, scanned = run_central_dfs(n, tv)
+    assert not any(count_vector(p) == tv for p in enumerate_centrally_symmetric(n))
+    hits, scanned = run_central_bfs(n, tv)
     assert hits == []
     assert scanned == space_size(n, True)
 
 
-def test_bfs_and_dfs_agree_at_larger_size():
+def test_kernel_agrees_with_brute_force_at_larger_size():
     n = 12
     rng = random.Random(9)
     # build central length-12 targets from actual length-12 candidates
-    gen = enumerate_centrally_symmetric(n)
-    sample = [next(gen) for _ in range(500)]
-    for tau in rng.sample(sample, 3):
+    pool = list(enumerate_centrally_symmetric(n))
+    vectors = [count_vector(p) for p in pool]
+    for tau in rng.sample(pool[:500], 3):
         tv = count_vector(tau)
-        dfs_hits, dfs_scanned = run_central_dfs(n, tv)
+        brute = [p for p, v in zip(pool, vectors) if v == tv]
         bfs_hits, bfs_scanned = run_central_bfs(n, tv)
-        assert dfs_hits == bfs_hits
+        assert bfs_hits == brute
         assert tau in bfs_hits
-        assert dfs_scanned == bfs_scanned == space_size(n, True)
+        assert bfs_scanned == space_size(n, True)
 
 
 def test_search_space_threads_deterministic():
@@ -215,6 +227,21 @@ def test_limit_cut_is_deterministic_and_a_subset():
         assert threaded == (lim_hits, lim_scanned)
 
 
+def test_limited_scan_matches_the_lexicographic_cut():
+    # the limit cut and its scanned count equal those of a scan that walks
+    # each shard in lexicographic order and stops at the shard's limit-th hit
+    rng = random.Random(10)
+    for n in (8, 10):
+        pool = list(enumerate_centrally_symmetric(n))
+        vectors = [count_vector(p) for p in pool]
+        for tau in rng.sample(pool, 4):
+            tv = count_vector(tau)
+            for limit in (1, 2, 3, 5):
+                want = old_limit_rule(pool, vectors, tv, limit)
+                for threads in (1, 3):
+                    assert _search_space(n, tv, True, limit, threads, None) == want
+
+
 def test_progress_callback_streams_every_hit():
     n = 8
     gen = enumerate_centrally_symmetric(n)
@@ -233,15 +260,29 @@ def test_progress_callback_streams_every_hit():
 
 
 def test_timeout_raises_with_partial_progress():
-    # the depth-first engine polls its deadline every few thousand nodes
+    # the central kernel polls its deadline by node count, like the
+    # depth-first engine, with or without a limit
     with pytest.raises(SearchTimeout) as exc:
         search_3_inflatable(SearchConfig(n=17, limit=10**9, timeout=0.05))
     assert exc.value.scanned > 0
     assert isinstance(exc.value.hits, list)
     assert exc.value.elapsed_ms >= 0
-    # the breadth-first engine checks between chunks
     with pytest.raises(SearchTimeout):
         search_3_inflatable(SearchConfig(n=17, timeout=0.02))
+
+
+def test_long_lengths_widen_the_kernel_arrays_or_refuse():
+    # targets pass int16 at n=161 and values pass uint8 at n=288; a short
+    # timed run there must stop with SearchTimeout, not wrap a count
+    assert _kernel_dtypes(17, _target_vector(17)) == (np.uint8, np.int16)
+    assert _kernel_dtypes(161, _target_vector(161)) == (np.uint8, np.int32)
+    assert _kernel_dtypes(288, _target_vector(288)) == (np.uint16, np.int32)
+    for n in (161, 288):
+        with pytest.raises(SearchTimeout):
+            search_3_inflatable(SearchConfig(n=n, timeout=0.05))
+    # past n = 1626 the int32 working counts could overflow
+    with pytest.raises(ValueError):
+        search_3_inflatable(SearchConfig(n=1728, timeout=0.05))
 
 
 def test_known_hit_shard_length17():
