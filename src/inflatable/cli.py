@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isnan
 from typing import Optional
 
 from .core import (
@@ -294,15 +295,14 @@ def _cmd_montecarlo(args) -> CommandResult:
         seed=args.seed,
     )
     exact = limit_density_uniform(pi, tau)
-    if est.stderr and est.stderr > 0:
-        z = (est.mean - float(exact)) / est.stderr
-    else:
-        z = None
+    # one sample has no standard error; JSON has no NaN, so both are null
+    stderr = None if isnan(est.stderr) else est.stderr
+    z = (est.mean - float(exact)) / stderr if stderr else None
     return CommandResult(
         "ok",
         {
             "mean": est.mean,
-            "stderr": est.stderr,
+            "stderr": stderr,
             "exact": _rat(exact),
             "z": z,
         },

@@ -6,15 +6,16 @@ is a constraint scan, not a verification loop: partial placements carry
 incremental counts and a branch dies as soon as any count overshoots its
 target or can no longer reach it.
 
-Centrally symmetric candidates go through one vectorized kernel (numpy).
-It extends a block of partial states by every admissible next value at
-once and descends into the surviving children a block at a time, depth
-first, so the arrays it holds stay bounded. The same kernel serves full
-scans (length 17, 10,321,920 candidates, in seconds on one core) and
-scans cut by a result limit or a timeout: each shard is scanned whole and
-its sorted hits are cut at the limit. The unrestricted space goes through
-a depth-first backtracker in plain Python. The test suite checks both
-against brute-force filtering.
+Both search spaces go through one vectorized kernel (numpy). It extends a
+block of partial states by every admissible next value at once and
+descends into the surviving children a block at a time, depth first, so
+the arrays it holds stay bounded. The same kernel serves full scans
+(length 17, 10,321,920 centrally symmetric candidates, in seconds on one
+core) and scans cut by a result limit or a timeout: each shard is scanned
+whole and its sorted hits are cut at the limit. Only the child generator
+depends on the space: unrestricted states grow by one value placed last,
+centrally symmetric ones by a complementary pair. The test suite checks
+both against brute-force filtering.
 
 Centrally symmetric states place complementary value pairs outside-in:
 after d steps positions 1..d and n-d+1..n are filled and the pair
@@ -29,15 +30,15 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
 from multiprocessing import get_context
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .core import Perm, PermLike, as_perm
-from .criteria import admissible_residues, target_counts_3, target_densities_3
-from .core import PATTERNS_3
+from .core import PATTERNS_3, Perm
+from .criteria import admissible_residues, target_counts_3
 
 __all__ = [
     "SearchConfig",
@@ -54,10 +55,11 @@ _P12_IDX = 6
 _P21_IDX = 7
 
 # index image of each length-3 pattern under R (132 <-> 213, 231 <-> 312)
+# and under reversal (123 <-> 321, 132 <-> 231, 213 <-> 312)
 _RMAP = (0, 2, 1, 4, 3, 5)
+_REVMAP = (5, 3, 4, 1, 2, 0)
 
-_NODE_CHECK = 4096  # deadline poll interval for the depth-first engine
-_KERNEL_NODE_CHECK = 1 << 16  # the same for the central kernel
+_KERNEL_NODE_CHECK = 1 << 16  # (state, value) pairs tried between deadline polls
 _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
 
 
@@ -120,10 +122,7 @@ def space_size(n: int, central_only: bool) -> int:
     """Number of candidates: 2^(n//2) * (n//2)! centrally symmetric, else n!."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if central_only:
-        m = n // 2
-        return (1 << m) * factorial(m)
-    return factorial(n)
+    return _space(n, central_only).leaves[0]
 
 
 def enumerate_centrally_symmetric(n: int) -> Iterator[Perm]:
@@ -158,7 +157,6 @@ def enumerate_centrally_symmetric(n: int) -> Iterator[Perm]:
             vals[n - 1 - pos] = nn1 - v
             yield from rec(pos + 1)
             used[pid] = 0
-        return
 
     yield from rec(0)
 
@@ -172,99 +170,8 @@ def _target_vector(n: int) -> Optional[tuple]:
     return six + (t12, comb(n, 2) - t12)
 
 
-def _tri_index(x: int, y: int, z: int) -> int:
-    # pattern of the value triple (x, y, z) in position order -> 0..5
-    if x < y:
-        if z > y:
-            return 0  # 123
-        if z > x:
-            return 1  # 132
-        return 3  # 231
-    if z > x:
-        return 2  # 213
-    if z > y:
-        return 4  # 312
-    return 5  # 321
-
-
 # ---------------------------------------------------------------------------
-# depth-first engine (unrestricted space)
-
-
-def _dfs_full_shard(
-    n: int,
-    tv: tuple,
-    first_u: int,
-    limit: Optional[int],
-    deadline: Optional[float],
-) -> tuple:
-    """Scan the unrestricted subtree of permutations starting with first_u."""
-    leaves = [factorial(n - d) for d in range(n + 1)]
-    rem = [(comb(n, 3) - comb(d, 3), comb(n, 2) - comb(d, 2)) for d in range(n + 1)]
-    hits: list = []
-    W: list[int] = []
-    used = bytearray(n + 1)
-    counts = [0] * 8
-    state = {"scanned": 0, "nodes": 0, "timed_out": False, "capped": False}
-
-    def rec(d: int) -> None:
-        cand = range(first_u, first_u + 1) if d == 0 else range(1, n + 1)
-        r3, r2 = rem[d + 1]
-        for u in cand:
-            if state["timed_out"] or state["capped"]:
-                return
-            if used[u]:
-                continue
-            state["nodes"] += 1
-            if deadline is not None and state["nodes"] % _NODE_CHECK == 0:
-                if time.monotonic() > deadline:
-                    state["timed_out"] = True
-                    return
-            delta = [0] * 8
-            nb = 0
-            for w in W:
-                nb += w < u
-            delta[_P12_IDX] = nb
-            delta[_P21_IDX] = d - nb
-            for j in range(d):
-                vj = W[j]
-                for i in range(j):
-                    delta[_tri_index(W[i], vj, u)] += 1
-            ok = True
-            for i in range(8):
-                c = counts[i] + delta[i]
-                r = r3 if i < 6 else r2
-                if c > tv[i] or c + r < tv[i]:
-                    ok = False
-                    break
-            if not ok:
-                state["scanned"] += leaves[d + 1]
-                continue
-            if d + 1 == n:
-                state["scanned"] += 1
-                hits.append(tuple(W) + (u,))
-                if limit is not None and len(hits) >= limit:
-                    state["capped"] = True
-                    return
-                continue
-            W.append(u)
-            used[u] = 1
-            for i in range(8):
-                counts[i] += delta[i]
-            rec(d + 1)
-            for i in range(8):
-                counts[i] -= delta[i]
-            used[u] = 0
-            W.pop()
-
-    rec(0)
-    if not state["capped"] and not state["timed_out"] and state["scanned"] != leaves[1]:
-        raise RuntimeError("shard coverage accounting is off")
-    return hits, state["scanned"], state["timed_out"]
-
-
-# ---------------------------------------------------------------------------
-# central kernel (numpy)
+# level kernel (numpy)
 
 
 def _pair_stats(M: np.ndarray) -> tuple:
@@ -288,13 +195,173 @@ def _pair_stats(M: np.ndarray) -> tuple:
     return asc_before, asc_after, desc_before, desc_after, asc_total
 
 
+def _last_triples(B: np.ndarray, stats: tuple) -> np.ndarray:
+    """Counts of triples {old, old, new} with the new point last, by pattern.
+
+    B[s, i] says whether old value i of row s lies below the new value;
+    stats are the _pair_stats of the same rows.
+    """
+    asc_b, asc_a, desc_b, desc_a, asc_tot = stats
+    d = B.shape[1]
+    b = np.empty((B.shape[0], 6), dtype=np.int32)
+    b[:, 0] = (B * asc_b).sum(axis=1, dtype=np.int32)
+    b[:, 3] = ((~B) * asc_a).sum(axis=1, dtype=np.int32)
+    b[:, 1] = asc_tot - b[:, 0] - b[:, 3]
+    b[:, 2] = (B * desc_a).sum(axis=1, dtype=np.int32)
+    b[:, 5] = ((~B) * desc_b).sum(axis=1, dtype=np.int32)
+    b[:, 4] = (d * (d - 1) // 2 - asc_tot) - b[:, 2] - b[:, 5]
+    return b
+
+
+def _full_children(Wc: np.ndarray, cands: list) -> Iterator[tuple]:
+    """Yield (u, sel, Ws, delta) for each value u placed after the rows of Wc.
+
+    sel picks the rows that do not hold u yet, Ws = Wc[sel], and delta is
+    the change of the count vector when u becomes the last point.
+    """
+    d = Wc.shape[1]
+    stats = _pair_stats(Wc)
+    for u in cands:
+        sel = ~(Wc == u).any(axis=1)
+        Ws = Wc[sel]
+        B = Ws < u
+        nb = B.sum(axis=1, dtype=np.int32)
+        delta = np.empty((Ws.shape[0], 8), dtype=np.int32)
+        delta[:, :6] = _last_triples(B, tuple(x[sel] for x in stats))
+        delta[:, _P12_IDX] = nb
+        delta[:, _P21_IDX] = d - nb
+        yield u, sel, Ws, delta
+
+
+def _central_children(n: int, Wc: np.ndarray, cands: list) -> Iterator[tuple]:
+    """Yield (u, sel, Ws, delta) for each pair (u, n+1-u) placed inside Wc.
+
+    Rows of Wc hold the left half of a centrally symmetric state; the pair
+    enters at the innermost free positions, u on the left. sel picks the
+    rows that hold neither value yet, Ws = Wc[sel], and delta is the change
+    of the count vector.
+    """
+    nn1 = n + 1
+    odd = n & 1
+    d = Wc.shape[1]
+    stats = _pair_stats(Wc)
+    # Rv: the right half's values, the center included, in reverse position
+    # order, so u comes last in its triples with two right-half values
+    Rv = (nn1 - Wc).astype(Wc.dtype)
+    if odd:
+        center = np.full((Wc.shape[0], 1), nn1 // 2, dtype=Wc.dtype)
+        Rv = np.concatenate([Rv, center], axis=1)
+    dR = d + odd
+    stats_Rv = _pair_stats(Rv)
+    # RB[s, i] = how many right-half values sit below Wc[s, i]
+    RB = (Rv[:, None, :] < Wc[:, :, None]).sum(axis=2, dtype=np.int32)
+
+    for u in cands:
+        up = nn1 - u
+        sel = ~((Wc == u) | (Wc == up)).any(axis=1)
+        Ws = Wc[sel]
+        Ns = Ws.shape[0]
+        B = Ws < u
+        nb = B.sum(axis=1, dtype=np.int32)
+        nbp = (Ws < up).sum(axis=1, dtype=np.int32)
+        BRv = Rv[sel] < u
+        nrb = BRv.sum(axis=1, dtype=np.int32)
+        delta = np.zeros((Ns, 8), dtype=np.int32)
+
+        # pairs: old-new doubled by the mirror, plus the new pair
+        c12 = nb + (dR - nrb)
+        delta[:, _P12_IDX] = 2 * c12 + (1 if u < up else 0)
+        delta[:, _P21_IDX] = 2 * (d + dR - c12) + (0 if u < up else 1)
+
+        # triples {left copy, right copy, old}
+        if u < up:
+            a1, a2, a3 = nb, nbp - nb, d - nbp  # 123, 213, 312 via left
+            delta[:, 0] += 2 * a1 + odd  # center triple is 123
+            delta[:, 2] += a2
+            delta[:, 1] += a2  # R(213) = 132
+            delta[:, 4] += a3
+            delta[:, 3] += a3  # R(312) = 231
+        else:
+            a1, a2, a3 = nbp, nb - nbp, d - nb  # 132, 231, 321 via left
+            delta[:, 1] += a1
+            delta[:, 2] += a1  # R(132) = 213
+            delta[:, 3] += a2
+            delta[:, 4] += a2  # R(231) = 312
+            delta[:, 5] += 2 * a3 + odd  # center triple is 321
+
+        # triples {old, old, new}, left copy; mirror added afterwards
+        # both olds on the left: new point is last
+        b = _last_triples(B, tuple(x[sel] for x in stats))
+        # both olds on the right: new point is first, so last in Rv's order
+        b += _last_triples(BRv, tuple(x[sel] for x in stats_Rv))[:, _REVMAP]
+        # one old each side: new point is in the middle
+        RBs = RB[sel]
+        sab = (B * RBs).sum(axis=1, dtype=np.int32)
+        b[:, 0] += nb * (dR - nrb)
+        b[:, 1] += nb * nrb - sab
+        b[:, 3] += sab
+        b[:, 2] += ((~B) * (dR - RBs)).sum(axis=1, dtype=np.int32)
+        b[:, 4] += ((~B) * RBs).sum(axis=1, dtype=np.int32) - (d - nb) * nrb
+        b[:, 5] += (d - nb) * nrb
+
+        for p in range(6):
+            delta[:, p] += b[:, p] + b[:, _RMAP[p]]
+        yield u, sel, Ws, delta
+
+
+@dataclass(frozen=True)
+class _Space:
+    """The facts about one search space that the block driver needs.
+
+    A candidate is built in `steps` steps of `per_step` values each; a state
+    after d steps has leaves[d] candidates under it. A step chooses one of
+    `values` not yet taken; taken(v) are the values a step placing v uses
+    up. children is the space's child generator and as_hit turns a stored
+    row into the candidate's value tuple.
+    """
+
+    steps: int
+    per_step: int
+    leaves: tuple
+    values: tuple
+    taken: Callable
+    children: Callable
+    as_hit: Callable
+
+
+def _space(n: int, central: bool) -> _Space:
+    nn1 = n + 1
+    if not central:
+        return _Space(
+            steps=n,
+            per_step=1,
+            leaves=tuple(factorial(n - d) for d in range(n + 1)),
+            values=tuple(range(1, nn1)),
+            taken=lambda v: {v},
+            children=_full_children,
+            as_hit=lambda row: row,
+        )
+    m = n // 2
+    mid = (nn1 // 2,) if n & 1 else ()
+    return _Space(
+        steps=m,
+        per_step=2,
+        leaves=tuple((1 << (m - d)) * factorial(m - d) for d in range(m + 1)),
+        values=tuple(u for u in range(1, nn1) if 2 * u != nn1),
+        taken=lambda v: {v, nn1 - v},
+        children=partial(_central_children, n),
+        as_hit=lambda row: row + mid + tuple(nn1 - v for v in reversed(row)),
+    )
+
+
 def _kernel_dtypes(n: int, tv: tuple) -> tuple:
-    """Dtypes of the central kernel's stored values and stored counts.
+    """Dtypes of the search kernel's stored values and stored counts.
 
     Values take the smallest unsigned type that holds n + 1, since the
-    kernel forms n + 1 - v. Stored counts never exceed their targets, so
-    int16 holds them while every target does. Working counts are int32 and
-    stay below 3 * C(n, 3); lengths past that bound raise ValueError.
+    central kernel forms n + 1 - v. Stored counts never exceed their
+    targets, so int16 holds them while every target does. Working counts
+    are int32 and stay below 3 * C(n, 3); lengths past that bound raise
+    ValueError.
     """
     if 3 * comb(n, 3) > np.iinfo(np.int32).max:
         raise ValueError(f"length {n} is too long for the search kernel's int32 counts")
@@ -302,30 +369,24 @@ def _kernel_dtypes(n: int, tv: tuple) -> tuple:
     return np.min_scalar_type(n + 1), counts
 
 
-def _bfs_central_shard(
-    n: int, tv: tuple, first_u: int, deadline: Optional[float]
+def _scan_shard(
+    n: int, tv: tuple, space: _Space, first_u: int, deadline: Optional[float]
 ) -> tuple:
-    """Scan the central subtree rooted at first value first_u.
+    """Scan the subtree of space rooted at first value first_u.
 
     Returns (hits, scanned, timed_out) with hits as sorted value tuples.
-    The level kernel extends a block of partial states by every next pair
+    The level kernel extends a block of partial states by every next value
     at once. Surviving children queue up and are descended into, depth
-    first, as soon as a full block of them is ready. A block with d values
-    placed has at most _PATH_CELLS / (m * d) rows, so the blocks held along
-    one descent path hold at most _PATH_CELLS values at any length. Like
-    the depth-first engine, the kernel polls the deadline by node count:
-    before a block, once _KERNEL_NODE_CHECK (state, value) pairs have been
-    tried since the last poll, so a scan always gets past its first few
-    tiny blocks before it can time out.
+    first, as soon as a full block of them is ready. A block with d steps
+    taken has at most _PATH_CELLS / (steps * d) rows, so the blocks held
+    along one descent path hold at most _PATH_CELLS values at any length.
+    The kernel polls the deadline by node count: before a block, once
+    _KERNEL_NODE_CHECK (state, value) pairs have been tried since the last
+    poll, so a scan always gets past its first few tiny blocks before it
+    can time out.
     """
     vdtype, cdtype = _kernel_dtypes(n, tv)
-    nn1 = n + 1
-    m = n // 2
-    odd = n & 1
-    center = nn1 // 2 if odd else 0
     T = np.array(tv, dtype=np.int32)
-    leaves = [factorial(m - d) * (1 << (m - d)) for d in range(m + 1)]
-    others = [u for u in range(1, n + 1) if 2 * u != nn1]
     hits_rows: list[np.ndarray] = []
     scanned = 0
     timed_out = False
@@ -339,125 +400,27 @@ def _bfs_central_shard(
         if timed_out:
             return
         d = Wc.shape[1]
-        final = d + 1 == m
-        cands = [first_u] if d == 0 else others
+        final = d + 1 == space.steps
+        cands = [first_u] if d == 0 else space.values
         nodes += Wc.shape[0] * len(cands)
-        size = _PATH_CELLS // (m * (d + 1))
-        r3 = comb(n, 3) - comb(2 * (d + 1) + odd, 3)
-        r2 = comb(n, 2) - comb(2 * (d + 1) + odd, 2)
+        size = _PATH_CELLS // (space.steps * (d + 1))
+        fixed = n - space.per_step * (space.steps - d - 1)  # values placed
+        r3 = comb(n, 3) - comb(fixed, 3)
+        r2 = comb(n, 2) - comb(fixed, 2)
         remv = np.array([r3] * 6 + [r2] * 2, dtype=np.int32)
         queue_W: list[np.ndarray] = []
         queue_C: list[np.ndarray] = []
         queued = 0
 
-        asc_b, asc_a, desc_b, desc_a, asc_tot = _pair_stats(Wc)
-        total2 = d * (d - 1) // 2
-        if odd:
-            A = np.concatenate(
-                [
-                    np.full((Wc.shape[0], 1), center, dtype=vdtype),
-                    (nn1 - Wc[:, ::-1]).astype(vdtype),
-                ],
-                axis=1,
-            )
-        else:
-            A = (nn1 - Wc[:, ::-1]).astype(vdtype)
-        dA = d + odd
-        ascA_b, ascA_a, descA_b, descA_a, ascA_tot = _pair_stats(A)
-        totalA2 = dA * (dA - 1) // 2
-        # AB[s, i] = how many A-values sit below W[s, i]
-        AB = (A[:, None, :] < Wc[:, :, None]).sum(axis=2, dtype=np.int32)
-
-        for u in cands:
-            up = nn1 - u
-            sel = ~((Wc == u) | (Wc == up)).any(axis=1)
-            if not sel.any():
-                continue
-            Ws = Wc[sel]
-            As = A[sel]
+        for u, sel, Ws, delta in space.children(Wc, cands):
             Ns = Ws.shape[0]
-            B = Ws < u
-            nb = B.sum(axis=1, dtype=np.int32)
-            nbp = (Ws < up).sum(axis=1, dtype=np.int32)
-            BA = As < u
-            naB = BA.sum(axis=1, dtype=np.int32)
-            delta = np.zeros((Ns, 8), dtype=np.int32)
-
-            # pairs: old-new doubled by the mirror, plus the new pair
-            c12 = nb + (dA - naB)
-            delta[:, _P12_IDX] = 2 * c12 + (1 if u < up else 0)
-            delta[:, _P21_IDX] = 2 * (d + dA - c12) + (0 if u < up else 1)
-
-            # triples {left copy, right copy, old}
-            if u < up:
-                a1, a2, a3 = nb, nbp - nb, d - nbp  # 123, 213, 312 via left
-                delta[:, 0] += 2 * a1 + odd  # center triple is 123
-                delta[:, 2] += a2
-                delta[:, 1] += a2  # R(213) = 132
-                delta[:, 4] += a3
-                delta[:, 3] += a3  # R(312) = 231
-            else:
-                a1, a2, a3 = nbp, nb - nbp, d - nb  # 132, 231, 321 via left
-                delta[:, 1] += a1
-                delta[:, 2] += a1  # R(132) = 213
-                delta[:, 3] += a2
-                delta[:, 4] += a2  # R(231) = 312
-                delta[:, 5] += 2 * a3 + odd  # center triple is 321
-
-            # triples {old, old, new}, left copy; mirror added afterwards
-            b = np.zeros((Ns, 6), dtype=np.int32)
-            sb_asc = asc_b[sel]
-            sa_asc = asc_a[sel]
-            sb_desc = desc_b[sel]
-            sa_desc = desc_a[sel]
-            st_asc = asc_tot[sel]
-            # both olds on the left: new point is last
-            b[:, 0] += (B * sb_asc).sum(axis=1, dtype=np.int32)
-            b231 = ((~B) * sa_asc).sum(axis=1, dtype=np.int32)
-            b[:, 3] += b231
-            b[:, 1] += st_asc - b[:, 0] - b231
-            b213 = (B * sa_desc).sum(axis=1, dtype=np.int32)
-            b321 = ((~B) * sb_desc).sum(axis=1, dtype=np.int32)
-            b[:, 2] += b213
-            b[:, 5] += b321
-            b[:, 4] += (total2 - st_asc) - b213 - b321
-            # one old each side: new point is in the middle
-            ABs = AB[sel]
-            sab = (B * ABs).sum(axis=1, dtype=np.int32)
-            b[:, 0] += nb * (dA - naB)
-            b[:, 1] += nb * naB - sab
-            b[:, 3] += sab
-            b[:, 2] += ((~B) * (dA - ABs)).sum(axis=1, dtype=np.int32)
-            b312 = ((~B) * ABs).sum(axis=1, dtype=np.int32) - (d - nb) * naB
-            b[:, 4] += b312
-            b[:, 5] += (d - nb) * naB
-            # both olds on the right: new point is first
-            sbA_asc = ascA_b[sel]
-            saA_asc = ascA_a[sel]
-            sbA_desc = descA_b[sel]
-            saA_desc = descA_a[sel]
-            stA_asc = ascA_tot[sel]
-            b123 = ((~BA) * saA_asc).sum(axis=1, dtype=np.int32)
-            b312a = (BA * sbA_asc).sum(axis=1, dtype=np.int32)
-            b[:, 0] += b123
-            b[:, 4] += b312a
-            b[:, 2] += stA_asc - b123 - b312a
-            b132 = ((~BA) * sbA_desc).sum(axis=1, dtype=np.int32)
-            b321a = (BA * saA_desc).sum(axis=1, dtype=np.int32)
-            b[:, 1] += b132
-            b[:, 5] += b321a
-            b[:, 3] += (totalA2 - stA_asc) - b132 - b321a
-
-            for p in range(6):
-                delta[:, p] += b[:, p] + b[:, _RMAP[p]]
-
             C2 = Cc[sel].astype(np.int32) + delta
             keep = ((C2 <= T) & (C2 + remv >= T)).all(axis=1)
             kept = int(keep.sum())
             if final:
                 scanned += Ns
             else:
-                scanned += (Ns - kept) * leaves[d + 1]
+                scanned += (Ns - kept) * space.leaves[d + 1]
             if not kept:
                 continue
             children = np.concatenate(
@@ -483,16 +446,10 @@ def _bfs_central_shard(
             descend(np.concatenate(queue_W), np.concatenate(queue_C))
 
     descend(np.zeros((1, 0), dtype=vdtype), np.zeros((1, 8), dtype=cdtype))
-    hits: list = []
-    for rows in hits_rows:
-        for row in rows:
-            left = [int(v) for v in row]
-            full = tuple(left) + ((center,) if odd else ()) + tuple(
-                nn1 - v for v in reversed(left)
-            )
-            hits.append(full)
-    hits.sort()
-    if not timed_out and scanned != leaves[1]:
+    hits = sorted(
+        space.as_hit(tuple(row)) for rows in hits_rows for row in rows.tolist()
+    )
+    if not timed_out and scanned != space.leaves[1]:
         raise RuntimeError("shard coverage accounting is off")
     return hits, scanned, timed_out
 
@@ -500,38 +457,34 @@ def _bfs_central_shard(
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _covered_through(n: int, hit: tuple) -> int:
-    """Candidates of hit's central shard up to and including hit.
+def _covered_through(space: _Space, hit: tuple) -> int:
+    """Candidates of hit's shard up to and including hit.
 
     This is what a lexicographic scan of the shard covers when it stops at
-    hit: each free value below the one placed at position i stands for a
-    whole subtree of 2^k * k! leaves, k = n // 2 - 1 - i.
+    hit: each free value below the one chosen at step i stands for a whole
+    subtree of leaves[i + 1] candidates.
     """
-    nn1 = n + 1
-    m = n // 2
-    free = {u for u in range(1, n + 1) if 2 * u != nn1} - {hit[0], nn1 - hit[0]}
+    free = set(space.values) - space.taken(hit[0])
     covered = 1
-    for i in range(1, m):
+    for i in range(1, space.steps):
         v = hit[i]
-        k = m - 1 - i
-        covered += sum(u < v for u in free) * (1 << k) * factorial(k)
-        free -= {v, nn1 - v}
+        covered += sum(u < v for u in free) * space.leaves[i + 1]
+        free -= space.taken(v)
     return covered
 
 
 def _run_shard(args: tuple) -> tuple:
     """Scan one shard; returns (hits, scanned, timed_out).
 
-    A shard stops at its own limit-th hit. Central shards are scanned
-    whole and then cut there, with scanned counted up to that hit.
+    A shard is scanned whole and then cut at its own limit-th hit, with
+    scanned counted up to that hit.
     """
     central, n, tv, first_u, limit, deadline = args
-    if not central:
-        return _dfs_full_shard(n, tv, first_u, limit, deadline)
-    hits, scanned, timed_out = _bfs_central_shard(n, tv, first_u, deadline)
+    space = _space(n, central)
+    hits, scanned, timed_out = _scan_shard(n, tv, space, first_u, deadline)
     if limit is not None and len(hits) >= limit and not timed_out:
         hits = hits[:limit]
-        scanned = _covered_through(n, hits[-1])
+        scanned = _covered_through(space, hits[-1])
     return hits, scanned, timed_out
 
 
@@ -551,13 +504,9 @@ def _search_space(
     thread count. Raises SearchTimeout when the deadline passes.
     """
     t0 = time.monotonic()
-    nn1 = n + 1
     deadline = time.monotonic() + timeout if timeout is not None else None
-    if central_only:
-        _kernel_dtypes(n, tv)  # raises ValueError before any worker starts
-        firsts = [u for u in range(1, n + 1) if 2 * u != nn1]
-    else:
-        firsts = list(range(1, n + 1))
+    _kernel_dtypes(n, tv)  # raises ValueError before any worker starts
+    firsts = _space(n, central_only).values
     shards = [(central_only, n, tv, u, limit, deadline) for u in firsts]
 
     hits: list = []
@@ -616,9 +565,9 @@ def search_3_inflatable(
 
     Inadmissible lengths short-circuit to an empty result without scanning.
     progress, when given, is called with (shard_index, [hits]) as shards
-    complete; the CLI's --emit-all uses it to stream hits. Centrally
-    symmetric lengths above 1626 raise ValueError: the search kernel's
-    int32 counts would overflow there.
+    complete; the CLI's --emit-all uses it to stream hits. Lengths above
+    1626 raise ValueError in either space: the search kernel's int32
+    counts would overflow there.
 
     >>> search_3_inflatable(SearchConfig(n=9)).status
     'inadmissible'

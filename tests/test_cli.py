@@ -200,6 +200,16 @@ def test_montecarlo_cli_keys():
         "montecarlo", "132", "--pattern", "12", "--j", "1", "--samples", "1",
     ])
     assert result.exit_code == 2  # j below the pattern length
+    # one sample has no standard error: null, not the invalid JSON NaN
+    _, out = invoke([
+        "montecarlo", "132", "--pattern", "12", "--j", "5", "--samples", "1", "--json",
+    ])
+
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["stderr"] is None and payload["z"] is None
 
 
 def test_plot_ascii_golden():
@@ -308,13 +318,17 @@ def test_search_thread_env(monkeypatch):
 
 
 def test_search_timeout_maps_to_error():
-    result, _ = invoke([
-        "search", "--n", "17", "--central",
-        "--limit", "1000000000", "--timeout", "0.05",
-    ])
-    assert result.exit_code == 2
-    assert result.payload["scanned"] > 0
-    assert any("timed out" in d for d in result.diagnostics)
+    # the unrestricted scan works through wide shallow blocks before its
+    # first prune (about 0.6 s on a 2-vCPU Xeon VM), so its timeout is longer
+    for space, timeout in ((["--central"], "0.05"), ([], "3")):
+        result, _ = invoke([
+            "search", "--n", "17", *space,
+            "--limit", "1000000000", "--timeout", timeout,
+        ])
+        assert result.exit_code == 2
+        assert result.payload["space"] == ("central" if space else "full")
+        assert result.payload["scanned"] > 0
+        assert any("timed out" in d for d in result.diagnostics)
 
 
 def test_out_file_for_plain_command(tmp_path):

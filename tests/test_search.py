@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 from math import comb, factorial
 
@@ -17,10 +18,10 @@ from inflatable import (
     space_size,
 )
 from inflatable.search import (
-    _bfs_central_shard,
-    _dfs_full_shard,
     _kernel_dtypes,
+    _scan_shard,
     _search_space,
+    _space,
     _target_vector,
 )
 
@@ -40,24 +41,11 @@ def inv_perm(tau: Perm) -> Perm:
     return Perm(tuple(out))
 
 
-def central_firsts(n: int) -> list:
-    return [u for u in range(1, n + 1) if 2 * u != n + 1]
-
-
-def run_central_bfs(n: int, tv: tuple) -> tuple:
+def run_shards(n: int, tv: tuple, central: bool) -> tuple:
+    space = _space(n, central)
     hits, scanned = [], 0
-    for u in central_firsts(n):
-        h, s, t = _bfs_central_shard(n, tv, u, None)
-        assert not t
-        hits += [Perm(x) for x in h]
-        scanned += s
-    return sorted(hits), scanned
-
-
-def run_full_dfs(n: int, tv: tuple) -> tuple:
-    hits, scanned = [], 0
-    for u in range(1, n + 1):
-        h, s, t = _dfs_full_shard(n, tv, u, None, None)
+    for u in space.values:
+        h, s, t = _scan_shard(n, tv, space, u, None)
         assert not t
         hits += [Perm(x) for x in h]
         scanned += s
@@ -115,8 +103,8 @@ def test_config_validation():
 def old_limit_rule(pool: list, vectors: list, tv: tuple, limit: int) -> tuple:
     """The limited scan's (hits, scanned), from brute-force lexicographic order.
 
-    pool lists the central candidates in lexicographic order, vectors their
-    count vectors. Shards (first values) run in order. Each shard stops at
+    pool lists the candidates in lexicographic order, vectors their count
+    vectors. Shards (first values) run in order. Each shard stops at
     its own limit-th hit and counts the candidates up to and including it;
     a shard with fewer hits counts in full. The scan ends with the shard
     that brings the hits to the limit.
@@ -145,12 +133,12 @@ def test_engines_agree_with_brute_force_central():
         targets.add(count_vector(Perm(tuple(range(1, n + 1)))))
         for tv in targets:
             brute = sorted(p for p in pool if count_vector(p) == tv)
-            bfs_hits, bfs_scanned = run_central_bfs(n, tv)
-            assert bfs_hits == brute
-            assert bfs_scanned == space_size(n, True)
+            hits, scanned = run_shards(n, tv, True)
+            assert hits == brute
+            assert scanned == space_size(n, True)
             # central targets have equal 231/312 entries, so the hit set
             # is closed under taking inverses
-            assert {inv_perm(h) for h in bfs_hits} == set(bfs_hits)
+            assert {inv_perm(h) for h in hits} == set(hits)
 
 
 def test_engine_agrees_with_brute_force_full():
@@ -160,7 +148,7 @@ def test_engine_agrees_with_brute_force_full():
         targets = {count_vector(rng.choice(all_perms)) for _ in range(3)}
         for tv in targets:
             brute = sorted(p for p in all_perms if count_vector(p) == tv)
-            hits, scanned = run_full_dfs(n, tv)
+            hits, scanned = run_shards(n, tv, False)
             assert hits == brute
             assert scanned == factorial(n)
 
@@ -170,7 +158,7 @@ def test_impossible_target_scans_everything_finds_nothing():
     n = 6
     tv = (1, 0, 0, 0, 0, comb(n, 3) - 1, 0, comb(n, 2))
     assert not any(count_vector(p) == tv for p in enumerate_centrally_symmetric(n))
-    hits, scanned = run_central_bfs(n, tv)
+    hits, scanned = run_shards(n, tv, True)
     assert hits == []
     assert scanned == space_size(n, True)
 
@@ -184,10 +172,10 @@ def test_kernel_agrees_with_brute_force_at_larger_size():
     for tau in rng.sample(pool[:500], 3):
         tv = count_vector(tau)
         brute = [p for p, v in zip(pool, vectors) if v == tv]
-        bfs_hits, bfs_scanned = run_central_bfs(n, tv)
-        assert bfs_hits == brute
-        assert tau in bfs_hits
-        assert bfs_scanned == space_size(n, True)
+        hits, scanned = run_shards(n, tv, True)
+        assert hits == brute
+        assert tau in hits
+        assert scanned == space_size(n, True)
 
 
 def test_search_space_threads_deterministic():
@@ -231,15 +219,23 @@ def test_limited_scan_matches_the_lexicographic_cut():
     # the limit cut and its scanned count equal those of a scan that walks
     # each shard in lexicographic order and stops at the shard's limit-th hit
     rng = random.Random(10)
-    for n in (8, 10):
-        pool = list(enumerate_centrally_symmetric(n))
+    spaces = [(n, True, list(enumerate_centrally_symmetric(n))) for n in (8, 10)]
+    spaces += [
+        (n, False, [Perm(p) for p in permutations(range(1, n + 1))])
+        for n in (5, 6, 7)
+    ]
+    for n, central, pool in spaces:
         vectors = [count_vector(p) for p in pool]
-        for tau in rng.sample(pool, 4):
-            tv = count_vector(tau)
+        # random targets plus the largest fiber, whose hits share shards so
+        # that the limits cut inside them
+        targets = {count_vector(tau) for tau in rng.sample(pool, 2)}
+        targets.add(Counter(vectors).most_common(1)[0][0])
+        for tv in targets:
             for limit in (1, 2, 3, 5):
                 want = old_limit_rule(pool, vectors, tv, limit)
                 for threads in (1, 3):
-                    assert _search_space(n, tv, True, limit, threads, None) == want
+                    got = _search_space(n, tv, central, limit, threads, None)
+                    assert got == want
 
 
 def test_progress_callback_streams_every_hit():
@@ -260,8 +256,7 @@ def test_progress_callback_streams_every_hit():
 
 
 def test_timeout_raises_with_partial_progress():
-    # the central kernel polls its deadline by node count, like the
-    # depth-first engine, with or without a limit
+    # the kernel polls its deadline by node count, with or without a limit
     with pytest.raises(SearchTimeout) as exc:
         search_3_inflatable(SearchConfig(n=17, limit=10**9, timeout=0.05))
     assert exc.value.scanned > 0
@@ -280,9 +275,12 @@ def test_long_lengths_widen_the_kernel_arrays_or_refuse():
     for n in (161, 288):
         with pytest.raises(SearchTimeout):
             search_3_inflatable(SearchConfig(n=n, timeout=0.05))
-    # past n = 1626 the int32 working counts could overflow
-    with pytest.raises(ValueError):
-        search_3_inflatable(SearchConfig(n=1728, timeout=0.05))
+    # past n = 1626 the int32 working counts could overflow, in either space
+    for central in (True, False):
+        with pytest.raises(ValueError):
+            search_3_inflatable(
+                SearchConfig(n=1728, central_only=central, timeout=0.05)
+            )
 
 
 def test_known_hit_shard_length17():
@@ -290,7 +288,7 @@ def test_known_hit_shard_length17():
     # known length-17 example and nothing that fails re-verification
     tv = _target_vector(17)
     assert tv == (102, 119, 119, 119, 119, 102, 68, 68)
-    hits, scanned, timed_out = _bfs_central_shard(17, tv, 16, None)
+    hits, scanned, timed_out = _scan_shard(17, tv, _space(17, True), 16, None)
     assert not timed_out
     assert scanned == space_size(17, True) // 16
     found = [Perm(h) for h in hits]
