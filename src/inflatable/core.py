@@ -12,6 +12,7 @@ style has no length cap ("3,1,2").
 from __future__ import annotations
 
 import string
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -252,6 +253,9 @@ def count_occurrences(pi: PermLike, tau: PermLike) -> int:
 def density(pi: PermLike, tau: PermLike) -> Fraction:
     """Pattern density t(pi, tau) = occurrences / C(|tau|, |pi|), exact.
 
+    Patterns of length 2 and 3 on hosts of length >= 3 are read off
+    count_length3_all; every other case enumerates with count_occurrences.
+
     >>> density("12", "132")
     Fraction(2, 3)
     """
@@ -261,6 +265,8 @@ def density(pi: PermLike, tau: PermLike) -> Fraction:
         raise ValueError(
             f"density undefined: pattern length {p.n} exceeds host length {t.n}"
         )
+    if 2 <= p.n <= 3 and t.n >= 3:
+        return count_length3_all(t).density_of(p)
     return Fraction(count_occurrences(p, t), comb(t.n, p.n))
 
 
@@ -287,9 +293,6 @@ class PatternCounts3:
     inv12: int
     inv21: int
 
-    def total_triples(self) -> int:
-        return comb(self.n, 3)
-
     def density_of(self, pi: PermLike) -> Fraction:
         p = as_perm(pi)
         if p.n == 2:
@@ -301,53 +304,43 @@ class PatternCounts3:
 def count_length3_all(tau: PermLike) -> PatternCounts3:
     """Count all six length-3 patterns and both length-2 patterns at once.
 
-    O(n^2) time, O(n) extra space. For each pair of positions i < j the
-    elements after j are split into three value ranges relative to
-    (tau_i, tau_j) using a running cumulative table of the suffix.
+    Each position splits the other points into four groups: smaller or
+    larger values, to its left or to its right (ls, ll, rs, rl). ls comes
+    from a bisect on the sorted prefix and fixes the other three. With the
+    position in the middle, ls*rl triples form 123 and ll*rs form 321;
+    C(rl,2), C(ls,2), C(ll,2) and C(rs,2) count the triples in which it is
+    the lowest and first, highest and last, lowest and last, and highest
+    and first point, each the sum of a monotone pattern and another one.
+    O(n log n) comparisons; the sorted-prefix insertions move O(n^2) words.
     """
     t = as_perm(tau)
     n = t.n
     if n < 3:
         raise ValueError(f"need length >= 3, got {n}")
-    vals = tuple(t)
-    c123 = c132 = c213 = c231 = c312 = c321 = 0
-    inv12 = 0
-    suffix = [0] * (n + 1)
-    for v in vals:
-        suffix[v] = 1
-    cum = [0] * (n + 1)
-    for j in range(n):
-        b = vals[j]
-        suffix[b] = 0
-        # cum[t] = #{k > j : vals[k] <= t}, rebuilt in O(n)
-        run = 0
-        for v in range(1, n + 1):
-            run += suffix[v]
-            cum[v] = run
-        rem = n - 1 - j
-        for i in range(j):
-            a = vals[i]
-            if a < b:
-                inv12 += 1
-                below = cum[a]
-                between = cum[b] - cum[a]
-                c123 += rem - cum[b]
-                c132 += between
-                c231 += below
-            else:
-                below = cum[b]
-                between = cum[a] - cum[b]
-                c213 += rem - cum[a]
-                c312 += between
-                c321 += below
-    counts = {
-        PATTERNS_3[0]: c123,
-        PATTERNS_3[1]: c132,
-        PATTERNS_3[2]: c213,
-        PATTERNS_3[3]: c231,
-        PATTERNS_3[4]: c312,
-        PATTERNS_3[5]: c321,
-    }
+    c123 = c321 = low_first = high_last = low_last = high_first = inv12 = 0
+    prefix: list[int] = []
+    for i, v in enumerate(t):
+        ls = bisect_left(prefix, v)
+        insort(prefix, v)
+        ll = i - ls
+        rs = v - 1 - ls
+        rl = n - v - ll
+        c123 += ls * rl
+        c321 += ll * rs
+        low_first += comb(rl, 2)
+        high_last += comb(ls, 2)
+        low_last += comb(ll, 2)
+        high_first += comb(rs, 2)
+        inv12 += ls
+    by_pattern = (
+        c123,
+        low_first - c123,
+        high_last - c123,
+        low_last - c321,
+        high_first - c321,
+        c321,
+    )
+    counts = dict(zip(PATTERNS_3, by_pattern))
     return PatternCounts3(n=n, counts=counts, inv12=inv12, inv21=comb(n, 2) - inv12)
 
 

@@ -14,11 +14,11 @@ and insensitive to sampling order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 from statistics import fmean, stdev
 import random
 
-from .core import PermLike, as_perm, count_length3_all, inflate
+from .core import PermLike, as_perm, density, inflate
 
 __all__ = ["Estimate", "estimate_limit_density", "GENERATOR_ID", "EXACT_CELL_CAP"]
 
@@ -79,7 +79,7 @@ def estimate_limit_density(
                 f"exact per-sample counting caps at |tau|*j = {EXACT_CELL_CAP}, "
                 f"got {big_n}; pass subset_samples > 0"
             )
-    target = tuple(p)
+    order = sorted(range(k), key=p.__getitem__)
     values = []
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
@@ -87,18 +87,7 @@ def estimate_limit_density(
         rng.shuffle(lam)
         g = inflate(t, lam)
         if subset_samples == 0:
-            if k == 1:
-                values.append(1.0)
-            elif k == 2:
-                pc = count_length3_all(g) if g.n >= 3 else None
-                asc = pc.inv12 if pc else sum(
-                    1 for a in range(g.n) for b_ in range(a + 1, g.n) if g[a] < g[b_]
-                )
-                c = asc if target == (1, 2) else comb(g.n, 2) - asc
-                values.append(c / comb(g.n, 2))
-            else:
-                pc = count_length3_all(g)
-                values.append(pc.counts[p] / comb(g.n, 3))
+            values.append(float(density(p, g)))
         else:
             hit = 0
             idx_range = range(big_n)
@@ -106,11 +95,7 @@ def estimate_limit_density(
                 idx = rng.sample(idx_range, k)
                 idx.sort()
                 vals = [g[x] for x in idx]
-                order = sorted(range(k), key=vals.__getitem__)
-                ranks = [0] * k
-                for r, pos in enumerate(order, start=1):
-                    ranks[pos] = r
-                hit += tuple(ranks) == target
+                hit += sorted(range(k), key=vals.__getitem__) == order
             values.append(hit / subset_samples)
     mean = fmean(values)
     err = stdev(values) / sqrt(samples) if samples >= 2 else float("nan")

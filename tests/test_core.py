@@ -179,6 +179,14 @@ def test_density_examples():
     assert density("1", "312") == Fraction(1)
     with pytest.raises(ValueError):
         density("123", "12")
+    # lengths 2 and 3 on hosts of length >= 3 go through the length-3
+    # counter, everything else through direct enumeration
+    rng = random.Random(16)
+    for k in range(1, 5):
+        for pi in permutations(range(1, k + 1)):
+            for n in range(k, 13):
+                tau = random_perm(rng, n)
+                assert density(pi, tau) == Fraction(count_occurrences(pi, tau), comb(n, k))
 
 
 def test_count_length3_all_anchor():

@@ -181,6 +181,15 @@ def test_compose_length_17_pair():
     assert rep.verdict
 
 
+def test_check_length_83521_composition():
+    # 17^4 = 83521: far past what pairwise counting reaches in a test
+    host = compose_inflatables(compose_inflatables(G17, E17), compose_inflatables(E17, G17))
+    assert host.n == 83521
+    rep = check_3_inflatable(host)
+    assert rep.verdict
+    assert rep.observed_counts == target_counts_3(83521)
+
+
 def test_compose_rejects_and_names_bad_input():
     with pytest.raises(ValueError, match="first"):
         compose_inflatables("12", G17)

@@ -125,3 +125,24 @@ def test_value_range_with_subset_sampling():
     e = estimate_limit_density("4231", "123", j=25, samples=3, subset_samples=100, seed=9)
     assert 0.0 <= e.mean <= 1.0
     assert e.samples == 3
+
+
+def test_estimates_are_bit_for_bit_pinned():
+    # (tau, pi, j, samples, subset_samples, seed) -> (mean, stderr) as hex,
+    # recorded before the exact mode moved onto density(): a change in the
+    # per-sample counting or the subset test must not move a single bit
+    pinned = {
+        ("12", "1", 2, 7, 0, 4): ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("1", "12", 2, 9, 0, 4): ("0x1.8e38e38e38e39p-1", "0x1.2d0717a82a45ep-3"),
+        ("21", "12", 30, 5, 0, 11): ("0x1.0758eb93ee2e6p-2", "0x1.6de6f6c62dc47p-7"),
+        ("132", "12", 50, 8, 0, 3): ("0x1.38e4887113441p-1", "0x1.9eed332623d42p-8"),
+        ("132", "123", 40, 10, 0, 5): ("0x1.c631cd230c7c6p-3", "0x1.7347bf3104ab7p-8"),
+        ("321", "231", 60, 6, 0, 7): ("0x1.863f02cc9d14bp-3", "0x1.dd37b6eaf17e8p-9"),
+        ("132", "123", 40, 10, 4000, 5): ("0x1.c5a1cac083126p-3", "0x1.b6489267a869ep-8"),
+        ("4231", "123", 25, 3, 100, 9): ("0x1.1111111111111p-4", "0x1.b4e81b4e81b4fp-7"),
+    }
+    for (tau, pi, j, samples, subset, seed), (mean, err) in pinned.items():
+        e = estimate_limit_density(
+            tau, pi, j=j, samples=samples, subset_samples=subset, seed=seed
+        )
+        assert (e.mean.hex(), e.stderr.hex()) == (mean, err), (tau, pi, j)
