@@ -4,6 +4,10 @@ Every subcommand prints a human-readable rendering by default and a single
 JSON object with ``--json``; exact rationals serialize as "p/q" strings.
 Exit status is 0 for ok and inadmissible outcomes, 2 for errors (malformed
 input, impossible request), matching argparse's own convention.
+
+Each subcommand registers one handler ``_cmd_<name>(args, stream)`` that
+returns a CommandResult; ``run`` prints and writes whatever the result
+holds, the same way for every subcommand.
 """
 
 from __future__ import annotations
@@ -13,13 +17,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isnan
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     PATTERNS_3,
-    Perm,
     count_length3_all,
     density,
     format_permutation,
@@ -51,24 +53,20 @@ class CommandResult:
 
     status is "ok", "inadmissible", or "error"; payload is what was (or
     would be) printed; diagnostics carries human-oriented notes and error
-    text. Exit code is 0 unless status is "error".
+    text. text, when set, is the human rendering in place of the payload's
+    key/value lines; out, when set, is what --out writes in place of the
+    printed text. Exit code is 0 unless status is "error".
     """
 
     status: str
     payload: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
+    text: Optional[str] = None
+    out: Optional[str] = None
 
     @property
     def exit_code(self) -> int:
         return 2 if self.status == "error" else 0
-
-
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
-def _pstr(p: Perm) -> str:
-    return format_permutation(p)
 
 
 def _default_threads() -> int:
@@ -90,40 +88,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, handler: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", metavar="FILE", help="also write the output to FILE")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("density", "exact pattern density t(pi, tau)")
+    p = add("density", "exact pattern density t(pi, tau)", _cmd_density)
     p.add_argument("tau")
     p.add_argument("--pattern", required=True)
 
-    p = add("counts", "all six length-3 pattern counts plus pair counts")
+    p = add("counts", "all six length-3 pattern counts plus pair counts", _cmd_counts)
     p.add_argument("tau")
 
-    p = add("inflate", "inflate tau by gamma (uniform or per-entry blocks)")
+    p = add("inflate", "inflate tau by gamma (uniform or per-entry blocks)", _cmd_inflate)
     p.add_argument("tau")
     p.add_argument("gamma", nargs="+")
 
-    p = add("blocks", "block partitions of a permutation")
+    p = add("blocks", "block partitions of a permutation", _cmd_blocks)
     p.add_argument("pi")
 
-    p = add("limit", "exact limit density under repeated inflation")
+    p = add("limit", "exact limit density under repeated inflation", _cmd_limit)
     p.add_argument("tau")
     p.add_argument("--pattern", required=True)
     p.add_argument("--profile", metavar="FILE", help="JSON block-density profile")
 
-    p = add("check", "3-inflatability report for a permutation")
+    p = add("check", "3-inflatability report for a permutation", _cmd_check)
     p.add_argument("tau")
 
-    p = add("lengths", "admissible lengths / residues for 3-inflatability")
+    p = add("lengths", "admissible lengths / residues for 3-inflatability", _cmd_lengths)
     p.add_argument("--max", type=int, metavar="N", help="list admissible n <= N")
     p.add_argument("--mod", type=int, default=144, metavar="M", help="residue modulus")
     p.add_argument("--table", action="store_true", help="residue product table")
 
-    p = add("search", "scan for 3-inflatable permutations")
+    p = add("search", "scan for 3-inflatable permutations", _cmd_search)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--central", action="store_true", help="centrally symmetric only")
     p.add_argument("--limit", type=int, help="stop after this many hits")
@@ -131,11 +130,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, help="wall-clock seconds")
     p.add_argument("--emit-all", action="store_true", help="stream hits as found")
 
-    p = add("compose", "inflate one 3-inflatable permutation by another")
+    p = add("compose", "inflate one 3-inflatable permutation by another", _cmd_compose)
     p.add_argument("tau1")
     p.add_argument("tau2")
 
-    p = add("montecarlo", "simulate a limit density and compare to exact")
+    p = add("montecarlo", "simulate a limit density and compare to exact", _cmd_montecarlo)
     p.add_argument("tau")
     p.add_argument("--pattern", required=True)
     p.add_argument("--j", type=int, required=True, help="inflation block length")
@@ -143,10 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset-samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("rotate", "180-degree rotation of a permutation")
+    p = add("rotate", "180-degree rotation of a permutation", _cmd_rotate)
     p.add_argument("tau")
 
-    p = add("plot", "plot of a permutation (ascii or svg)")
+    p = add("plot", "plot of a permutation (ascii or svg)", _cmd_plot)
     p.add_argument("tau")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
 
@@ -166,71 +165,48 @@ def _render_human(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _report_payload(tau: Perm) -> dict:
-    rep = check_3_inflatable(tau)
-    return {
-        "tau": _pstr(rep.tau),
-        "length": rep.length,
-        "admissible_length": rep.admissible_length,
-        "required": {_pstr(p): _rat(v) for p, v in rep.required.items()},
-        "observed": {_pstr(p): _rat(v) for p, v in rep.observed.items()},
-        "observed_counts": {_pstr(p): v for p, v in rep.observed_counts.items()},
-        "verdict": rep.verdict,
-    }
-
-
-def _cmd_density(args) -> CommandResult:
+def _cmd_density(args, stream) -> CommandResult:
     val = density(parse_permutation(args.pattern), parse_permutation(args.tau))
-    return CommandResult("ok", {"density": _rat(val)})
+    return CommandResult("ok", {"density": str(val)})
 
 
-def _cmd_counts(args) -> CommandResult:
+def _cmd_counts(args, stream) -> CommandResult:
     pc = count_length3_all(parse_permutation(args.tau))
     return CommandResult(
         "ok",
         {
             "n": pc.n,
-            "counts": {_pstr(p): pc.counts[p] for p in PATTERNS_3},
+            "counts": {str(p): pc.counts[p] for p in PATTERNS_3},
             "inv12": pc.inv12,
             "inv21": pc.inv21,
         },
     )
 
 
-def _cmd_inflate(args) -> CommandResult:
+def _cmd_inflate(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
     if len(args.gamma) == 1:
         out = inflate(tau, parse_permutation(args.gamma[0]))
     else:
         out = generalized_inflate(tau, [parse_permutation(g) for g in args.gamma])
-    return CommandResult("ok", {"result": _pstr(out), "n": out.n})
+    return CommandResult("ok", {"result": str(out), "n": out.n})
 
 
-def _cmd_blocks(args) -> CommandResult:
+def _cmd_blocks(args, stream) -> CommandResult:
     pi = parse_permutation(args.pi)
-    bps = block_partitions(pi)
-    payload = {
-        "pi": _pstr(pi),
-        "partitions": [
-            {
-                "sigma": _pstr(bp.outer),
-                "blocks": [_pstr(b) for b in bp.inner],
-                "sizes": list(bp.sizes),
-            }
-            for bp in bps
-        ],
-    }
-    return CommandResult("ok", payload)
+    parts = [
+        {
+            "sigma": str(bp.outer),
+            "blocks": [str(b) for b in bp.inner],
+            "sizes": list(bp.sizes),
+        }
+        for bp in block_partitions(pi)
+    ]
+    text = "\n".join(f"σ={part['sigma']} b={','.join(part['blocks'])}" for part in parts)
+    return CommandResult("ok", {"pi": str(pi), "partitions": parts}, text=text)
 
 
-def _blocks_lines(payload: dict) -> str:
-    return "\n".join(
-        "σ=" + part["sigma"] + " b=" + ",".join(part["blocks"])
-        for part in payload["partitions"]
-    )
-
-
-def _cmd_limit(args) -> CommandResult:
+def _cmd_limit(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
     pi = parse_permutation(args.pattern)
     if args.profile:
@@ -241,15 +217,27 @@ def _cmd_limit(args) -> CommandResult:
         val = limit_density_uniform(pi, tau)
     return CommandResult(
         "ok",
-        {"pattern": _pstr(pi), "tau": _pstr(tau), "limit_density": _rat(val)},
+        {"pattern": str(pi), "tau": str(tau), "limit_density": str(val)},
     )
 
 
-def _cmd_check(args) -> CommandResult:
-    return CommandResult("ok", _report_payload(parse_permutation(args.tau)))
+def _cmd_check(args, stream) -> CommandResult:
+    rep = check_3_inflatable(parse_permutation(args.tau))
+    return CommandResult(
+        "ok",
+        {
+            "tau": str(rep.tau),
+            "length": rep.length,
+            "admissible_length": rep.admissible_length,
+            "required": {str(p): str(v) for p, v in rep.required.items()},
+            "observed": {str(p): str(v) for p, v in rep.observed.items()},
+            "observed_counts": {str(p): v for p, v in rep.observed_counts.items()},
+            "verdict": rep.verdict,
+        },
+    )
 
 
-def _cmd_lengths(args) -> CommandResult:
+def _cmd_lengths(args, stream) -> CommandResult:
     if args.table:
         table = residue_multiplication_table()
         return CommandResult(
@@ -265,25 +253,25 @@ def _cmd_lengths(args) -> CommandResult:
     return CommandResult("ok", {"residues": admissible_residues(args.mod)})
 
 
-def _cmd_compose(args) -> CommandResult:
+def _cmd_compose(args, stream) -> CommandResult:
     out = compose_inflatables(parse_permutation(args.tau1), parse_permutation(args.tau2))
     return CommandResult(
         "ok", {"composed": format_permutation(out, style="comma"), "n": out.n}
     )
 
 
-def _cmd_rotate(args) -> CommandResult:
+def _cmd_rotate(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
-    return CommandResult("ok", {"tau": _pstr(tau), "rotated": _pstr(rotate(tau))})
+    return CommandResult("ok", {"tau": str(tau), "rotated": str(rotate(tau))})
 
 
-def _cmd_plot(args) -> CommandResult:
+def _cmd_plot(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
     art = render_ascii(tau) if args.format == "ascii" else render_svg(tau)
-    return CommandResult("ok", {"format": args.format, "plot": art})
+    return CommandResult("ok", {"format": args.format, "plot": art}, text=art)
 
 
-def _cmd_montecarlo(args) -> CommandResult:
+def _cmd_montecarlo(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
     pi = parse_permutation(args.pattern)
     est = estimate_limit_density(
@@ -299,13 +287,7 @@ def _cmd_montecarlo(args) -> CommandResult:
     stderr = None if isnan(est.stderr) else est.stderr
     z = (est.mean - float(exact)) / stderr if stderr else None
     return CommandResult(
-        "ok",
-        {
-            "mean": est.mean,
-            "stderr": stderr,
-            "exact": _rat(exact),
-            "z": z,
-        },
+        "ok", {"mean": est.mean, "stderr": stderr, "exact": str(exact), "z": z}
     )
 
 
@@ -324,53 +306,28 @@ def _cmd_search(args, stream) -> CommandResult:
             def progress(shard, batch):
                 for h in batch:
                     stream.write(
-                        json.dumps({"hit": _pstr(h), "subtree": shard}, separators=(",", ":")) + "\n"
+                        json.dumps({"hit": str(h), "subtree": shard}, separators=(",", ":")) + "\n"
                     )
         else:
             def progress(shard, batch):
                 for h in batch:
-                    stream.write(f"hit subtree={shard} {_pstr(h)}\n")
+                    stream.write(f"hit subtree={shard} {h}\n")
     try:
         res = search_3_inflatable(cfg, progress=progress)
     except SearchTimeout as exc:
-        return CommandResult(
-            "error",
-            {
-                "n": args.n,
-                "space": "central" if args.central else "full",
-                "scanned": exc.scanned,
-                "found": len(exc.hits),
-                "elapsed_ms": exc.elapsed_ms,
-            },
-            diagnostics=[str(exc)],
-        )
+        res, status, diagnostics = exc, "error", [str(exc)]
+    else:
+        status = res.status
+        diagnostics = [res.reason] if res.status == "inadmissible" else []
     payload = {
         "n": args.n,
         "space": "central" if args.central else "full",
         "scanned": res.scanned,
-        "found": res.found,
+        "found": len(res.hits),
         "elapsed_ms": res.elapsed_ms,
     }
-    diagnostics = []
-    if res.status == "inadmissible":
-        diagnostics.append(res.reason)
-    result = CommandResult(res.status, payload, diagnostics)
-    result.hits = res.hits  # carried for --out
-    return result
-
-
-_PLAIN = {
-    "density": _cmd_density,
-    "counts": _cmd_counts,
-    "inflate": _cmd_inflate,
-    "limit": _cmd_limit,
-    "check": _cmd_check,
-    "lengths": _cmd_lengths,
-    "compose": _cmd_compose,
-    "rotate": _cmd_rotate,
-    "montecarlo": _cmd_montecarlo,
-    "plot": _cmd_plot,
-}
+    out = "".join(f"{h}\n" for h in res.hits)
+    return CommandResult(status, payload, diagnostics, out=out)
 
 
 def run(argv: list, stdout=None) -> CommandResult:
@@ -385,12 +342,7 @@ def run(argv: list, stdout=None) -> CommandResult:
             return CommandResult("ok", {}, [])
         return CommandResult("error", {}, [f"argument parsing failed ({exc.code})"])
     try:
-        if args.command == "search":
-            result = _cmd_search(args, stream)
-        elif args.command == "blocks":
-            result = _cmd_blocks(args)
-        else:
-            result = _PLAIN[args.command](args)
+        result = args.handler(args, stream)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         result = CommandResult("error", {}, [str(exc)])
 
@@ -399,12 +351,10 @@ def run(argv: list, stdout=None) -> CommandResult:
             print(f"error: {note}", file=sys.stderr)
         return result
 
-    if args.command == "plot" and not args.json:
-        text = result.payload["plot"]
-    elif args.json:
+    if args.json:
         text = json.dumps(result.payload, separators=(",", ":"))
-    elif args.command == "blocks":
-        text = _blocks_lines(result.payload)
+    elif result.text is not None:
+        text = result.text
     else:
         text = _render_human(result.payload)
 
@@ -414,11 +364,7 @@ def run(argv: list, stdout=None) -> CommandResult:
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            if args.command == "search":
-                for h in getattr(result, "hits", []):
-                    fh.write(_pstr(h) + "\n")
-            else:
-                fh.write(text + "\n")
+            fh.write(text + "\n" if result.out is None else result.out)
     return result
 
 

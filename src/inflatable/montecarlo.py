@@ -24,8 +24,10 @@ __all__ = ["Estimate", "estimate_limit_density", "GENERATOR_ID", "EXACT_CELL_CAP
 
 GENERATOR_ID = "mt19937; per-sample seed sha512('{seed}:{index}'); Fisher-Yates shuffle"
 
-# full enumeration of index triples is only allowed on hosts this small
-EXACT_CELL_CAP = 500
+# exact per-sample counting runs the rank-count length-3 counter on the
+# |tau| * j long host; one sample takes about 0.07 s at 18,000 cells and
+# 1.2-1.5 s at 100,000 (2-vCPU Xeon VM, Python 3.11.7)
+EXACT_CELL_CAP = 100_000
 
 
 @dataclass(frozen=True)

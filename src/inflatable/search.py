@@ -50,9 +50,10 @@ __all__ = [
 ]
 
 # count vector layout: the six length-3 patterns in lexicographic order,
-# then ascending and descending pair counts
+# then the ascending pair count. The descending pair count needs no column:
+# placed and target pairs both sum to C(placed, 2) and C(n, 2), so its
+# overshoot and reach tests are the ascending column's reach and overshoot.
 _P12_IDX = 6
-_P21_IDX = 7
 
 # index image of each length-3 pattern under R (132 <-> 213, 231 <-> 312)
 # and under reversal (123 <-> 321, 132 <-> 231, 213 <-> 312)
@@ -66,7 +67,10 @@ _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent pat
 class SearchTimeout(Exception):
     """Raised when a configured timeout expires mid-scan.
 
-    Carries the partial progress: .hits, .scanned, .elapsed_ms.
+    Carries the partial progress: .hits, .scanned, .elapsed_ms. scanned
+    credits only finished leaves and pruned subtrees, so an unrestricted
+    scan that stops before its first prune reports 0 (the first 0.6 s or
+    so at n=17, which go to wide shallow blocks with nothing to prune).
     """
 
     def __init__(self, hits: list, scanned: int, elapsed_ms: int):
@@ -103,6 +107,10 @@ class SearchResult:
 
     scanned counts candidates covered: visited leaves plus every leaf under
     a pruned branch, so a completed scan reports exactly the space size.
+    A limited run counts by the lexicographic-cut rule instead: a shard
+    with at least limit hits is scanned whole but credited only up to its
+    own limit-th hit, as if its scan had stopped there, so scanned is not
+    every leaf the run covered.
     status is "ok" or "inadmissible"; inadmissible lengths are decided
     without scanning (scanned = 0) and reason says why.
     """
@@ -165,9 +173,7 @@ def _target_vector(n: int) -> Optional[tuple]:
     tc = target_counts_3(n)
     if tc is None:
         return None
-    six = tuple(tc[p] for p in PATTERNS_3)
-    t12 = tc[Perm((1, 2))]
-    return six + (t12, comb(n, 2) - t12)
+    return tuple(tc[p] for p in PATTERNS_3) + (tc[Perm((1, 2))],)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +225,14 @@ def _full_children(Wc: np.ndarray, cands: list) -> Iterator[tuple]:
     sel picks the rows that do not hold u yet, Ws = Wc[sel], and delta is
     the change of the count vector when u becomes the last point.
     """
-    d = Wc.shape[1]
     stats = _pair_stats(Wc)
     for u in cands:
         sel = ~(Wc == u).any(axis=1)
         Ws = Wc[sel]
         B = Ws < u
-        nb = B.sum(axis=1, dtype=np.int32)
-        delta = np.empty((Ws.shape[0], 8), dtype=np.int32)
+        delta = np.empty((Ws.shape[0], 7), dtype=np.int32)
         delta[:, :6] = _last_triples(B, tuple(x[sel] for x in stats))
-        delta[:, _P12_IDX] = nb
-        delta[:, _P21_IDX] = d - nb
+        delta[:, _P12_IDX] = B.sum(axis=1, dtype=np.int32)
         yield u, sel, Ws, delta
 
 
@@ -266,12 +269,11 @@ def _central_children(n: int, Wc: np.ndarray, cands: list) -> Iterator[tuple]:
         nbp = (Ws < up).sum(axis=1, dtype=np.int32)
         BRv = Rv[sel] < u
         nrb = BRv.sum(axis=1, dtype=np.int32)
-        delta = np.zeros((Ns, 8), dtype=np.int32)
+        delta = np.zeros((Ns, 7), dtype=np.int32)
 
         # pairs: old-new doubled by the mirror, plus the new pair
         c12 = nb + (dR - nrb)
         delta[:, _P12_IDX] = 2 * c12 + (1 if u < up else 0)
-        delta[:, _P21_IDX] = 2 * (d + dR - c12) + (0 if u < up else 1)
 
         # triples {left copy, right copy, old}
         if u < up:
@@ -407,7 +409,7 @@ def _scan_shard(
         fixed = n - space.per_step * (space.steps - d - 1)  # values placed
         r3 = comb(n, 3) - comb(fixed, 3)
         r2 = comb(n, 2) - comb(fixed, 2)
-        remv = np.array([r3] * 6 + [r2] * 2, dtype=np.int32)
+        remv = np.array([r3] * 6 + [r2], dtype=np.int32)
         queue_W: list[np.ndarray] = []
         queue_C: list[np.ndarray] = []
         queued = 0
@@ -445,7 +447,7 @@ def _scan_shard(
         if queued:
             descend(np.concatenate(queue_W), np.concatenate(queue_C))
 
-    descend(np.zeros((1, 0), dtype=vdtype), np.zeros((1, 8), dtype=cdtype))
+    descend(np.zeros((1, 0), dtype=vdtype), np.zeros((1, 7), dtype=cdtype))
     hits = sorted(
         space.as_hit(tuple(row)) for rows in hits_rows for row in rows.tolist()
     )

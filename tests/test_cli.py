@@ -340,6 +340,12 @@ def test_out_file_for_plain_command(tmp_path):
     _, out = invoke(["counts", "472951836", "--out", str(target2)])
     assert target2.read_text() == out
     assert "inv12: 18" in out
+    # so is the text of the subcommands with their own human rendering
+    for argv, line in ((["blocks", "132"], "σ=12 b=1,21"), (["plot", "132"], "*..")):
+        target3 = tmp_path / f"{argv[0]}.txt"
+        _, out = invoke([*argv, "--out", str(target3)])
+        assert target3.read_text(encoding="utf-8") == out
+        assert line in out.splitlines()
 
 
 def test_human_rendering_shapes():

@@ -41,10 +41,11 @@ def test_validation_errors():
         estimate_limit_density("132", "12", j=10, samples=1, subset_samples=-1)
     with pytest.raises(ValueError, match="<= 3"):
         estimate_limit_density("132", "1234", j=10, samples=1)
+    oversize = EXACT_CELL_CAP // 3 + 1  # |tau| * j just past the cap
     with pytest.raises(ValueError, match=str(EXACT_CELL_CAP)):
-        estimate_limit_density("132", "12", j=200, samples=1)
+        estimate_limit_density("132", "12", j=oversize, samples=1)
     # the same size is fine once subset sampling is requested
-    e = estimate_limit_density("132", "12", j=200, samples=2, subset_samples=50)
+    e = estimate_limit_density("132", "12", j=oversize, samples=2, subset_samples=50)
     assert 0.0 <= e.mean <= 1.0
 
 

@@ -26,7 +26,7 @@ if sys.flags.optimize < 1:
 
 def vector(tau):
     pc = count_length3_all(tau)
-    return tuple(pc.counts[p] for p in PATTERNS_3) + (pc.inv12, pc.inv21)
+    return tuple(pc.counts[p] for p in PATTERNS_3) + (pc.inv12,)
 
 for tau in ("G54ABC319HF678ED2", "E534BGA9HC2D1687F"):
     if not check_3_inflatable(tau).verdict:
