@@ -3,7 +3,9 @@
 Every subcommand prints a human-readable rendering by default and a single
 JSON object with ``--json``; exact rationals serialize as "p/q" strings.
 Exit status is 0 for ok and inadmissible outcomes, 2 for errors (malformed
-input, impossible request), matching argparse's own convention.
+input, impossible request, a search timeout), matching argparse's own
+convention. A timed-out search still prints, and writes with ``--out``, the
+partial result it reached.
 
 Each subcommand registers one handler ``_cmd_<name>(args, stream)`` that
 returns a CommandResult; ``run`` prints and writes whatever the result
@@ -51,9 +53,10 @@ THREADS_ENV = "INFLATABLE_THREADS"
 class CommandResult:
     """Outcome of one CLI invocation.
 
-    status is "ok", "inadmissible", or "error"; payload is what was (or
-    would be) printed; diagnostics carries human-oriented notes and error
-    text. text, when set, is the human rendering in place of the payload's
+    status is "ok", "inadmissible", or "error"; payload is what is printed
+    (an error prints it only when it is not empty, as for a search
+    timeout); diagnostics carries human-oriented notes and error text.
+    text, when set, is the human rendering in place of the payload's
     key/value lines; out, when set, is what --out writes in place of the
     printed text. Exit code is 0 unless status is "error".
     """
@@ -346,10 +349,13 @@ def run(argv: list, stdout=None) -> CommandResult:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         result = CommandResult("error", {}, [str(exc)])
 
-    if result.status == "error":
+    error = result.status == "error"
+    if error:
         for note in result.diagnostics:
             print(f"error: {note}", file=sys.stderr)
-        return result
+        # only a search timeout fails with a payload: its partial result
+        if not result.payload:
+            return result
 
     if args.json:
         text = json.dumps(result.payload, separators=(",", ":"))
@@ -359,8 +365,9 @@ def run(argv: list, stdout=None) -> CommandResult:
         text = _render_human(result.payload)
 
     stream.write(text + "\n")
-    for note in result.diagnostics:
-        stream.write(f"note: {note}\n")
+    if not error:
+        for note in result.diagnostics:
+            stream.write(f"note: {note}\n")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -17,6 +17,13 @@ depends on the space: unrestricted states grow by one value placed last,
 centrally symmetric ones by a complementary pair. The test suite checks
 both against brute-force filtering.
 
+Shards are the choices of first value u. Complement (v -> n+1-v) maps
+shard u onto shard n+1-u and fixes the real targets, so only the shards
+with u <= n+1-u are scanned: every other shard is derived from its mirror
+by complementing the hits (at length 17, 8 scans serve the 16 central
+shards). Targets that complement does not fix, as in the tests, get a
+scan of the mirror under the complemented targets, by the same rule.
+
 Centrally symmetric states place complementary value pairs outside-in:
 after d steps positions 1..d and n-d+1..n are filled and the pair
 (u, n+1-u) enters at positions d+1 and n-d. The 180-degree rotation R maps
@@ -34,8 +41,6 @@ from functools import partial
 from math import comb, factorial
 from multiprocessing import get_context
 from typing import Callable, Iterator, Optional
-
-import numpy as np
 
 from .core import PATTERNS_3, Perm
 from .criteria import admissible_residues, target_counts_3
@@ -60,7 +65,6 @@ _P12_IDX = 6
 _RMAP = (0, 2, 1, 4, 3, 5)
 _REVMAP = (5, 3, 4, 1, 2, 0)
 
-_KERNEL_NODE_CHECK = 1 << 16  # (state, value) pairs tried between deadline polls
 _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
 
 
@@ -91,6 +95,8 @@ class SearchConfig:
     central_only: restrict to centrally symmetric candidates.
     limit: stop after this many hits (None scans everything).
     threads: worker processes; results are identical for any thread count.
+        Workers scan only the shards that are not derived from a mirror
+        (half of them for the real targets), so at most that many are used.
     timeout: wall-clock seconds before SearchTimeout (None = no timeout).
     """
 
@@ -186,6 +192,8 @@ def _pair_stats(M: np.ndarray) -> tuple:
     Returns (asc_before, asc_after, desc_before, desc_after, asc_total)
     where asc_before[s, j] counts i < j with M[s, i] < M[s, j], etc.
     """
+    import numpy as np
+
     N, d = M.shape
     if d == 0:
         z = np.zeros((N, 0), dtype=np.int32)
@@ -207,6 +215,8 @@ def _last_triples(B: np.ndarray, stats: tuple) -> np.ndarray:
     B[s, i] says whether old value i of row s lies below the new value;
     stats are the _pair_stats of the same rows.
     """
+    import numpy as np
+
     asc_b, asc_a, desc_b, desc_a, asc_tot = stats
     d = B.shape[1]
     b = np.empty((B.shape[0], 6), dtype=np.int32)
@@ -225,6 +235,8 @@ def _full_children(Wc: np.ndarray, cands: list) -> Iterator[tuple]:
     sel picks the rows that do not hold u yet, Ws = Wc[sel], and delta is
     the change of the count vector when u becomes the last point.
     """
+    import numpy as np
+
     stats = _pair_stats(Wc)
     for u in cands:
         sel = ~(Wc == u).any(axis=1)
@@ -244,6 +256,8 @@ def _central_children(n: int, Wc: np.ndarray, cands: list) -> Iterator[tuple]:
     rows that hold neither value yet, Ws = Wc[sel], and delta is the change
     of the count vector.
     """
+    import numpy as np
+
     nn1 = n + 1
     odd = n & 1
     d = Wc.shape[1]
@@ -365,6 +379,8 @@ def _kernel_dtypes(n: int, tv: tuple) -> tuple:
     are int32 and stay below 3 * C(n, 3); lengths past that bound raise
     ValueError.
     """
+    import numpy as np
+
     if 3 * comb(n, 3) > np.iinfo(np.int32).max:
         raise ValueError(f"length {n} is too long for the search kernel's int32 counts")
     counts = np.int16 if max(tv) <= np.iinfo(np.int16).max else np.int32
@@ -382,29 +398,22 @@ def _scan_shard(
     first, as soon as a full block of them is ready. A block with d steps
     taken has at most _PATH_CELLS / (steps * d) rows, so the blocks held
     along one descent path hold at most _PATH_CELLS values at any length.
-    The kernel polls the deadline by node count: before a block, once
-    _KERNEL_NODE_CHECK (state, value) pairs have been tried since the last
-    poll, so a scan always gets past its first few tiny blocks before it
-    can time out.
+    With a deadline, the kernel reads the clock after each child value it
+    computes and stops as soon as the deadline has passed.
     """
+    import numpy as np
+
     vdtype, cdtype = _kernel_dtypes(n, tv)
     T = np.array(tv, dtype=np.int32)
     hits_rows: list[np.ndarray] = []
     scanned = 0
     timed_out = False
-    nodes = 0
 
     def descend(Wc: np.ndarray, Cc: np.ndarray) -> None:
-        nonlocal scanned, timed_out, nodes
-        if deadline is not None and nodes >= _KERNEL_NODE_CHECK:
-            nodes = 0
-            timed_out = time.monotonic() > deadline
-        if timed_out:
-            return
+        nonlocal scanned, timed_out
         d = Wc.shape[1]
         final = d + 1 == space.steps
         cands = [first_u] if d == 0 else space.values
-        nodes += Wc.shape[0] * len(cands)
         size = _PATH_CELLS // (space.steps * (d + 1))
         fixed = n - space.per_step * (space.steps - d - 1)  # values placed
         r3 = comb(n, 3) - comb(fixed, 3)
@@ -415,6 +424,9 @@ def _scan_shard(
         queued = 0
 
         for u, sel, Ws, delta in space.children(Wc, cands):
+            if deadline is not None and time.monotonic() > deadline:
+                timed_out = True
+                return
             Ns = Ws.shape[0]
             C2 = Cc[sel].astype(np.int32) + delta
             keep = ((C2 <= T) & (C2 + remv >= T)).all(axis=1)
@@ -459,6 +471,45 @@ def _scan_shard(
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _complement_targets(n: int, tv: tuple) -> tuple:
+    """The targets of the complements of tv's hits.
+
+    Complement (v -> n+1-v) swaps 123/321, 132/312 and 213/231, and turns
+    the ascending pairs into the descending ones.
+    """
+    return tv[5::-1] + (comb(n, 2) - tv[_P12_IDX],)
+
+
+def _shard_jobs(n: int, tv: tuple, space: _Space) -> tuple:
+    """The scans a run needs: (jobs, need).
+
+    Complement maps shard u onto shard n+1-u in either space, so a shard
+    with u > n+1-u is the complement image of shard n+1-u scanned under the
+    complemented targets. jobs lists the (first value, targets) scans in
+    shard order of first need, without repeats, and need[i] is the job that
+    shard i is derived from. Where the complemented targets equal the
+    targets, as the real ones do, the upper shards reuse the lower shards'
+    scans and half the shards are scanned.
+    """
+    ctv = _complement_targets(n, tv)
+    jobs: list = []
+    need = []
+    for u in space.values:
+        job = (u, tv) if u <= n + 1 - u else (n + 1 - u, ctv)
+        if job not in jobs:
+            jobs.append(job)
+        need.append(jobs.index(job))
+    return jobs, need
+
+
+def _derive_shard(n: int, u: int, source_u: int, result: tuple) -> tuple:
+    """Shard u's (hits, scanned, timed_out) from the scan of shard source_u."""
+    hits, scanned, timed_out = result
+    if source_u != u:
+        hits = sorted(tuple(n + 1 - v for v in h) for h in hits)
+    return hits, scanned, timed_out
+
+
 def _covered_through(space: _Space, hit: tuple) -> int:
     """Candidates of hit's shard up to and including hit.
 
@@ -476,18 +527,9 @@ def _covered_through(space: _Space, hit: tuple) -> int:
 
 
 def _run_shard(args: tuple) -> tuple:
-    """Scan one shard; returns (hits, scanned, timed_out).
-
-    A shard is scanned whole and then cut at its own limit-th hit, with
-    scanned counted up to that hit.
-    """
-    central, n, tv, first_u, limit, deadline = args
-    space = _space(n, central)
-    hits, scanned, timed_out = _scan_shard(n, tv, space, first_u, deadline)
-    if limit is not None and len(hits) >= limit and not timed_out:
-        hits = hits[:limit]
-        scanned = _covered_through(space, hits[-1])
-    return hits, scanned, timed_out
+    """Scan one job; returns (hits, scanned, timed_out)."""
+    central, n, tv, first_u, deadline = args
+    return _scan_shard(n, tv, _space(n, central), first_u, deadline)
 
 
 def _search_space(
@@ -503,13 +545,23 @@ def _search_space(
 
     Shards are the first-placement choices, processed and merged in index
     order, so hits, scanned, and the limit cut are reproducible for any
-    thread count. Raises SearchTimeout when the deadline passes.
+    thread count. Shards past the middle are derived from their complement
+    mirrors (see _shard_jobs), and each job is scanned when a shard first
+    needs it. A shard with at least limit hits is cut at its own limit-th
+    hit, with scanned counted up to that hit. Raises SearchTimeout when the
+    deadline passes.
     """
+    # imports numpy, and raises ValueError, before the clock starts
+    _kernel_dtypes(n, tv)
     t0 = time.monotonic()
-    deadline = time.monotonic() + timeout if timeout is not None else None
-    _kernel_dtypes(n, tv)  # raises ValueError before any worker starts
-    firsts = _space(n, central_only).values
-    shards = [(central_only, n, tv, u, limit, deadline) for u in firsts]
+    deadline = t0 + timeout if timeout is not None else None
+    space = _space(n, central_only)
+    jobs, need = _shard_jobs(n, tv, space)
+    results: dict = {}  # job index -> (hits, scanned, timed_out)
+
+    def job_args(j: int) -> tuple:
+        first_u, job_tv = jobs[j]
+        return (central_only, n, job_tv, first_u, deadline)
 
     hits: list = []
     scanned = 0
@@ -518,6 +570,9 @@ def _search_space(
     def consume(index: int, result: tuple) -> bool:
         nonlocal scanned, timed_out
         shard_hits, shard_scanned, shard_timed_out = result
+        if limit is not None and len(shard_hits) >= limit and not shard_timed_out:
+            shard_hits = shard_hits[:limit]
+            shard_scanned = _covered_through(space, shard_hits[-1])
         scanned += shard_scanned
         room = None if limit is None else limit - len(hits)
         batch = shard_hits if room is None else shard_hits[:room]
@@ -532,25 +587,43 @@ def _search_space(
             return False
         return True
 
-    if threads <= 1 or len(shards) <= 1:
-        for i, sh in enumerate(shards):
-            if not consume(i, _run_shard(sh)):
+    def walk(get: Callable) -> None:
+        for i, u in enumerate(space.values):
+            j = need[i]
+            if not consume(i, _derive_shard(n, u, jobs[j][0], get(j))):
                 break
+
+    if threads <= 1 or len(jobs) <= 1:
+        def scan(j: int) -> tuple:
+            if j not in results:
+                results[j] = _run_shard(job_args(j))
+            return results[j]
+
+        walk(scan)
     else:
-        # At most one shard per worker is in flight, and the pool is closed
+        # At most one job per worker is in flight, and the pool is closed
         # only once they are all back: terminating a worker that is sending
         # its result leaves the result queue locked and the pool hangs.
-        workers = min(threads, len(shards))
+        workers = min(threads, len(jobs))
         with get_context("fork").Pool(processes=workers) as pool:
-            jobs = deque(pool.apply_async(_run_shard, (sh,)) for sh in shards[:workers])
-            for i in range(len(shards)):
-                res = jobs.popleft().get()
-                if i + workers < len(shards):
-                    jobs.append(pool.apply_async(_run_shard, (shards[i + workers],)))
-                if not consume(i, res):
-                    break
-            for job in jobs:
-                job.wait()
+            pending = deque(
+                (j, pool.apply_async(_run_shard, (job_args(j),)))
+                for j in range(workers)
+            )
+
+            def collect(j: int) -> tuple:
+                while j not in results:
+                    k, res = pending.popleft()
+                    results[k] = res.get()
+                    nxt = k + workers
+                    if nxt < len(jobs):
+                        res = pool.apply_async(_run_shard, (job_args(nxt),))
+                        pending.append((nxt, res))
+                return results[j]
+
+            walk(collect)
+            for _, res in pending:
+                res.wait()
             pool.close()
             pool.join()
 

@@ -317,7 +317,7 @@ def test_search_thread_env(monkeypatch):
     assert seen["cfg"].threads == 1
 
 
-def test_search_timeout_maps_to_error():
+def test_search_timeout_maps_to_error(tmp_path):
     # the unrestricted scan works through wide shallow blocks before its
     # first prune (about 0.6 s on a 2-vCPU Xeon VM), so its timeout is longer
     for space, timeout in ((["--central"], "0.05"), ([], "3")):
@@ -329,6 +329,29 @@ def test_search_timeout_maps_to_error():
         assert result.payload["space"] == ("central" if space else "full")
         assert result.payload["scanned"] > 0
         assert any("timed out" in d for d in result.diagnostics)
+    # the partial result is still printed and written; 2 s gets past the
+    # first hits (shard 2, after about 1.4 s)
+    target = tmp_path / "hits.txt"
+    result, out = invoke([
+        "search", "--n", "17", "--central", "--timeout", "2",
+        "--json", "--out", str(target),
+    ])
+    assert result.exit_code == 2
+    payload = json.loads(out)
+    assert payload == result.payload
+    assert payload["found"] == len(target.read_text().splitlines())
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the search kernel only, when a search runs
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, inflatable.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_out_file_for_plain_command(tmp_path):

@@ -17,10 +17,14 @@ from inflatable import (
     search_3_inflatable,
     space_size,
 )
+import inflatable.search
 from inflatable.search import (
+    _complement_targets,
+    _derive_shard,
     _kernel_dtypes,
     _scan_shard,
     _search_space,
+    _shard_jobs,
     _space,
     _target_vector,
 )
@@ -39,6 +43,10 @@ def inv_perm(tau: Perm) -> Perm:
     for i, v in enumerate(tau):
         out[v - 1] = i + 1
     return Perm(tuple(out))
+
+
+def complement(tau: Perm) -> Perm:
+    return Perm(tuple(tau.n + 1 - v for v in tau))
 
 
 def run_shards(n: int, tv: tuple, central: bool) -> tuple:
@@ -136,6 +144,8 @@ def test_engines_agree_with_brute_force_central():
             hits, scanned = run_shards(n, tv, True)
             assert hits == brute
             assert scanned == space_size(n, True)
+            # the same through the search, whose upper shards are derived
+            assert _search_space(n, tv, True, None, 1, None) == (brute, scanned)
             # central targets have equal 231/312 entries, so the hit set
             # is closed under taking inverses
             assert {inv_perm(h) for h in hits} == set(hits)
@@ -151,6 +161,7 @@ def test_engine_agrees_with_brute_force_full():
             hits, scanned = run_shards(n, tv, False)
             assert hits == brute
             assert scanned == factorial(n)
+            assert _search_space(n, tv, False, None, 1, None) == (brute, scanned)
 
 
 def test_impossible_target_scans_everything_finds_nothing():
@@ -176,6 +187,46 @@ def test_kernel_agrees_with_brute_force_at_larger_size():
         assert hits == brute
         assert tau in hits
         assert scanned == space_size(n, True)
+
+
+def test_derived_shards_equal_their_own_scans():
+    # every shard derived from its complement mirror equals a real scan of
+    # it; random targets are not complement-invariant, so the lower shards
+    # get scans of their own under the complemented targets, and odd n
+    # covers the unrestricted middle shard, which is its own mirror
+    rng = random.Random(11)
+    spaces = [(n, True, list(enumerate_centrally_symmetric(n))) for n in (8, 10, 12)]
+    spaces += [
+        (n, False, [Perm(p) for p in permutations(range(1, n + 1))]) for n in (6, 7, 8)
+    ]
+    for n, central, pool in spaces:
+        space = _space(n, central)
+        for tau in rng.sample(pool, 2):
+            tv = count_vector(tau)
+            assert _complement_targets(n, tv) == count_vector(complement(tau)) != tv
+            jobs, need = _shard_jobs(n, tv, space)
+            for u, j in zip(space.values, need):
+                first_u, job_tv = jobs[j]
+                assert first_u == min(u, n + 1 - u)
+                job = _scan_shard(n, job_tv, space, first_u, None)
+                derived = _derive_shard(n, u, first_u, job)
+                assert derived == _scan_shard(n, tv, space, u, None)
+
+
+def test_real_targets_scan_half_the_shards(monkeypatch):
+    # the real targets are complement-invariant, so at n=17 the 8 lower
+    # shards are scanned and the 8 upper ones derived from them
+    tv = _target_vector(17)
+    calls = []
+
+    def stub(n, job_tv, job_space, first_u, deadline):
+        calls.append((first_u, job_tv))
+        return [], job_space.leaves[1], False
+
+    monkeypatch.setattr(inflatable.search, "_scan_shard", stub)
+    hits, scanned = _search_space(17, tv, True, None, 1, None)
+    assert hits == [] and scanned == space_size(17, True)
+    assert sorted(calls) == [(u, tv) for u in range(1, 9)]
 
 
 def test_search_space_threads_deterministic():
@@ -256,7 +307,8 @@ def test_progress_callback_streams_every_hit():
 
 
 def test_timeout_raises_with_partial_progress():
-    # the kernel polls its deadline by node count, with or without a limit
+    # the kernel reads the clock after each child value, with or without a
+    # limit, so it stops soon after the deadline, not a block later
     with pytest.raises(SearchTimeout) as exc:
         search_3_inflatable(SearchConfig(n=17, limit=10**9, timeout=0.05))
     assert exc.value.scanned > 0
@@ -264,6 +316,9 @@ def test_timeout_raises_with_partial_progress():
     assert exc.value.elapsed_ms >= 0
     with pytest.raises(SearchTimeout):
         search_3_inflatable(SearchConfig(n=17, timeout=0.02))
+    with pytest.raises(SearchTimeout) as exc:
+        search_3_inflatable(SearchConfig(n=17, timeout=0.5))
+    assert 500 <= exc.value.elapsed_ms < 750
 
 
 def test_long_lengths_widen_the_kernel_arrays_or_refuse():
