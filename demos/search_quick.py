@@ -6,7 +6,7 @@ A limited run over the centrally symmetric length-17 space. The search
 runs shard by shard in order of first value, scans each shard whole and
 stops with the shard that brings the third hit. The first shard has no
 hits and the second has the first three, so the run covers two of the
-sixteen shards and takes about 2 s on one core.
+sixteen shards and takes well under a second on one core.
 """
 
 import time

@@ -6,6 +6,16 @@ is a constraint scan, not a verification loop: partial placements carry
 incremental counts and a branch dies as soon as any count overshoots its
 target or can no longer reach it.
 
+The reach and overshoot tests are exact for every triple and pair with
+at most one unplaced point. Once a state's first steps are placed, the
+positions of the unplaced points and their value set V are fixed: they
+follow the placed prefix (unrestricted) or sit between the placed outer
+blocks (centrally symmetric). So every {placed, placed, unplaced} triple
+and {placed, unplaced} pair already has a known pattern, counted in O(d)
+per state from how many values of V lie below each placed value. Only
+the triples and pairs with more unplaced points, and in the central
+space those with the center, are left to the slack.
+
 Both search spaces go through one vectorized kernel (numpy). It extends a
 block of partial states by every admissible next value at once and
 descends into the surviving children a block at a time, depth first, so
@@ -72,9 +82,7 @@ class SearchTimeout(Exception):
     """Raised when a configured timeout expires mid-scan.
 
     Carries the partial progress: .hits, .scanned, .elapsed_ms. scanned
-    credits only finished leaves and pruned subtrees, so an unrestricted
-    scan that stops before its first prune reports 0 (the first 0.6 s or
-    so at n=17, which go to wide shallow blocks with nothing to prune).
+    credits only finished leaves and pruned subtrees.
     """
 
     def __init__(self, hits: list, scanned: int, elapsed_ms: int):
@@ -209,59 +217,144 @@ def _pair_stats(M: np.ndarray) -> tuple:
     return asc_before, asc_after, desc_before, desc_after, asc_total
 
 
-def _last_triples(B: np.ndarray, stats: tuple) -> np.ndarray:
+def _last_triples(
+    above: np.ndarray, below: np.ndarray, stats: tuple, k: int
+) -> np.ndarray:
     """Counts of triples {old, old, new} with the new point last, by pattern.
 
-    B[s, i] says whether old value i of row s lies below the new value;
-    stats are the _pair_stats of the same rows.
+    Sums over k new values: above[s, i] and below[s, i] count those above
+    and below old value i of row s (for one new value, a bool array and its
+    negation). stats are the _pair_stats of the same rows.
     """
     import numpy as np
 
     asc_b, asc_a, desc_b, desc_a, asc_tot = stats
-    d = B.shape[1]
-    b = np.empty((B.shape[0], 6), dtype=np.int32)
-    b[:, 0] = (B * asc_b).sum(axis=1, dtype=np.int32)
-    b[:, 3] = ((~B) * asc_a).sum(axis=1, dtype=np.int32)
-    b[:, 1] = asc_tot - b[:, 0] - b[:, 3]
-    b[:, 2] = (B * desc_a).sum(axis=1, dtype=np.int32)
-    b[:, 5] = ((~B) * desc_b).sum(axis=1, dtype=np.int32)
-    b[:, 4] = (d * (d - 1) // 2 - asc_tot) - b[:, 2] - b[:, 5]
+    d = above.shape[1]
+    b = np.empty((above.shape[0], 6), dtype=np.int32)
+    b[:, 0] = (above * asc_b).sum(axis=1, dtype=np.int32)
+    b[:, 3] = (below * asc_a).sum(axis=1, dtype=np.int32)
+    b[:, 1] = asc_tot * k - b[:, 0] - b[:, 3]
+    b[:, 2] = (above * desc_a).sum(axis=1, dtype=np.int32)
+    b[:, 5] = (below * desc_b).sum(axis=1, dtype=np.int32)
+    b[:, 4] = (d * (d - 1) // 2 - asc_tot) * k - b[:, 2] - b[:, 5]
     return b
 
 
-def _full_children(Wc: np.ndarray, cands: list) -> Iterator[tuple]:
-    """Yield (u, sel, Ws, delta) for each value u placed after the rows of Wc.
+def _values_below(Wi: np.ndarray, stats: tuple, others) -> np.ndarray:
+    """r[s, i]: how many unplaced values lie below Wi[s, i].
 
-    sel picks the rows that do not hold u yet, Ws = Wc[sel], and delta is
-    the change of the count vector when u becomes the last point.
+    Wi holds placed values as int32, stats are their _pair_stats, and
+    others[s, i] counts the placed values below Wi[s, i] that are not in
+    row s of Wi.
+    """
+    asc_b, _, _, desc_a, _ = stats
+    return Wi - 1 - asc_b - desc_a - others
+
+
+def _suffix_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
+    """The count vector of the {placed, placed, unplaced} triples and the
+    {placed, unplaced} pairs of unrestricted states (rows of W).
+
+    Every unplaced point follows the placed prefix, so it comes last in
+    each such triple and pair, whatever its value.
     """
     import numpy as np
 
-    stats = _pair_stats(Wc)
+    k = n - W.shape[1]
+    r = _values_below(W.astype(np.int32), stats, 0)
+    F = np.empty((W.shape[0], 7), dtype=np.int32)
+    F[:, :6] = _last_triples(k - r, r, stats, k)
+    F[:, _P12_IDX] = (k - r).sum(axis=1, dtype=np.int32)
+    return F
+
+
+def _right_below(n: int, Wi: np.ndarray) -> np.ndarray:
+    """RB[s, i]: how many right-half values of centrally symmetric state s,
+    the center included, lie below its left value Wi[s, i] (int32 rows)."""
+    import numpy as np
+
+    N = Wi.shape[0]
+    right = np.zeros((N, n + 2), dtype=np.int32)
+    right[np.arange(N)[:, None], n + 1 - Wi] = 1
+    if n & 1:
+        right[:, (n + 1) // 2] = 1
+    return np.take_along_axis(right.cumsum(axis=1, dtype=np.int32), Wi - 1, axis=1)
+
+
+def _outer_inner_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
+    """The count vector of the {placed, placed, unplaced} triples and the
+    {placed, unplaced} pairs of centrally symmetric states (left halves W),
+    leaving out those with the center.
+
+    The unplaced points sit between the left block and its mirror, so
+    their side of the center is open but their side of every other placed
+    point is not. Triples with both placed points on the right are the
+    R-images of those with both on the left. A[s, i] counts the right
+    points above the left point W[s, i], the center left out.
+    """
+    import numpy as np
+
+    N, d = W.shape
+    odd = n & 1
+    k = n - 2 * d - odd
+    Wi = W.astype(np.int32)
+    RB = _right_below(n, Wi)
+    r = _values_below(Wi, stats, RB)
+    A = d - RB + odd * (2 * Wi > n + 1)
+    F = np.empty((N, 7), dtype=np.int32)
+    ll = _last_triples(k - r, r, stats, k)
+    F[:, :6] = ll + ll[:, _RMAP]
+    # one point on each side; the unplaced point is in the middle:
+    # a < c gives 213, 123, 132 as it lies below a, between, above c;
+    # a > c gives 312, 321, 231 as it lies below c, between, above a
+    lo = A.sum(axis=1, dtype=np.int32)
+    hi = d * d - lo
+    r_lo = (A * r).sum(axis=1, dtype=np.int32)
+    r_hi = ((d - A) * r).sum(axis=1, dtype=np.int32)
+    F[:, 0] += k * lo - 2 * r_lo
+    F[:, 1] += r_lo
+    F[:, 2] += r_lo
+    F[:, 3] += k * hi - r_hi
+    F[:, 4] += k * hi - r_hi
+    F[:, 5] += 2 * r_hi - k * hi
+    F[:, _P12_IDX] = 2 * (k - r).sum(axis=1, dtype=np.int32)
+    return F
+
+
+def _full_children(Wc: np.ndarray, stats: tuple, cands: list) -> Iterator[tuple]:
+    """Yield (u, sel, Ws, delta) for each value u placed after the rows of Wc.
+
+    stats are the _pair_stats of Wc. sel picks the rows that do not hold u
+    yet, Ws = Wc[sel], and delta is the change of the count vector when u
+    becomes the last point.
+    """
+    import numpy as np
+
     for u in cands:
         sel = ~(Wc == u).any(axis=1)
         Ws = Wc[sel]
         B = Ws < u
         delta = np.empty((Ws.shape[0], 7), dtype=np.int32)
-        delta[:, :6] = _last_triples(B, tuple(x[sel] for x in stats))
+        delta[:, :6] = _last_triples(B, ~B, tuple(x[sel] for x in stats), 1)
         delta[:, _P12_IDX] = B.sum(axis=1, dtype=np.int32)
         yield u, sel, Ws, delta
 
 
-def _central_children(n: int, Wc: np.ndarray, cands: list) -> Iterator[tuple]:
+def _central_children(
+    n: int, Wc: np.ndarray, stats: tuple, cands: list
+) -> Iterator[tuple]:
     """Yield (u, sel, Ws, delta) for each pair (u, n+1-u) placed inside Wc.
 
-    Rows of Wc hold the left half of a centrally symmetric state; the pair
-    enters at the innermost free positions, u on the left. sel picks the
-    rows that hold neither value yet, Ws = Wc[sel], and delta is the change
-    of the count vector.
+    Rows of Wc hold the left half of a centrally symmetric state, and stats
+    are their _pair_stats; the pair enters at the innermost free positions,
+    u on the left. sel picks the rows that hold neither value yet,
+    Ws = Wc[sel], and delta is the change of the count vector.
     """
     import numpy as np
 
     nn1 = n + 1
     odd = n & 1
     d = Wc.shape[1]
-    stats = _pair_stats(Wc)
     # Rv: the right half's values, the center included, in reverse position
     # order, so u comes last in its triples with two right-half values
     Rv = (nn1 - Wc).astype(Wc.dtype)
@@ -270,8 +363,7 @@ def _central_children(n: int, Wc: np.ndarray, cands: list) -> Iterator[tuple]:
         Rv = np.concatenate([Rv, center], axis=1)
     dR = d + odd
     stats_Rv = _pair_stats(Rv)
-    # RB[s, i] = how many right-half values sit below Wc[s, i]
-    RB = (Rv[:, None, :] < Wc[:, :, None]).sum(axis=2, dtype=np.int32)
+    RB = _right_below(n, Wc.astype(np.int32))
 
     for u in cands:
         up = nn1 - u
@@ -307,9 +399,9 @@ def _central_children(n: int, Wc: np.ndarray, cands: list) -> Iterator[tuple]:
 
         # triples {old, old, new}, left copy; mirror added afterwards
         # both olds on the left: new point is last
-        b = _last_triples(B, tuple(x[sel] for x in stats))
+        b = _last_triples(B, ~B, tuple(x[sel] for x in stats), 1)
         # both olds on the right: new point is first, so last in Rv's order
-        b += _last_triples(BRv, tuple(x[sel] for x in stats_Rv))[:, _REVMAP]
+        b += _last_triples(BRv, ~BRv, tuple(x[sel] for x in stats_Rv), 1)[:, _REVMAP]
         # one old each side: new point is in the middle
         RBs = RB[sel]
         sab = (B * RBs).sum(axis=1, dtype=np.int32)
@@ -333,7 +425,10 @@ class _Space:
     after d steps has leaves[d] candidates under it. A step chooses one of
     `values` not yet taken; taken(v) are the values a step placing v uses
     up. children is the space's child generator and as_hit turns a stored
-    row into the candidate's value tuple.
+    row into the candidate's value tuple. mixed is the space's rule for the
+    counts that mix placed and unplaced points: the unplaced points follow
+    the prefix (suffix rule) or sit inside the placed outer blocks
+    (outer-inner rule).
     """
 
     steps: int
@@ -342,6 +437,7 @@ class _Space:
     values: tuple
     taken: Callable
     children: Callable
+    mixed: Callable
     as_hit: Callable
 
 
@@ -355,6 +451,7 @@ def _space(n: int, central: bool) -> _Space:
             values=tuple(range(1, nn1)),
             taken=lambda v: {v},
             children=_full_children,
+            mixed=partial(_suffix_counts, n),
             as_hit=lambda row: row,
         )
     m = n // 2
@@ -366,6 +463,7 @@ def _space(n: int, central: bool) -> _Space:
         values=tuple(u for u in range(1, nn1) if 2 * u != nn1),
         taken=lambda v: {v, nn1 - v},
         children=partial(_central_children, n),
+        mixed=partial(_outer_inner_counts, n),
         as_hit=lambda row: row + mid + tuple(nn1 - v for v in reversed(row)),
     )
 
@@ -376,8 +474,9 @@ def _kernel_dtypes(n: int, tv: tuple) -> tuple:
     Values take the smallest unsigned type that holds n + 1, since the
     central kernel forms n + 1 - v. Stored counts never exceed their
     targets, so int16 holds them while every target does. Working counts
-    are int32 and stay below 3 * C(n, 3); lengths past that bound raise
-    ValueError.
+    are int32 and stay below 3 * C(n, 3): a state's counts plus its exact
+    mixed counts plus the slack left for the rest stay at most C(n, 3) per
+    pattern. Lengths past that bound raise ValueError.
     """
     import numpy as np
 
@@ -398,8 +497,12 @@ def _scan_shard(
     first, as soon as a full block of them is ready. A block with d steps
     taken has at most _PATH_CELLS / (steps * d) rows, so the blocks held
     along one descent path hold at most _PATH_CELLS values at any length.
-    With a deadline, the kernel reads the clock after each child value it
-    computes and stops as soon as the deadline has passed.
+    A block entering with d >= 1 steps first keeps only the rows whose
+    counts, with their exact mixed counts (space.mixed) added, neither
+    overshoot a target nor fall short of it by more than the slack left;
+    each dropped row is credited with its leaves. With a deadline, the
+    kernel reads the clock as a block enters and after each child value it
+    computes, and stops as soon as the deadline has passed.
     """
     import numpy as np
 
@@ -411,7 +514,30 @@ def _scan_shard(
 
     def descend(Wc: np.ndarray, Cc: np.ndarray) -> None:
         nonlocal scanned, timed_out
+        if deadline is not None and time.monotonic() > deadline:
+            timed_out = True
+            return
         d = Wc.shape[1]
+        stats = _pair_stats(Wc)
+        if d:
+            # exact counts of the triples and pairs that mix placed and
+            # unplaced points; slack covers the rest of the unplaced ones
+            k = space.per_step * (space.steps - d)  # unplaced values
+            D = space.per_step * d  # placed values, the center left out
+            placed = n - k
+            slack = np.array(
+                [comb(n, 3) - comb(placed, 3) - comb(D, 2) * k] * 6
+                + [comb(n, 2) - comb(placed, 2) - D * k],
+                dtype=np.int32,
+            )
+            CF = Cc.astype(np.int32) + space.mixed(Wc, stats)
+            keep = ((CF <= T) & (CF + slack >= T)).all(axis=1)
+            kept = int(keep.sum())
+            scanned += (Wc.shape[0] - kept) * space.leaves[d]
+            if not kept:
+                return
+            Wc, Cc = Wc[keep], Cc[keep]
+            stats = tuple(x[keep] for x in stats)
         final = d + 1 == space.steps
         cands = [first_u] if d == 0 else space.values
         size = _PATH_CELLS // (space.steps * (d + 1))
@@ -423,7 +549,7 @@ def _scan_shard(
         queue_C: list[np.ndarray] = []
         queued = 0
 
-        for u, sel, Ws, delta in space.children(Wc, cands):
+        for u, sel, Ws, delta in space.children(Wc, stats, cands):
             if deadline is not None and time.monotonic() > deadline:
                 timed_out = True
                 return

@@ -1,6 +1,7 @@
+import dataclasses
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -22,6 +23,7 @@ from inflatable.search import (
     _complement_targets,
     _derive_shard,
     _kernel_dtypes,
+    _pair_stats,
     _scan_shard,
     _search_space,
     _shard_jobs,
@@ -189,6 +191,71 @@ def test_kernel_agrees_with_brute_force_at_larger_size():
         assert scanned == space_size(n, True)
 
 
+def mixed_counts_brute(n: int, row: tuple, central: bool) -> tuple:
+    """Count vector of the {placed, placed, unplaced} triples and the
+    {placed, unplaced} pairs of one partial state, by enumeration.
+
+    Every unplaced position lies after the left block and before the right
+    one (central) or after the prefix (unrestricted), so position d+1
+    stands for all of them; the center takes part in none.
+    """
+    d = len(row)
+    placed = list(enumerate(row, 1))
+    if central:
+        placed += [(n + 1 - i, n + 1 - v) for i, v in enumerate(row, 1)]
+    taken = {v for _, v in placed} | ({(n + 1) // 2} if central and n % 2 else set())
+    vector = [0] * 7
+    for x in set(range(1, n + 1)) - taken:
+        for a, b in combinations(placed, 2):
+            vals = [v for _, v in sorted([a, b, (d + 1, x)])]
+            vector[PATTERNS_3.index(Perm(tuple(sorted(vals).index(v) + 1 for v in vals)))] += 1
+        for i, v in placed:
+            vector[6] += (v < x) == (i < d + 1)
+    return tuple(vector)
+
+
+def test_mixed_counts_equal_enumeration():
+    # the exact counts the driver prunes on, in both spaces, at every depth
+    # the driver tests, against enumeration of the triples and pairs
+    rng = random.Random(12)
+    for n in range(5, 18):
+        for central in (True, False):
+            space = _space(n, central)
+            for d in range(1, space.steps):
+                rows = []
+                for _ in range(12):
+                    if central:
+                        firsts = rng.sample(range(1, n // 2 + 1), d)
+                        rows.append(tuple(rng.choice((u, n + 1 - u)) for u in firsts))
+                    else:
+                        rows.append(tuple(rng.sample(range(1, n + 1), d)))
+                W = np.array(rows, dtype=np.uint8)
+                got = space.mixed(W, _pair_stats(W))
+                for row, vector in zip(rows, got.tolist()):
+                    assert tuple(vector) == mixed_counts_brute(n, row, central)
+
+
+def test_exact_test_prunes_the_final_level():
+    # one central n=12 shard: the rows whose children are the leaves; a
+    # prune on the slack alone lets 1367 of them through
+    tau = Perm("5B37194C6A28")
+    assert is_centrally_symmetric(tau)
+    tv = count_vector(tau)
+    space = _space(12, True)
+    rows = []
+
+    def children(W, *args):
+        if W.shape[1] == space.steps - 1:
+            rows.append(W.shape[0])
+        return space.children(W, *args)
+
+    counting = dataclasses.replace(space, children=children)
+    hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
+    assert tau in [Perm(h) for h in hits]
+    assert scanned == space.leaves[1]
+    assert sum(rows) == 11 < 1367
+
+
 def test_derived_shards_equal_their_own_scans():
     # every shard derived from its complement mirror equals a real scan of
     # it; random targets are not complement-invariant, so the lower shards
@@ -316,9 +383,10 @@ def test_timeout_raises_with_partial_progress():
     assert exc.value.elapsed_ms >= 0
     with pytest.raises(SearchTimeout):
         search_3_inflatable(SearchConfig(n=17, timeout=0.02))
-    with pytest.raises(SearchTimeout) as exc:
-        search_3_inflatable(SearchConfig(n=17, timeout=0.5))
-    assert 500 <= exc.value.elapsed_ms < 750
+    for central in (True, False):
+        with pytest.raises(SearchTimeout) as exc:
+            search_3_inflatable(SearchConfig(n=17, central_only=central, timeout=0.5))
+        assert 500 <= exc.value.elapsed_ms < 750
 
 
 def test_long_lengths_widen_the_kernel_arrays_or_refuse():
