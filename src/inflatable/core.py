@@ -161,11 +161,20 @@ def pattern_of(values: Sequence[int]) -> Perm:
         raise ValueError("values must be distinct")
     if not values:
         raise ValueError("values must be non-empty")
+    return _pattern(values)
+
+
+def _pattern(values: Sequence[int]) -> Perm:
+    """pattern_of for values already known to be distinct and non-empty.
+
+    The ranks of distinct values are a permutation by construction, so the
+    result skips Perm's validation.
+    """
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0] * len(values)
     for r, idx in enumerate(order, start=1):
         ranks[idx] = r
-    return Perm(ranks)
+    return tuple.__new__(Perm, ranks)
 
 
 def inflate(tau: PermLike, gamma: PermLike) -> Perm:
@@ -198,11 +207,13 @@ def generalized_inflate(tau: PermLike, blocks: Sequence[PermLike]) -> Perm:
     gs = [as_perm(b) for b in blocks]
     if len(gs) != t.n:
         raise ValueError(f"expected {t.n} blocks, got {len(gs)}")
-    sizes = [g.n for g in gs]
-    offsets = []
-    for i in range(t.n):
-        off = sum(sizes[j] for j in range(t.n) if t[j] < t[i])
-        offsets.append(off)
+    # walk the entries of tau by increasing value: each block starts where
+    # the blocks of all smaller entries end
+    offsets = [0] * t.n
+    off = 0
+    for i in sorted(range(t.n), key=t.__getitem__):
+        offsets[i] = off
+        off += gs[i].n
     out: list[int] = []
     for i, g in enumerate(gs):
         out.extend(offsets[i] + gv for gv in g)

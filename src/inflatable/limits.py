@@ -5,10 +5,14 @@ densities of the block sequence converge to a profile s, then
 
     lim t(pi, inflate(tau, gamma_j))
         = (|pi|! / n^|pi|) * sum over block partitions (b, sigma) of pi of
-          C(n, |sigma|) * t(sigma, tau) * prod_alpha s(alpha) / |alpha|!
+          occ(sigma, tau) * prod_alpha s(alpha) / |alpha|!
 
-with n = |tau|, the product running over the inner blocks alpha of b, and
-terms with |sigma| > n dropping out (the binomial vanishes). Everything here
+with n = |tau|, occ(sigma, tau) = C(n, |sigma|) t(sigma, tau) the number of
+occurrences of sigma in tau, and the product running over the inner blocks
+alpha of b. Terms with |sigma| > n drop out (sigma does not occur), and
+blocks of length 1 contribute a factor of exactly 1, since every valid
+profile has s(1) = 1. The occurrence counts of one host are computed once
+per pattern length and shared by every pattern summed on it. Everything here
 is exact rational arithmetic.
 """
 
@@ -17,10 +21,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 from typing import Mapping, Union
 
-from .core import Perm, PermLike, all_patterns, as_perm, density
+from .core import Perm, PermLike, _pattern, all_patterns, as_perm, count_length3_all
 from .partitions import block_partitions
 
 __all__ = [
@@ -118,13 +123,38 @@ def uniform_profile(max_len: int) -> DensityProfile:
     return DensityProfile(entries)
 
 
+# room for every pattern length on a few hosts at once
+@lru_cache(maxsize=4 * LIMIT_PATTERN_MAX)
+def _occurrences(tau: Perm, s: int) -> dict:
+    """Occurrence counts of the length-s patterns in tau.
+
+    A pattern missing from the dict does not occur. Lengths 2 and 3 on
+    hosts of length >= 3 are read off count_length3_all, length 1 occurs
+    |tau| times, and any other length is one pass over the C(|tau|, s)
+    index subsets that tallies each subset's pattern. Memoized, so the
+    patterns summed on one host share its counts.
+    """
+    if s == 1:
+        return {Perm((1,)): tau.n}
+    if 2 <= s <= 3 and tau.n >= 3:
+        pc = count_length3_all(tau)
+        return pc.counts if s == 3 else {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}
+    counts: dict[Perm, int] = {}
+    for sub in combinations(tau, s):
+        sigma = _pattern(sub)
+        counts[sigma] = counts.get(sigma, 0) + 1
+    return counts
+
+
 def limit_density_inflation(
     pi: PermLike, tau: PermLike, profile: DensityProfile
 ) -> Fraction:
     """Exact limit of t(pi, inflate(tau, gamma_j)) for blocks following profile.
 
-    Requires |pi| <= 6 (block partition enumeration) and a profile covering
-    every length up to |pi|.
+    Each block partition (b, sigma) of pi adds occ(sigma, tau) times the
+    product of s(alpha) / |alpha|! over its inner blocks of length >= 2
+    (a singleton block's factor is exactly 1). Requires |pi| <= 6 (block
+    partition enumeration) and a profile covering every length up to |pi|.
 
     >>> limit_density_inflation("12", "132", uniform_profile(2))
     Fraction(11, 18)
@@ -138,17 +168,15 @@ def limit_density_inflation(
         missing = [s for s in range(1, k + 1) if s not in profile.lengths]
         raise ValueError(f"profile lacks lengths {missing} needed for |pi| = {k}")
     n = t.n
-    sigma_density: dict[Perm, Fraction] = {}
     total = Fraction(0)
     for bp in block_partitions(p):
-        s = bp.outer.n
-        if s > n:
+        occ = _occurrences(t, bp.outer.n).get(bp.outer, 0)
+        if not occ:
             continue
-        if bp.outer not in sigma_density:
-            sigma_density[bp.outer] = density(bp.outer, t)
-        term = comb(n, s) * sigma_density[bp.outer]
+        term = Fraction(occ)
         for alpha in bp.inner:
-            term *= Fraction(profile[alpha], factorial(alpha.n))
+            if alpha.n > 1:
+                term *= Fraction(profile[alpha], factorial(alpha.n))
         total += term
     return Fraction(factorial(k), n**k) * total
 

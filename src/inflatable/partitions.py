@@ -10,9 +10,8 @@ the limit-density formula sums over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import Perm, PermLike, as_perm, generalized_inflate, pattern_of
+from .core import Perm, PermLike, _pattern, as_perm, generalized_inflate
 
 __all__ = ["BlockPartition", "block_partitions", "BLOCK_PARTITION_MAX"]
 
@@ -36,9 +35,12 @@ def block_partitions(pi: PermLike) -> list[BlockPartition]:
     """All block partitions of pi, ordered lexicographically by sizes.
 
     The trivial cuts are always present: n singletons (sigma = pi) and the
-    single block of length n (sigma = 1). Enumeration walks all 2^(n-1)
-    compositions and keeps those whose segments are value intervals, so the
-    length is capped at BLOCK_PARTITION_MAX.
+    single block of length n (sigma = 1). Enumeration recurses over interval
+    prefixes: a segment grows while its min and max are tracked, and a cut
+    is made only where max - min + 1 equals its length, so no composition
+    whose segments are not intervals is ever built. Trying the shorter first
+    block first yields the sizes in lexicographic order. Every partition is
+    checked to rebuild pi. The length is capped at BLOCK_PARTITION_MAX.
 
     >>> [bp.sizes for bp in block_partitions("132")]
     [(1, 1, 1), (1, 2), (3,)]
@@ -48,29 +50,32 @@ def block_partitions(pi: PermLike) -> list[BlockPartition]:
     if n > BLOCK_PARTITION_MAX:
         raise ValueError(f"block partition enumeration caps at length {BLOCK_PARTITION_MAX}")
     out: list[BlockPartition] = []
-    for cuts in range(n):
-        for cut_positions in combinations(range(1, n), cuts):
-            bounds = (0,) + cut_positions + (n,)
-            segments = [p[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
-            ok = True
-            for seg in segments:
-                if max(seg) - min(seg) + 1 != len(seg):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            outer = pattern_of([min(seg) for seg in segments])
-            inner = tuple(pattern_of(seg) for seg in segments)
-            out.append(
-                BlockPartition(
-                    outer=outer,
-                    inner=inner,
-                    sizes=tuple(len(seg) for seg in segments),
-                )
+    lows: list[int] = []
+    blocks: list[Perm] = []
+
+    def cut_from(start: int) -> None:
+        if start == n:
+            bp = BlockPartition(
+                outer=_pattern(lows),
+                inner=tuple(blocks),
+                sizes=tuple(map(len, blocks)),
             )
-    out.sort(key=lambda bp: bp.sizes)
-    for bp in out:
-        # reconstruction is a definitional invariant, cheap at n <= 10
-        if generalized_inflate(bp.outer, bp.inner) != p:
-            raise RuntimeError(f"block partition {bp} does not rebuild {p}")
+            # reconstruction is a definitional invariant, cheap at n <= 10
+            if generalized_inflate(bp.outer, bp.inner) != p:
+                raise RuntimeError(f"block partition {bp} does not rebuild {p}")
+            out.append(bp)
+            return
+        lo = hi = p[start]
+        for end in range(start + 1, n + 1):
+            v = p[end - 1]
+            lo = min(lo, v)
+            hi = max(hi, v)
+            if hi - lo + 1 == end - start:
+                lows.append(lo)
+                blocks.append(_pattern(p[start:end]))
+                cut_from(end)
+                lows.pop()
+                blocks.pop()
+
+    cut_from(0)
     return out

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from inflatable import (
     DensityProfile,
@@ -10,6 +12,7 @@ from inflatable import (
     Perm,
     abc_coefficients,
     all_patterns,
+    block_partitions,
     density,
     limit_density_inflation,
     limit_density_uniform,
@@ -163,3 +166,48 @@ def test_parse_rational_rejects_floats():
     assert parse_rational(2) == Fraction(2)
     with pytest.raises(ValueError):
         parse_rational(0.5)
+
+
+def reference_limit(pi, tau, profile):
+    """The limit sum term by term: C(n, |sigma|) t(sigma, tau) per partition."""
+    p, t = Perm(pi), Perm(tau)
+    n = t.n
+    total = Fraction(0)
+    for bp in block_partitions(p):
+        if bp.outer.n > n:
+            continue
+        term = comb(n, bp.outer.n) * density(bp.outer, t)
+        for alpha in bp.inner:
+            term *= Fraction(profile[alpha], factorial(alpha.n))
+        total += term
+    return Fraction(factorial(p.n), n**p.n) * total
+
+
+@st.composite
+def perms(draw, min_len, max_len):
+    n = draw(st.integers(min_len, max_len))
+    return Perm(draw(st.permutations(range(1, n + 1))))
+
+
+def skewed_profile(rng, max_len):
+    """A valid profile with random, mostly non-uniform, weights per length."""
+    entries = {}
+    for k in range(1, max_len + 1):
+        pats = all_patterns(k)
+        weights = [rng.randint(0, 5) for _ in pats]
+        weights[rng.randrange(len(pats))] += 1
+        total = sum(weights)
+        entries.update((q, Fraction(w, total)) for q, w in zip(pats, weights))
+    return DensityProfile(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=perms(1, 9), pi=perms(1, 6), rng=st.randoms(use_true_random=False))
+@example(tau=Perm("1"), pi=Perm("2413"), rng=random.Random(35))
+@example(tau=Perm("21"), pi=Perm("132"), rng=random.Random(36))
+@example(tau=Perm("3142"), pi=Perm("315264"), rng=random.Random(37))
+def test_limit_matches_per_partition_reference(tau, pi, rng):
+    # random hosts include lengths 1 and 2 and hosts shorter than the
+    # pattern; the explicit examples pin one of each
+    profile = skewed_profile(rng, pi.n)
+    assert limit_density_inflation(pi, tau, profile) == reference_limit(pi, tau, profile)

@@ -1,10 +1,48 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from inflatable import Perm, block_partitions, generalized_inflate
+from inflatable import Perm, block_partitions, generalized_inflate, pattern_of
 from util import random_perm
+
+
+def brute_force_partitions(p):
+    """Reference: filter all 2^(n-1) compositions of |p| for interval segments.
+
+    Returns (outer, inner, sizes) triples ordered lexicographically by sizes.
+    """
+    n = p.n
+    out = []
+    for cuts in range(n):
+        for cut_positions in combinations(range(1, n), cuts):
+            bounds = (0,) + cut_positions + (n,)
+            segments = [p[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+            if all(max(seg) - min(seg) + 1 == len(seg) for seg in segments):
+                out.append(
+                    (
+                        pattern_of([min(seg) for seg in segments]),
+                        tuple(pattern_of(seg) for seg in segments),
+                        tuple(len(seg) for seg in segments),
+                    )
+                )
+    out.sort(key=lambda triple: triple[2])
+    return out
+
+
+def test_matches_brute_force_for_every_permutation_to_7():
+    for n in range(1, 8):
+        for vals in permutations(range(1, n + 1)):
+            p = Perm(vals)
+            got = [(bp.outer, bp.inner, bp.sizes) for bp in block_partitions(p)]
+            assert got == brute_force_partitions(p), p
+
+
+def test_each_call_returns_a_fresh_list():
+    first = block_partitions("2143")
+    second = block_partitions("2143")
+    assert first == second
+    assert first is not second
 
 
 def test_132_worked_example():
@@ -63,14 +101,7 @@ def test_completeness_against_direct_scan():
     for _ in range(30):
         p = random_perm(rng, rng.randint(2, 8))
         found = {bp.sizes for bp in block_partitions(p)}
-        n = p.n
-        for mask in range(1 << (n - 1)):
-            cuts = [i + 1 for i in range(n - 1) if mask >> i & 1]
-            bounds = [0] + cuts + [n]
-            segs = [p[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
-            ok = all(max(s) - min(s) + 1 == len(s) for s in segs)
-            sizes = tuple(len(s) for s in segs)
-            assert (sizes in found) == ok
+        assert found == {sizes for _, _, sizes in brute_force_partitions(p)}
 
 
 def test_ordering_is_lexicographic_by_sizes():
