@@ -2,30 +2,30 @@
 
 Candidates are permutations whose six length-3 counts and ascending pair
 count all equal the exact integer targets for their length, so the search
-is a constraint scan, not a verification loop: partial placements carry
-incremental counts and a branch dies as soon as any count overshoots its
-target or can no longer reach it.
+is a constraint scan, not a verification loop: a branch dies as soon as
+any count overshoots its target or can no longer reach it.
 
-The reach and overshoot tests are exact for every triple and pair with
-at most one unplaced point. Once a state's first steps are placed, the
-positions of the unplaced points and their value set V are fixed: they
-follow the placed prefix (unrestricted) or sit between the placed outer
-blocks (centrally symmetric). So every {placed, placed, unplaced} triple
-and {placed, unplaced} pair already has a known pattern, counted in O(d)
-per state from how many values of V lie below each placed value. Only
-the triples and pairs with more unplaced points, and in the central
-space those with the center, are left to the slack.
+Each search space has one exact count rule. Once a state's first steps
+are placed, the positions of the unplaced points and their value set are
+fixed: they follow the placed prefix (unrestricted) or sit between the
+placed outer blocks (centrally symmetric). So every triple and pair with
+at most one unplaced point already has a known pattern, except a triple
+of the center and an unplaced point. The rule counts them all from the
+placed values, in O(d^2) per state; the triples and pairs with more
+unplaced points, and those of the center with one, are the slack. Once
+every step is placed the slack is 0 and the test is an exact match.
 
 Both search spaces go through one vectorized kernel (numpy). It extends a
-block of partial states by every admissible next value at once and
-descends into the surviving children a block at a time, depth first, so
-the arrays it holds stay bounded. The same kernel serves full scans
-(length 17, 10,321,920 centrally symmetric candidates, in seconds on one
-core) and scans cut by a result limit or a timeout: each shard is scanned
-whole and its sorted hits are cut at the limit. Only the child generator
-depends on the space: unrestricted states grow by one value placed last,
-centrally symmetric ones by a complementary pair. The test suite checks
-both against brute-force filtering.
+block of partial states by every admissible next value at once, tests
+each block of children on the count rule as it enters the next level,
+and descends into the survivors a block at a time, depth first, so the
+arrays it holds stay bounded. The same kernel serves full scans (length
+17, 10,321,920 centrally symmetric candidates, in seconds on one core)
+and scans cut by a result limit or a timeout: each shard is scanned whole
+and its sorted hits are cut at the limit. Only the count rule and the
+step depend on the space: unrestricted states grow by one value placed
+last, centrally symmetric ones by a complementary pair. The test suite
+checks both against brute-force filtering.
 
 Shards are the choices of first value u. Complement (v -> n+1-v) maps
 shard u onto shard n+1-u and fixes the real targets, so only the shards
@@ -37,9 +37,10 @@ scan of the mirror under the complemented targets, by the same rule.
 Centrally symmetric states place complementary value pairs outside-in:
 after d steps positions 1..d and n-d+1..n are filled and the pair
 (u, n+1-u) enters at positions d+1 and n-d. The 180-degree rotation R maps
-the partial state to itself, so every new pattern occurrence involving the
-right copy is the R-image of one involving the left copy; the kernel
-counts the left ones and adds the image counts, which halves the work.
+the state to itself, so every triple with two points in the right block
+is the R-image of one with two points in the left block; the central
+rule counts the left ones and adds the image counts, which halves the
+work.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ __all__ = [
 # overshoot and reach tests are the ascending column's reach and overshoot.
 _P12_IDX = 6
 
-# index image of each length-3 pattern under R (132 <-> 213, 231 <-> 312)
-# and under reversal (123 <-> 321, 132 <-> 231, 213 <-> 312)
-_RMAP = (0, 2, 1, 4, 3, 5)
-_REVMAP = (5, 3, 4, 1, 2, 0)
+# index image of each count under R: 132 <-> 213, 231 <-> 312, and an
+# ascending pair stays ascending
+_RMAP = (0, 2, 1, 4, 3, 5, _P12_IDX)
 
 _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
 
@@ -202,10 +202,7 @@ def _pair_stats(M: np.ndarray) -> tuple:
     """
     import numpy as np
 
-    N, d = M.shape
-    if d == 0:
-        z = np.zeros((N, 0), dtype=np.int32)
-        return z, z, z.copy(), z.copy(), np.zeros(N, dtype=np.int32)
+    d = M.shape[1]
     lt = M[:, :, None] < M[:, None, :]
     iu = np.triu(np.ones((d, d), dtype=bool), 1)
     asc_before = (lt & iu).sum(axis=1, dtype=np.int32)
@@ -223,8 +220,8 @@ def _last_triples(
     """Counts of triples {old, old, new} with the new point last, by pattern.
 
     Sums over k new values: above[s, i] and below[s, i] count those above
-    and below old value i of row s (for one new value, a bool array and its
-    negation). stats are the _pair_stats of the same rows.
+    and below old value i of row s. stats are the _pair_stats of the same
+    rows.
     """
     import numpy as np
 
@@ -240,75 +237,72 @@ def _last_triples(
     return b
 
 
-def _values_below(Wi: np.ndarray, stats: tuple, others) -> np.ndarray:
-    """r[s, i]: how many unplaced values lie below Wi[s, i].
+def _prefix_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
+    """The count vector of the triples with at least two points in the left
+    block W and of the pairs with a point in it (unrestricted rule).
 
-    Wi holds placed values as int32, stats are their _pair_stats, and
-    others[s, i] counts the placed values below Wi[s, i] that are not in
-    row s of Wi.
-    """
-    asc_b, _, _, desc_a, _ = stats
-    return Wi - 1 - asc_b - desc_a - others
-
-
-def _suffix_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
-    """The count vector of the {placed, placed, unplaced} triples and the
-    {placed, unplaced} pairs of unrestricted states (rows of W).
-
-    Every unplaced point follows the placed prefix, so it comes last in
-    each such triple and pair, whatever its value.
+    stats are the _pair_stats of W. Every point outside the block lies
+    after it and all of 1..n occur, so the later points below W[s, i] are
+    the W[s, i] - 1 values below it less the block's own, and a triple with
+    two block points has its later point last, whatever its value.
     """
     import numpy as np
 
-    k = n - W.shape[1]
-    r = _values_below(W.astype(np.int32), stats, 0)
-    F = np.empty((W.shape[0], 7), dtype=np.int32)
-    F[:, :6] = _last_triples(k - r, r, stats, k)
-    F[:, _P12_IDX] = (k - r).sum(axis=1, dtype=np.int32)
-    return F
-
-
-def _right_below(n: int, Wi: np.ndarray) -> np.ndarray:
-    """RB[s, i]: how many right-half values of centrally symmetric state s,
-    the center included, lie below its left value Wi[s, i] (int32 rows)."""
-    import numpy as np
-
-    N = Wi.shape[0]
-    right = np.zeros((N, n + 2), dtype=np.int32)
-    right[np.arange(N)[:, None], n + 1 - Wi] = 1
-    if n & 1:
-        right[:, (n + 1) // 2] = 1
-    return np.take_along_axis(right.cumsum(axis=1, dtype=np.int32), Wi - 1, axis=1)
-
-
-def _outer_inner_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
-    """The count vector of the {placed, placed, unplaced} triples and the
-    {placed, unplaced} pairs of centrally symmetric states (left halves W),
-    leaving out those with the center.
-
-    The unplaced points sit between the left block and its mirror, so
-    their side of the center is open but their side of every other placed
-    point is not. Triples with both placed points on the right are the
-    R-images of those with both on the left. A[s, i] counts the right
-    points above the left point W[s, i], the center left out.
-    """
-    import numpy as np
-
+    asc_b, asc_a, desc_b, desc_a, asc_tot = stats
     N, d = W.shape
+    below = W.astype(np.int32) - 1 - asc_b - desc_a
+    above = (n - d) - below
+    P = np.empty((N, 7), dtype=np.int32)
+    P[:, :6] = _last_triples(above, below, stats, n - d)
+
+    def pairs(x: np.ndarray) -> np.ndarray:
+        return (x * (x - 1) // 2).sum(axis=1, dtype=np.int32)
+
+    # the block's own triples, by the closed forms of count_length3_all
+    c123 = (asc_b * asc_a).sum(axis=1, dtype=np.int32)
+    c321 = (desc_b * desc_a).sum(axis=1, dtype=np.int32)
+    P[:, 0] += c123
+    P[:, 1] += pairs(asc_a) - c123
+    P[:, 2] += pairs(asc_b) - c123
+    P[:, 3] += pairs(desc_b) - c321
+    P[:, 4] += pairs(desc_a) - c321
+    P[:, 5] += c321
+    P[:, _P12_IDX] = asc_tot + above.sum(axis=1, dtype=np.int32)
+    return P
+
+
+def _central_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
+    """The count vector of the triples with at most one unplaced point, the
+    center and an unplaced point never together, and of the pairs with at
+    most one unplaced point of centrally symmetric states (left halves W).
+
+    The prefix counts of the left block, plus their R-images for the right
+    block, cover every triple with two points in one block and every pair
+    with a point in either; the left-right pairs come twice. The unplaced
+    points sit between the blocks, so a triple with one point in each block
+    has a known pattern too. A[s, i] counts the right points above the left
+    point W[s, i], the center left out: the partner n+1-w of w lies above
+    W[s, i] exactly when w + W[s, i] <= n.
+    """
+    import numpy as np
+
+    d = W.shape[1]
     odd = n & 1
     k = n - 2 * d - odd
+    asc_b, _, _, desc_a, _ = stats
     Wi = W.astype(np.int32)
-    RB = _right_below(n, Wi)
-    r = _values_below(Wi, stats, RB)
-    A = d - RB + odd * (2 * Wi > n + 1)
-    F = np.empty((N, 7), dtype=np.int32)
-    ll = _last_triples(k - r, r, stats, k)
-    F[:, :6] = ll + ll[:, _RMAP]
-    # one point on each side; the unplaced point is in the middle:
-    # a < c gives 213, 123, 132 as it lies below a, between, above c;
-    # a > c gives 312, 321, 231 as it lies below c, between, above a
+    P = _prefix_counts(n, W, stats)
+    F = P + P[:, _RMAP]
+    A = (Wi[:, :, None] + Wi[:, None, :] <= n).sum(axis=2, dtype=np.int32)
     lo = A.sum(axis=1, dtype=np.int32)
     hi = d * d - lo
+    F[:, _P12_IDX] -= lo
+    # one point in each block and the unplaced point between them, below
+    # a, between or above c: a < c gives 213, 123, 132; a > c gives 312,
+    # 321, 231. r counts the unplaced values below each left value: its
+    # later points below (as in _prefix_counts) less the right points and
+    # the center below it.
+    r = Wi - 1 - asc_b - desc_a - (d - A) - odd * (2 * Wi > n + 1)
     r_lo = (A * r).sum(axis=1, dtype=np.int32)
     r_hi = ((d - A) * r).sum(axis=1, dtype=np.int32)
     F[:, 0] += k * lo - 2 * r_lo
@@ -317,104 +311,21 @@ def _outer_inner_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
     F[:, 3] += k * hi - r_hi
     F[:, 4] += k * hi - r_hi
     F[:, 5] += 2 * r_hi - k * hi
-    F[:, _P12_IDX] = 2 * (k - r).sum(axis=1, dtype=np.int32)
-    return F
-
-
-def _full_children(Wc: np.ndarray, stats: tuple, cands: list) -> Iterator[tuple]:
-    """Yield (u, sel, Ws, delta) for each value u placed after the rows of Wc.
-
-    stats are the _pair_stats of Wc. sel picks the rows that do not hold u
-    yet, Ws = Wc[sel], and delta is the change of the count vector when u
-    becomes the last point.
-    """
-    import numpy as np
-
-    for u in cands:
-        sel = ~(Wc == u).any(axis=1)
-        Ws = Wc[sel]
-        B = Ws < u
-        delta = np.empty((Ws.shape[0], 7), dtype=np.int32)
-        delta[:, :6] = _last_triples(B, ~B, tuple(x[sel] for x in stats), 1)
-        delta[:, _P12_IDX] = B.sum(axis=1, dtype=np.int32)
-        yield u, sel, Ws, delta
-
-
-def _central_children(
-    n: int, Wc: np.ndarray, stats: tuple, cands: list
-) -> Iterator[tuple]:
-    """Yield (u, sel, Ws, delta) for each pair (u, n+1-u) placed inside Wc.
-
-    Rows of Wc hold the left half of a centrally symmetric state, and stats
-    are their _pair_stats; the pair enters at the innermost free positions,
-    u on the left. sel picks the rows that hold neither value yet,
-    Ws = Wc[sel], and delta is the change of the count vector.
-    """
-    import numpy as np
-
-    nn1 = n + 1
-    odd = n & 1
-    d = Wc.shape[1]
-    # Rv: the right half's values, the center included, in reverse position
-    # order, so u comes last in its triples with two right-half values
-    Rv = (nn1 - Wc).astype(Wc.dtype)
     if odd:
-        center = np.full((Wc.shape[0], 1), nn1 // 2, dtype=Wc.dtype)
-        Rv = np.concatenate([Rv, center], axis=1)
-    dR = d + odd
-    stats_Rv = _pair_stats(Rv)
-    RB = _right_below(n, Wc.astype(np.int32))
-
-    for u in cands:
-        up = nn1 - u
-        sel = ~((Wc == u) | (Wc == up)).any(axis=1)
-        Ws = Wc[sel]
-        Ns = Ws.shape[0]
-        B = Ws < u
-        nb = B.sum(axis=1, dtype=np.int32)
-        nbp = (Ws < up).sum(axis=1, dtype=np.int32)
-        BRv = Rv[sel] < u
-        nrb = BRv.sum(axis=1, dtype=np.int32)
-        delta = np.zeros((Ns, 7), dtype=np.int32)
-
-        # pairs: old-new doubled by the mirror, plus the new pair
-        c12 = nb + (dR - nrb)
-        delta[:, _P12_IDX] = 2 * c12 + (1 if u < up else 0)
-
-        # triples {left copy, right copy, old}
-        if u < up:
-            a1, a2, a3 = nb, nbp - nb, d - nbp  # 123, 213, 312 via left
-            delta[:, 0] += 2 * a1 + odd  # center triple is 123
-            delta[:, 2] += a2
-            delta[:, 1] += a2  # R(213) = 132
-            delta[:, 4] += a3
-            delta[:, 3] += a3  # R(312) = 231
-        else:
-            a1, a2, a3 = nbp, nb - nbp, d - nb  # 132, 231, 321 via left
-            delta[:, 1] += a1
-            delta[:, 2] += a1  # R(132) = 213
-            delta[:, 3] += a2
-            delta[:, 4] += a2  # R(231) = 312
-            delta[:, 5] += 2 * a3 + odd  # center triple is 321
-
-        # triples {old, old, new}, left copy; mirror added afterwards
-        # both olds on the left: new point is last
-        b = _last_triples(B, ~B, tuple(x[sel] for x in stats), 1)
-        # both olds on the right: new point is first, so last in Rv's order
-        b += _last_triples(BRv, ~BRv, tuple(x[sel] for x in stats_Rv), 1)[:, _REVMAP]
-        # one old each side: new point is in the middle
-        RBs = RB[sel]
-        sab = (B * RBs).sum(axis=1, dtype=np.int32)
-        b[:, 0] += nb * (dR - nrb)
-        b[:, 1] += nb * nrb - sab
-        b[:, 3] += sab
-        b[:, 2] += ((~B) * (dR - RBs)).sum(axis=1, dtype=np.int32)
-        b[:, 4] += ((~B) * RBs).sum(axis=1, dtype=np.int32) - (d - nb) * nrb
-        b[:, 5] += (d - nb) * nrb
-
-        for p in range(6):
-            delta[:, p] += b[:, p] + b[:, _RMAP[p]]
-        yield u, sel, Ws, delta
+        # one point in each block and the center m between them; lb left
+        # values lie below m, and as many right values above it
+        low = 2 * Wi < n + 1
+        lb = low.sum(axis=1, dtype=np.int32)
+        la = d - lb
+        s132 = (low * (A - lb[:, None])).sum(axis=1, dtype=np.int32)
+        s213 = (~low * A).sum(axis=1, dtype=np.int32)
+        F[:, 0] += lb * lb
+        F[:, 1] += s132
+        F[:, 2] += s213
+        F[:, 3] += lb * la - s132
+        F[:, 4] += la * lb - s213
+        F[:, 5] += la * la
+    return F
 
 
 @dataclass(frozen=True)
@@ -424,11 +335,10 @@ class _Space:
     A candidate is built in `steps` steps of `per_step` values each; a state
     after d steps has leaves[d] candidates under it. A step chooses one of
     `values` not yet taken; taken(v) are the values a step placing v uses
-    up. children is the space's child generator and as_hit turns a stored
-    row into the candidate's value tuple. mixed is the space's rule for the
-    counts that mix placed and unplaced points: the unplaced points follow
-    the prefix (suffix rule) or sit inside the placed outer blocks
-    (outer-inner rule).
+    up, and as_hit turns a stored row into the candidate's value tuple.
+    counts(W, stats) is the space's exact count rule for states W with
+    _pair_stats stats: the unplaced points follow the prefix (prefix rule)
+    or sit between the placed outer blocks (central rule).
     """
 
     steps: int
@@ -436,8 +346,7 @@ class _Space:
     leaves: tuple
     values: tuple
     taken: Callable
-    children: Callable
-    mixed: Callable
+    counts: Callable
     as_hit: Callable
 
 
@@ -450,8 +359,7 @@ def _space(n: int, central: bool) -> _Space:
             leaves=tuple(factorial(n - d) for d in range(n + 1)),
             values=tuple(range(1, nn1)),
             taken=lambda v: {v},
-            children=_full_children,
-            mixed=partial(_suffix_counts, n),
+            counts=partial(_prefix_counts, n),
             as_hit=lambda row: row,
         )
     m = n // 2
@@ -462,28 +370,25 @@ def _space(n: int, central: bool) -> _Space:
         leaves=tuple((1 << (m - d)) * factorial(m - d) for d in range(m + 1)),
         values=tuple(u for u in range(1, nn1) if 2 * u != nn1),
         taken=lambda v: {v, nn1 - v},
-        children=partial(_central_children, n),
-        mixed=partial(_outer_inner_counts, n),
+        counts=partial(_central_counts, n),
         as_hit=lambda row: row + mid + tuple(nn1 - v for v in reversed(row)),
     )
 
 
-def _kernel_dtypes(n: int, tv: tuple) -> tuple:
-    """Dtypes of the search kernel's stored values and stored counts.
+def _value_dtype(n: int) -> np.dtype:
+    """Dtype of the search kernel's stored values: the smallest unsigned
+    type that holds n.
 
-    Values take the smallest unsigned type that holds n + 1, since the
-    central kernel forms n + 1 - v. Stored counts never exceed their
-    targets, so int16 holds them while every target does. Working counts
-    are int32 and stay below 3 * C(n, 3): a state's counts plus its exact
-    mixed counts plus the slack left for the rest stay at most C(n, 3) per
-    pattern. Lengths past that bound raise ValueError.
+    The count rules work in int32. A state's counts, and its counts plus
+    the slack left for the rest, stay at most C(n, 3) per pattern, and no
+    term of a rule reaches 3 * C(n, 3). Lengths past that bound raise
+    ValueError.
     """
     import numpy as np
 
     if 3 * comb(n, 3) > np.iinfo(np.int32).max:
         raise ValueError(f"length {n} is too long for the search kernel's int32 counts")
-    counts = np.int16 if max(tv) <= np.iinfo(np.int16).max else np.int32
-    return np.min_scalar_type(n + 1), counts
+    return np.min_scalar_type(n)
 
 
 def _scan_shard(
@@ -492,100 +397,82 @@ def _scan_shard(
     """Scan the subtree of space rooted at first value first_u.
 
     Returns (hits, scanned, timed_out) with hits as sorted value tuples.
-    The level kernel extends a block of partial states by every next value
-    at once. Surviving children queue up and are descended into, depth
-    first, as soon as a full block of them is ready. A block with d steps
-    taken has at most _PATH_CELLS / (steps * d) rows, so the blocks held
-    along one descent path hold at most _PATH_CELLS values at any length.
-    A block entering with d >= 1 steps first keeps only the rows whose
-    counts, with their exact mixed counts (space.mixed) added, neither
-    overshoot a target nor fall short of it by more than the slack left;
-    each dropped row is credited with its leaves. With a deadline, the
-    kernel reads the clock as a block enters and after each child value it
-    computes, and stops as soon as the deadline has passed.
+    Each block of states with d steps taken is counted as it enters, by the
+    space's exact rule, and keeps only the rows whose counts neither
+    overshoot a target nor fall short of it by more than the slack the rule
+    leaves open; each dropped row is credited with its leaves. After the
+    last step the slack is 0, so the kept rows are the hits. A child step
+    appends each next value to the kept rows that do not use it up yet.
+    Children queue up and are descended into, depth first, as soon as a
+    full block of them is ready. A block with d steps taken has at most
+    _PATH_CELLS / (steps * d) rows, so the blocks held along one descent
+    path hold at most _PATH_CELLS values at any length. With a deadline,
+    the kernel reads the clock as a block enters and before each child
+    value, and stops as soon as the deadline has passed.
     """
     import numpy as np
 
-    vdtype, cdtype = _kernel_dtypes(n, tv)
+    vdtype = _value_dtype(n)
     T = np.array(tv, dtype=np.int32)
     hits_rows: list[np.ndarray] = []
     scanned = 0
     timed_out = False
 
-    def descend(Wc: np.ndarray, Cc: np.ndarray) -> None:
+    def descend(W: np.ndarray) -> None:
         nonlocal scanned, timed_out
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             return
-        d = Wc.shape[1]
-        stats = _pair_stats(Wc)
-        if d:
-            # exact counts of the triples and pairs that mix placed and
-            # unplaced points; slack covers the rest of the unplaced ones
-            k = space.per_step * (space.steps - d)  # unplaced values
-            D = space.per_step * d  # placed values, the center left out
-            placed = n - k
-            slack = np.array(
-                [comb(n, 3) - comb(placed, 3) - comb(D, 2) * k] * 6
-                + [comb(n, 2) - comb(placed, 2) - D * k],
-                dtype=np.int32,
-            )
-            CF = Cc.astype(np.int32) + space.mixed(Wc, stats)
-            keep = ((CF <= T) & (CF + slack >= T)).all(axis=1)
-            kept = int(keep.sum())
-            scanned += (Wc.shape[0] - kept) * space.leaves[d]
-            if not kept:
-                return
-            Wc, Cc = Wc[keep], Cc[keep]
-            stats = tuple(x[keep] for x in stats)
-        final = d + 1 == space.steps
-        cands = [first_u] if d == 0 else space.values
+        d = W.shape[1]
+        k = space.per_step * (space.steps - d)  # unplaced values
+        D = space.per_step * d  # placed values, the center left out
+        placed = n - k
+        # what the rule leaves open: triples of two or three unplaced
+        # points or of the center and one, pairs of two unplaced points
+        # or of the center and one
+        slack = np.array(
+            [comb(n, 3) - comb(placed, 3) - comb(D, 2) * k] * 6
+            + [comb(n, 2) - comb(placed, 2) - D * k],
+            dtype=np.int32,
+        )
+        C = space.counts(W, _pair_stats(W))
+        keep = ((C <= T) & (C + slack >= T)).all(axis=1)
+        kept = int(keep.sum())
+        scanned += (W.shape[0] - kept) * space.leaves[d]
+        if not kept:
+            return
+        W = W[keep]
+        if d == space.steps:
+            hits_rows.append(W)
+            scanned += kept
+            return
         size = _PATH_CELLS // (space.steps * (d + 1))
-        fixed = n - space.per_step * (space.steps - d - 1)  # values placed
-        r3 = comb(n, 3) - comb(fixed, 3)
-        r2 = comb(n, 2) - comb(fixed, 2)
-        remv = np.array([r3] * 6 + [r2], dtype=np.int32)
-        queue_W: list[np.ndarray] = []
-        queue_C: list[np.ndarray] = []
+        queue: list[np.ndarray] = []
         queued = 0
-
-        for u, sel, Ws, delta in space.children(Wc, stats, cands):
+        for u in space.values:
             if deadline is not None and time.monotonic() > deadline:
                 timed_out = True
                 return
-            Ns = Ws.shape[0]
-            C2 = Cc[sel].astype(np.int32) + delta
-            keep = ((C2 <= T) & (C2 + remv >= T)).all(axis=1)
-            kept = int(keep.sum())
-            if final:
-                scanned += Ns
-            else:
-                scanned += (Ns - kept) * space.leaves[d + 1]
-            if not kept:
-                continue
-            children = np.concatenate(
-                [Ws[keep], np.full((kept, 1), u, dtype=vdtype)], axis=1
+            Ws = W[~np.isin(W, list(space.taken(u))).any(axis=1)]
+            queue.append(
+                np.concatenate(
+                    [Ws, np.full((Ws.shape[0], 1), u, dtype=vdtype)], axis=1
+                )
             )
-            if final:
-                hits_rows.append(children)
-                continue
-            queue_W.append(children)
-            queue_C.append(C2[keep].astype(cdtype))
-            queued += kept
+            queued += Ws.shape[0]
             if queued >= size:
-                Wq = np.concatenate(queue_W)
-                Cq = np.concatenate(queue_C)
+                Wq = np.concatenate(queue)
                 cut = queued - queued % size
                 for start in range(0, cut, size):
-                    descend(Wq[start:start + size], Cq[start:start + size])
+                    descend(Wq[start:start + size])
                     if timed_out:
                         return
-                queue_W, queue_C = [Wq[cut:]], [Cq[cut:]]
+                queue = [Wq[cut:]]
                 queued -= cut
         if queued:
-            descend(np.concatenate(queue_W), np.concatenate(queue_C))
+            descend(np.concatenate(queue))
 
-    descend(np.zeros((1, 0), dtype=vdtype), np.zeros((1, 7), dtype=cdtype))
+    descend(np.full((1, 1), first_u, dtype=vdtype))
     hits = sorted(
         space.as_hit(tuple(row)) for rows in hits_rows for row in rows.tolist()
     )
@@ -678,7 +565,7 @@ def _search_space(
     deadline passes.
     """
     # imports numpy, and raises ValueError, before the clock starts
-    _kernel_dtypes(n, tv)
+    _value_dtype(n)
     t0 = time.monotonic()
     deadline = t0 + timeout if timeout is not None else None
     space = _space(n, central_only)

@@ -32,17 +32,18 @@ for tau in ("G54ABC319HF678ED2", "E534BGA9HC2D1687F"):
     if not check_3_inflatable(tau).verdict:
         raise SystemExit(f"{tau} fails the check")
 
-n = 10
-pool = list(enumerate_centrally_symmetric(n))
-tv = vector(pool[1234])
-hits, scanned = _search_space(n, tv, True, None, 1, None)
-if scanned != space_size(n, True):
-    raise SystemExit(f"scanned {scanned} of {space_size(n, True)}")
-if pool[1234] not in hits:
-    raise SystemExit("the target's own permutation was not found")
-for h in hits:
-    if vector(h) != tv or not is_centrally_symmetric(h):
-        raise SystemExit(f"hit {h} does not re-check")
+# one scan per space, so the shard coverage check runs in both
+central_tau = list(enumerate_centrally_symmetric(10))[1234]
+for central, tau in ((True, central_tau), (False, Perm("3617425"))):
+    n, tv = tau.n, vector(tau)
+    hits, scanned = _search_space(n, tv, central, None, 1, None)
+    if scanned != space_size(n, central):
+        raise SystemExit(f"scanned {scanned} of {space_size(n, central)}")
+    if tau not in hits:
+        raise SystemExit("the target's own permutation was not found")
+    for h in hits:
+        if vector(h) != tv or (central and not is_centrally_symmetric(h)):
+            raise SystemExit(f"hit {h} does not re-check")
 
 inflatable.partitions.generalized_inflate = lambda outer, inner: Perm("1")
 try:

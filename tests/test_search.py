@@ -22,13 +22,13 @@ import inflatable.search
 from inflatable.search import (
     _complement_targets,
     _derive_shard,
-    _kernel_dtypes,
     _pair_stats,
     _scan_shard,
     _search_space,
     _shard_jobs,
     _space,
     _target_vector,
+    _value_dtype,
 )
 
 G17 = Perm("G54ABC319HF678ED2")
@@ -191,69 +191,82 @@ def test_kernel_agrees_with_brute_force_at_larger_size():
         assert scanned == space_size(n, True)
 
 
-def mixed_counts_brute(n: int, row: tuple, central: bool) -> tuple:
-    """Count vector of the {placed, placed, unplaced} triples and the
-    {placed, unplaced} pairs of one partial state, by enumeration.
+def pattern_index(points) -> int:
+    """Index in PATTERNS_3 of the pattern of three (position, value) points."""
+    vals = [v for _, v in sorted(points)]
+    return PATTERNS_3.index(Perm(tuple(sorted(vals).index(v) + 1 for v in vals)))
+
+
+def rule_counts_brute(n: int, row: tuple, central: bool) -> tuple:
+    """Count vector of one partial state's triples with at most one unplaced
+    point, but not the center with one, and of its pairs of two placed
+    points or of a non-center placed point and an unplaced one, by
+    enumeration.
 
     Every unplaced position lies after the left block and before the right
     one (central) or after the prefix (unrestricted), so position d+1
-    stands for all of them; the center takes part in none.
+    stands for all of them in a triple or pair without the center.
     """
     d = len(row)
-    placed = list(enumerate(row, 1))
+    outer = list(enumerate(row, 1))
     if central:
-        placed += [(n + 1 - i, n + 1 - v) for i, v in enumerate(row, 1)]
-    taken = {v for _, v in placed} | ({(n + 1) // 2} if central and n % 2 else set())
+        outer += [(n + 1 - i, n + 1 - v) for i, v in enumerate(row, 1)]
+    placed = outer + ([((n + 1) // 2,) * 2] if central and n % 2 else [])
+    free = set(range(1, n + 1)) - {v for _, v in placed}
     vector = [0] * 7
-    for x in set(range(1, n + 1)) - taken:
-        for a, b in combinations(placed, 2):
-            vals = [v for _, v in sorted([a, b, (d + 1, x)])]
-            vector[PATTERNS_3.index(Perm(tuple(sorted(vals).index(v) + 1 for v in vals)))] += 1
-        for i, v in placed:
+    for trio in combinations(placed, 3):
+        vector[pattern_index(trio)] += 1
+    for (i, v), (j, w) in combinations(placed, 2):
+        vector[6] += (i < j) == (v < w)
+    for x in free:
+        for a, b in combinations(outer, 2):
+            vector[pattern_index((a, b, (d + 1, x)))] += 1
+        for i, v in outer:
             vector[6] += (v < x) == (i < d + 1)
     return tuple(vector)
 
 
-def test_mixed_counts_equal_enumeration():
-    # the exact counts the driver prunes on, in both spaces, at every depth
-    # the driver tests, against enumeration of the triples and pairs
+def test_count_rules_equal_enumeration():
+    # each space's count rule, the only counts the driver prunes on, at
+    # every depth from the root to the leaves, against enumeration
     rng = random.Random(12)
-    for n in range(5, 18):
+    for n in range(3, 18):
         for central in (True, False):
             space = _space(n, central)
-            for d in range(1, space.steps):
+            for d in range(space.steps + 1):
                 rows = []
-                for _ in range(12):
+                for _ in range(8):
                     if central:
                         firsts = rng.sample(range(1, n // 2 + 1), d)
                         rows.append(tuple(rng.choice((u, n + 1 - u)) for u in firsts))
                     else:
                         rows.append(tuple(rng.sample(range(1, n + 1), d)))
-                W = np.array(rows, dtype=np.uint8)
-                got = space.mixed(W, _pair_stats(W))
+                W = np.array(rows, dtype=np.uint8).reshape(len(rows), d)
+                got = space.counts(W, _pair_stats(W))
                 for row, vector in zip(rows, got.tolist()):
-                    assert tuple(vector) == mixed_counts_brute(n, row, central)
+                    assert tuple(vector) == rule_counts_brute(n, row, central)
 
 
 def test_exact_test_prunes_the_final_level():
-    # one central n=12 shard: the rows whose children are the leaves; a
-    # prune on the slack alone lets 1367 of them through
+    # one central n=12 shard: the rows entering the last level, where the
+    # test is an exact match; a prune on the slack alone lets 1367 rows
+    # into the level above it, and each of them has two children
     tau = Perm("5B37194C6A28")
     assert is_centrally_symmetric(tau)
     tv = count_vector(tau)
     space = _space(12, True)
     rows = []
 
-    def children(W, *args):
-        if W.shape[1] == space.steps - 1:
+    def counts(W, stats):
+        if W.shape[1] == space.steps:
             rows.append(W.shape[0])
-        return space.children(W, *args)
+        return space.counts(W, stats)
 
-    counting = dataclasses.replace(space, children=children)
+    counting = dataclasses.replace(space, counts=counts)
     hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
     assert tau in [Perm(h) for h in hits]
     assert scanned == space.leaves[1]
-    assert sum(rows) == 11 < 1367
+    assert sum(rows) == 22 < 2 * 1367
 
 
 def test_derived_shards_equal_their_own_scans():
@@ -390,11 +403,11 @@ def test_timeout_raises_with_partial_progress():
 
 
 def test_long_lengths_widen_the_kernel_arrays_or_refuse():
-    # targets pass int16 at n=161 and values pass uint8 at n=288; a short
-    # timed run there must stop with SearchTimeout, not wrap a count
-    assert _kernel_dtypes(17, _target_vector(17)) == (np.uint8, np.int16)
-    assert _kernel_dtypes(161, _target_vector(161)) == (np.uint8, np.int32)
-    assert _kernel_dtypes(288, _target_vector(288)) == (np.uint16, np.int32)
+    # values pass uint8 at n=288; a short timed run at n=161 and n=288
+    # must stop with SearchTimeout, not wrap a value or a count
+    assert _value_dtype(17) == np.uint8
+    assert _value_dtype(161) == np.uint8
+    assert _value_dtype(288) == np.uint16
     for n in (161, 288):
         with pytest.raises(SearchTimeout):
             search_3_inflatable(SearchConfig(n=n, timeout=0.05))
