@@ -327,11 +327,11 @@ def test_search_timeout_maps_to_error(tmp_path):
         assert result.payload["space"] == ("central" if space else "full")
         assert result.payload["scanned"] > 0
         assert any("timed out" in d for d in result.diagnostics)
-    # the partial result is still printed and written; 0.6 s gets past the
-    # first hits (shard 2, after about 0.4 s) but not to the end of the scan
+    # the partial result is still printed and written; 0.15 s gets past the
+    # first hits (shard 2) but not to the end of the scan (about 0.35 s)
     target = tmp_path / "hits.txt"
     result, out = invoke([
-        "search", "--n", "17", "--central", "--timeout", "0.6",
+        "search", "--n", "17", "--central", "--timeout", "0.15",
         "--json", "--out", str(target),
     ])
     assert result.exit_code == 2

@@ -241,9 +241,11 @@ def test_count_rules_equal_enumeration():
                         rows.append(tuple(rng.choice((u, n + 1 - u)) for u in firsts))
                     else:
                         rows.append(tuple(rng.sample(range(1, n + 1), d)))
-                W = np.array(rows, dtype=np.uint8).reshape(len(rows), d)
+                # position-major, as the kernel stores blocks: W[j, s]
+                W = np.array(rows, dtype=np.uint8).reshape(len(rows), d).T
                 got = space.counts(W, _pair_stats(W))
-                for row, vector in zip(rows, got.tolist()):
+                assert got.shape == (7, len(rows))
+                for row, vector in zip(rows, got.T.tolist()):
                     assert tuple(vector) == rule_counts_brute(n, row, central)
 
 
@@ -258,8 +260,8 @@ def test_exact_test_prunes_the_final_level():
     rows = []
 
     def counts(W, stats):
-        if W.shape[1] == space.steps:
-            rows.append(W.shape[0])
+        if W.shape[0] == space.steps:
+            rows.append(W.shape[1])
         return space.counts(W, stats)
 
     counting = dataclasses.replace(space, counts=counts)
@@ -396,9 +398,11 @@ def test_timeout_raises_with_partial_progress():
     assert exc.value.elapsed_ms >= 0
     with pytest.raises(SearchTimeout):
         search_3_inflatable(SearchConfig(n=17, timeout=0.02))
-    for central in (True, False):
+    # the whole central n=17 scan ends well inside 0.5 s, so the central
+    # leg runs at the next admissible length, 64, which cannot finish
+    for n, central in ((64, True), (17, False)):
         with pytest.raises(SearchTimeout) as exc:
-            search_3_inflatable(SearchConfig(n=17, central_only=central, timeout=0.5))
+            search_3_inflatable(SearchConfig(n=n, central_only=central, timeout=0.5))
         assert 500 <= exc.value.elapsed_ms < 750
 
 
@@ -433,3 +437,25 @@ def test_known_hit_shard_length17():
         assert h[0] == 16
         assert is_centrally_symmetric(h)
         assert count_vector(h) == tv
+
+
+def test_full_length17_scan_is_thread_invariant():
+    # the whole central scan, in one process and across two workers: the
+    # same 750 hits in the same order and every candidate covered, with
+    # the paper's centrally symmetric example among them. Its other
+    # example is not centrally symmetric, so it lies outside this space;
+    # the unrestricted rule counts it, placed whole, at the targets.
+    runs = [
+        search_3_inflatable(SearchConfig(n=17, central_only=True, threads=t))
+        for t in (1, 2)
+    ]
+    for res in runs:
+        assert res.found == 750
+        assert res.scanned == space_size(17, True)
+    assert runs[0].hits == runs[1].hits
+    assert G17 in runs[0].hits
+    e17 = Perm("E534BGA9HC2D1687F")
+    assert not is_centrally_symmetric(e17) and e17 not in runs[0].hits
+    W = np.array(e17, dtype=np.uint8)[:, None]
+    got = _space(17, False).counts(W, _pair_stats(W))
+    assert tuple(got[:, 0].tolist()) == _target_vector(17) == count_vector(e17)
