@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--central", action="store_true", help="centrally symmetric only")
     p.add_argument("--limit", type=int, help="stop after this many hits")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, help="accepted; scans run in one process")
     p.add_argument("--timeout", type=float, help="wall-clock seconds")
     p.add_argument("--emit-all", action="store_true", help="stream hits as found")
 

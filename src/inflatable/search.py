@@ -49,11 +49,9 @@ work.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial
-from multiprocessing import get_context
 from typing import Callable, Iterator, Optional
 
 from .core import PATTERNS_3, Perm
@@ -105,9 +103,8 @@ class SearchConfig:
     n: candidate length (>= 3).
     central_only: restrict to centrally symmetric candidates.
     limit: stop after this many hits (None scans everything).
-    threads: worker processes; results are identical for any thread count.
-        Workers scan only the shards that are not derived from a mirror
-        (half of them for the real targets), so at most that many are used.
+    threads: accepted and validated (>= 1) for compatibility; every scan
+        runs in one process, so it does not change how a scan runs.
     timeout: wall-clock seconds before SearchTimeout (None = no timeout).
     """
 
@@ -500,26 +497,18 @@ def _complement_targets(n: int, tv: tuple) -> tuple:
     return tv[5::-1] + (comb(n, 2) - tv[_P12_IDX],)
 
 
-def _shard_jobs(n: int, tv: tuple, space: _Space) -> tuple:
-    """The scans a run needs: (jobs, need).
+def _shard_job(n: int, tv: tuple, u: int) -> tuple:
+    """The (first value, targets) scan that shard u is derived from.
 
     Complement maps shard u onto shard n+1-u in either space, so a shard
     with u > n+1-u is the complement image of shard n+1-u scanned under the
-    complemented targets. jobs lists the (first value, targets) scans in
-    shard order of first need, without repeats, and need[i] is the job that
-    shard i is derived from. Where the complemented targets equal the
+    complemented targets. Where the complemented targets equal the
     targets, as the real ones do, the upper shards reuse the lower shards'
     scans and half the shards are scanned.
     """
-    ctv = _complement_targets(n, tv)
-    jobs: list = []
-    need = []
-    for u in space.values:
-        job = (u, tv) if u <= n + 1 - u else (n + 1 - u, ctv)
-        if job not in jobs:
-            jobs.append(job)
-        need.append(jobs.index(job))
-    return jobs, need
+    if u <= n + 1 - u:
+        return u, tv
+    return n + 1 - u, _complement_targets(n, tv)
 
 
 def _derive_shard(n: int, u: int, source_u: int, result: tuple) -> tuple:
@@ -546,51 +535,40 @@ def _covered_through(space: _Space, hit: tuple) -> int:
     return covered
 
 
-def _run_shard(args: tuple) -> tuple:
-    """Scan one job; returns (hits, scanned, timed_out)."""
-    central, n, tv, first_u, deadline = args
-    return _scan_shard(n, tv, _space(n, central), first_u, deadline)
-
-
 def _search_space(
     n: int,
     tv: tuple,
     central_only: bool,
     limit: Optional[int],
-    threads: int,
     timeout: Optional[float],
     progress: Optional[Callable] = None,
 ) -> tuple:
     """Run the sharded scan; returns (hits as Perms, scanned).
 
     Shards are the first-placement choices, processed and merged in index
-    order, so hits, scanned, and the limit cut are reproducible for any
-    thread count. Shards past the middle are derived from their complement
-    mirrors (see _shard_jobs), and each job is scanned when a shard first
-    needs it. A shard with at least limit hits is cut at its own limit-th
-    hit, with scanned counted up to that hit. Raises SearchTimeout when the
-    deadline passes.
+    order, so hits, scanned, and the limit cut are reproducible. Shards
+    past the middle are derived from their complement mirrors (see
+    _shard_job), and each scan is made when a shard first needs it. A
+    shard with at least limit hits is cut at its own limit-th hit, with
+    scanned counted up to that hit. Raises SearchTimeout when the deadline
+    passes.
     """
     # imports numpy, and raises ValueError, before the clock starts
     _value_dtype(n)
     t0 = time.monotonic()
     deadline = t0 + timeout if timeout is not None else None
     space = _space(n, central_only)
-    jobs, need = _shard_jobs(n, tv, space)
-    results: dict = {}  # job index -> (hits, scanned, timed_out)
-
-    def job_args(j: int) -> tuple:
-        first_u, job_tv = jobs[j]
-        return (central_only, n, job_tv, first_u, deadline)
-
+    scans: dict = {}  # (first value, targets) -> (hits, scanned, timed_out)
     hits: list = []
     scanned = 0
     timed_out = False
-
-    def consume(index: int, result: tuple) -> bool:
-        nonlocal scanned, timed_out
-        shard_hits, shard_scanned, shard_timed_out = result
-        if limit is not None and len(shard_hits) >= limit and not shard_timed_out:
+    for i, u in enumerate(space.values):
+        job = _shard_job(n, tv, u)
+        first_u, job_tv = job
+        if job not in scans:
+            scans[job] = _scan_shard(n, job_tv, space, first_u, deadline)
+        shard_hits, shard_scanned, timed_out = _derive_shard(n, u, first_u, scans[job])
+        if limit is not None and len(shard_hits) >= limit and not timed_out:
             shard_hits = shard_hits[:limit]
             shard_scanned = _covered_through(space, shard_hits[-1])
         scanned += shard_scanned
@@ -599,53 +577,9 @@ def _search_space(
         batch = [Perm(h) for h in batch]
         hits.extend(batch)
         if progress is not None and batch:
-            progress(index, batch)
-        if shard_timed_out:
-            timed_out = True
-            return False
-        if limit is not None and len(hits) >= limit:
-            return False
-        return True
-
-    def walk(get: Callable) -> None:
-        for i, u in enumerate(space.values):
-            j = need[i]
-            if not consume(i, _derive_shard(n, u, jobs[j][0], get(j))):
-                break
-
-    if threads <= 1 or len(jobs) <= 1:
-        def scan(j: int) -> tuple:
-            if j not in results:
-                results[j] = _run_shard(job_args(j))
-            return results[j]
-
-        walk(scan)
-    else:
-        # At most one job per worker is in flight, and the pool is closed
-        # only once they are all back: terminating a worker that is sending
-        # its result leaves the result queue locked and the pool hangs.
-        workers = min(threads, len(jobs))
-        with get_context("fork").Pool(processes=workers) as pool:
-            pending = deque(
-                (j, pool.apply_async(_run_shard, (job_args(j),)))
-                for j in range(workers)
-            )
-
-            def collect(j: int) -> tuple:
-                while j not in results:
-                    k, res = pending.popleft()
-                    results[k] = res.get()
-                    nxt = k + workers
-                    if nxt < len(jobs):
-                        res = pool.apply_async(_run_shard, (job_args(nxt),))
-                        pending.append((nxt, res))
-                return results[j]
-
-            walk(collect)
-            for _, res in pending:
-                res.wait()
-            pool.close()
-            pool.join()
+            progress(i, batch)
+        if timed_out or (limit is not None and len(hits) >= limit):
+            break
 
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     if timed_out:
@@ -693,7 +627,6 @@ def search_3_inflatable(
         tv,
         config.central_only,
         config.limit,
-        config.threads,
         config.timeout,
         progress,
     )

@@ -1,8 +1,12 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from inflatable.search import (
     _pair_stats,
     _scan_shard,
     _search_space,
-    _shard_jobs,
+    _shard_job,
     _space,
     _target_vector,
     _value_dtype,
@@ -147,7 +151,7 @@ def test_engines_agree_with_brute_force_central():
             assert hits == brute
             assert scanned == space_size(n, True)
             # the same through the search, whose upper shards are derived
-            assert _search_space(n, tv, True, None, 1, None) == (brute, scanned)
+            assert _search_space(n, tv, True, None, None) == (brute, scanned)
             # central targets have equal 231/312 entries, so the hit set
             # is closed under taking inverses
             assert {inv_perm(h) for h in hits} == set(hits)
@@ -163,7 +167,7 @@ def test_engine_agrees_with_brute_force_full():
             hits, scanned = run_shards(n, tv, False)
             assert hits == brute
             assert scanned == factorial(n)
-            assert _search_space(n, tv, False, None, 1, None) == (brute, scanned)
+            assert _search_space(n, tv, False, None, None) == (brute, scanned)
 
 
 def test_impossible_target_scans_everything_finds_nothing():
@@ -286,9 +290,8 @@ def test_derived_shards_equal_their_own_scans():
         for tau in rng.sample(pool, 2):
             tv = count_vector(tau)
             assert _complement_targets(n, tv) == count_vector(complement(tau)) != tv
-            jobs, need = _shard_jobs(n, tv, space)
-            for u, j in zip(space.values, need):
-                first_u, job_tv = jobs[j]
+            for u in space.values:
+                first_u, job_tv = _shard_job(n, tv, u)
                 assert first_u == min(u, n + 1 - u)
                 job = _scan_shard(n, job_tv, space, first_u, None)
                 derived = _derive_shard(n, u, first_u, job)
@@ -306,7 +309,7 @@ def test_real_targets_scan_half_the_shards(monkeypatch):
         return [], job_space.leaves[1], False
 
     monkeypatch.setattr(inflatable.search, "_scan_shard", stub)
-    hits, scanned = _search_space(17, tv, True, None, 1, None)
+    hits, scanned = _search_space(17, tv, True, None, None)
     assert hits == [] and scanned == space_size(17, True)
     assert sorted(calls) == [(u, tv) for u in range(1, 9)]
 
@@ -316,18 +319,44 @@ def test_search_space_threads_deterministic():
     gen = enumerate_centrally_symmetric(n)
     sample = [next(gen) for _ in range(200)]
     tv = count_vector(sample[137])
-    base = _search_space(n, tv, True, None, 1, None)
-    for threads in (2, 3):
-        assert _search_space(n, tv, True, None, threads, None) == base
-    hits, scanned = base
+    hits, scanned = _search_space(n, tv, True, None, None)
     assert scanned == space_size(n, True)
     assert sample[137] in hits
+    # threads is accepted and leaves a limited scan as it is
+    runs = [
+        search_3_inflatable(SearchConfig(n=17, central_only=True, limit=3, threads=t))
+        for t in (1, 2, 3)
+    ]
+    assert runs[0].found == 3
+    for res in runs[1:]:
+        assert (res.hits, res.scanned) == (runs[0].hits, runs[0].scanned)
+
+
+def test_search_starts_no_worker_processes():
+    script = (
+        "import sys, inflatable\n"
+        "from inflatable import SearchConfig, search_3_inflatable\n"
+        "search_3_inflatable(SearchConfig(n=17, central_only=True, limit=1, threads=2))\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(inflatable.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_limit_cut_is_deterministic_and_a_subset():
     n = 8
     tv = count_vector(Perm(tuple(range(1, n + 1))))  # identity: exactly one hit
-    full_hits, _ = _search_space(n, tv, True, None, 1, None)
+    full_hits, _ = _search_space(n, tv, True, None, None)
     assert len(full_hits) == 1
     # a non-involution shares its count vector with its inverse, so its
     # fiber has at least two members
@@ -335,17 +364,15 @@ def test_limit_cut_is_deterministic_and_a_subset():
     sample = [next(gen) for _ in range(300)]
     tau = next(p for p in sample if inv_perm(p) != p)
     tv = count_vector(tau)
-    full_hits, full_scanned = _search_space(n, tv, True, None, 1, None)
+    full_hits, full_scanned = _search_space(n, tv, True, None, None)
     assert len(full_hits) >= 2
     for k in (1, 2):
-        lim_hits, lim_scanned = _search_space(n, tv, True, k, 1, None)
+        lim_hits, lim_scanned = _search_space(n, tv, True, k, None)
         assert len(lim_hits) == k
         assert set(lim_hits) <= set(full_hits)
         assert lim_scanned <= full_scanned
-        again = _search_space(n, tv, True, k, 1, None)
+        again = _search_space(n, tv, True, k, None)
         assert again == (lim_hits, lim_scanned)
-        threaded = _search_space(n, tv, True, k, 3, None)
-        assert threaded == (lim_hits, lim_scanned)
 
 
 def test_limited_scan_matches_the_lexicographic_cut():
@@ -366,9 +393,7 @@ def test_limited_scan_matches_the_lexicographic_cut():
         for tv in targets:
             for limit in (1, 2, 3, 5):
                 want = old_limit_rule(pool, vectors, tv, limit)
-                for threads in (1, 3):
-                    got = _search_space(n, tv, central, limit, threads, None)
-                    assert got == want
+                assert _search_space(n, tv, central, limit, None) == want
 
 
 def test_progress_callback_streams_every_hit():
@@ -383,7 +408,7 @@ def test_progress_callback_streams_every_hit():
         indices.append(index)
         seen.extend(batch)
 
-    hits, _ = _search_space(n, tv, True, None, 1, None, progress)
+    hits, _ = _search_space(n, tv, True, None, None, progress)
     assert sorted(seen) == hits
     assert indices == sorted(indices)
 
@@ -440,8 +465,8 @@ def test_known_hit_shard_length17():
 
 
 def test_full_length17_scan_is_thread_invariant():
-    # the whole central scan, in one process and across two workers: the
-    # same 750 hits in the same order and every candidate covered, with
+    # the whole central scan with threads 1 and 2, both in one process:
+    # the same 750 hits in the same order and every candidate covered, with
     # the paper's centrally symmetric example among them. Its other
     # example is not centrally symmetric, so it lies outside this space;
     # the unrestricted rule counts it, placed whole, at the targets.
