@@ -6,19 +6,29 @@ that experiment directly: sample lambda, inflate, measure the density,
 average. Estimates here are the only floating-point surface of the
 package; everything they are compared against stays exact.
 
+Exact mode counts each host with ``count_length3_all`` itself, never
+through ``density``, so the estimate stays independent of whatever path
+``density`` takes. Subset mode builds no host: the value at index x of
+inflate(tau, lambda) is j * (tau[x // j] - 1) + lambda[x % j], so it
+reads values off that formula as a numpy vector and classifies all of a
+sample's subsets at once.
+
 Determinism: sample i uses its own ``random.Random(f"{seed}:{i}")``, which
 string-seeds through SHA-512, so runs are reproducible across platforms
-and insensitive to sampling order.
+and insensitive to sampling order. Subset mode draws exactly the subsets
+``rng.sample(range(|tau| * j), |pi|)`` would, from the same 32-bit words,
+but reads the words in bulk (``_subset_draws``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import ceil, comb, log, sqrt
+from operator import index
 from statistics import fmean, stdev
 import random
 
-from .core import PermLike, as_perm, density, inflate
+from .core import PermLike, as_perm, count_length3_all, count_occurrences, inflate
 
 __all__ = ["Estimate", "estimate_limit_density", "GENERATOR_ID", "EXACT_CELL_CAP"]
 
@@ -28,6 +38,10 @@ GENERATOR_ID = "mt19937; per-sample seed sha512('{seed}:{index}'); Fisher-Yates 
 # |tau| * j long host; one sample takes about 0.07 s at 18,000 cells and
 # 1.2-1.5 s at 100,000 (2-vCPU Xeon VM, Python 3.11.7)
 EXACT_CELL_CAP = 100_000
+
+# subset mode draws and classifies at most this many subsets at a time, so
+# its memory does not grow with subset_samples
+_DRAW_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,8 +75,17 @@ def estimate_limit_density(
     (Fisher-Yates on its own per-sample generator), inflates tau by it, and
     measures t(pi, .): exactly when subset_samples == 0 (requires
     |pi| <= 3 and |tau| * j <= EXACT_CELL_CAP), otherwise by classifying
-    subset_samples uniform index subsets.
+    subset_samples uniform index subsets. Subset mode reads host values by
+    formula instead of building the host, and draws its subsets' words in
+    bulk from the same stream ``rng.sample`` would read.
+
+    j, samples, subset_samples and seed must be integers (anything
+    ``operator.index`` accepts); a bool raises ValueError.
     """
+    j = _integer("j", j)
+    samples = _integer("samples", samples)
+    subset_samples = _integer("subset_samples", subset_samples)
+    seed = _integer("seed", seed)
     t = as_perm(tau)
     p = as_perm(pi)
     k = p.n
@@ -81,24 +104,109 @@ def estimate_limit_density(
                 f"exact per-sample counting caps at |tau|*j = {EXACT_CELL_CAP}, "
                 f"got {big_n}; pass subset_samples > 0"
             )
-    order = sorted(range(k), key=p.__getitem__)
+    else:
+        import numpy as np
+
+        order = np.array(sorted(range(k), key=p.__getitem__))
+        # host value at index x is j * (tau[x // j] - 1) + lambda[x % j]
+        block_base = j * (np.repeat(np.array(t, dtype=np.int64), j) - 1)
     values = []
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
         lam = list(range(1, j + 1))
         rng.shuffle(lam)
-        g = inflate(t, lam)
         if subset_samples == 0:
-            values.append(float(density(p, g)))
+            g = inflate(t, lam)
+            # density()'s rules: the length-3 counter needs |pi| >= 2, |g| >= 3
+            if k >= 2 and big_n >= 3:
+                values.append(float(count_length3_all(g).density_of(p)))
+            else:
+                values.append(count_occurrences(p, g) / comb(big_n, k))
         else:
+            host = block_base + np.tile(np.array(lam, dtype=np.int64), t.n)
             hit = 0
-            idx_range = range(big_n)
-            for _ in range(subset_samples):
-                idx = rng.sample(idx_range, k)
-                idx.sort()
-                vals = [g[x] for x in idx]
-                hit += sorted(range(k), key=vals.__getitem__) == order
+            for idx in _subset_draws(rng, big_n, k, subset_samples):
+                # a subset is a hit when its values, read in pi's value order, rise
+                vals = host[np.sort(idx, axis=1)[:, order]]
+                hit += int(np.count_nonzero((vals[:, 1:] > vals[:, :-1]).all(axis=1)))
             values.append(hit / subset_samples)
     mean = fmean(values)
     err = stdev(values) / sqrt(samples) if samples >= 2 else float("nan")
     return Estimate(mean=mean, stderr=err, samples=samples, j=j, seed=seed)
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    return index(value)
+
+
+def _subset_draws(rng: random.Random, n: int, k: int, count: int):
+    """Yield int64 blocks of rows that stack to [rng.sample(range(n), k) for _ in range(count)].
+
+    On a population too large for its pool branch, sample() picks each
+    index as the top n.bit_length() bits of a 32-bit MT19937 word, drawing
+    again while that is >= n (``_randbelow_with_getrandbits``) or already
+    picked. Here one getrandbits call per block reads the words
+    (little-endian, so the first word drawn is the lowest) and numpy keeps
+    the candidates < n. Rows are read k candidates at a time; a window
+    holding a repeated index is replayed by sample()'s redraw rule, which
+    shifts every later row. Words drawn past the last row are never read:
+    each sample's generator is discarded after its subset draws, so
+    over-drawing moves no later stream. Where sample() takes its pool
+    branch, or an index spans two words, it is called itself.
+    """
+    import numpy as np
+
+    bits = n.bit_length()
+    setsize = 21 if k <= 5 else 21 + 4 ** ceil(log(k * 3, 4))
+    if n <= setsize or bits > 32:
+        for start in range(0, count, _DRAW_ROWS):
+            rows = [rng.sample(range(n), k) for _ in range(min(_DRAW_ROWS, count - start))]
+            yield np.array(rows, dtype=np.int64).reshape(-1, k)
+        return
+    cand = np.empty(0, dtype=np.uint32)
+    left = count
+    while left:
+        # about 5% more words than the block's rows need on average
+        m = (min(left, _DRAW_ROWS) * k << bits) // n * 21 // 20 + k
+        raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        words = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
+        cand = np.concatenate((cand, words[words < n]))
+        if len(cand) < k:
+            continue
+        # repeat[q]: the window cand[q:q + k] holds a repeated index
+        last = len(cand) - k + 1
+        repeat = np.zeros(last, dtype=bool)
+        for d in range(1, k):
+            same = cand[d:] == cand[:-d]
+            for a in range(k - d):
+                repeat |= same[a:a + last]
+        # the windows with a repeat, split by start position mod k
+        bad = [np.flatnonzero(repeat[r::k]) * k + r for r in range(k)]
+        block = []
+        pos = 0
+        while left:
+            starts = bad[pos % k]
+            b = int(np.searchsorted(starts, pos))
+            stop = int(starts[b]) if b < len(starts) else len(cand)
+            clean = min((stop - pos) // k, left)
+            block.append(cand[pos:pos + clean * k].reshape(clean, k))
+            left -= clean
+            pos += clean * k
+            if not left or b == len(starts):
+                break  # done, or every full window left is clean
+            picked = []
+            nxt = pos
+            while len(picked) < k and nxt < len(cand):
+                c = int(cand[nxt])
+                nxt += 1
+                if c not in picked:
+                    picked.append(c)
+            if len(picked) < k:
+                break  # replayed again from pos once more words are read
+            block.append(np.array([picked], dtype=np.uint32))
+            left -= 1
+            pos = nxt
+        cand = cand[pos:]
+        yield np.concatenate(block, dtype=np.int64)

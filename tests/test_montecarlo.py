@@ -1,9 +1,13 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+import inflatable.core
+import inflatable.montecarlo as montecarlo
 from inflatable import (
     EXACT_CELL_CAP,
     GENERATOR_ID,
@@ -141,9 +145,80 @@ def test_estimates_are_bit_for_bit_pinned():
         ("321", "231", 60, 6, 0, 7): ("0x1.863f02cc9d14bp-3", "0x1.dd37b6eaf17e8p-9"),
         ("132", "123", 40, 10, 4000, 5): ("0x1.c5a1cac083126p-3", "0x1.b6489267a869ep-8"),
         ("4231", "123", 25, 3, 100, 9): ("0x1.1111111111111p-4", "0x1.b4e81b4e81b4fp-7"),
+        # benchmark scale, recorded while subset mode still called rng.sample
+        # on a built host: the perfbench op, the README CLI example, a host
+        # small enough for sample()'s pool branch, and k = 6 on its set branch
+        ("472951836", "132", 2000, 20, 5000, 7): ("0x1.6e33eff195033p-3", "0x1.597cda1291276p-10"),
+        ("472951836", "132", 2000, 50, 5000, 0): ("0x1.6d4e4c942d491p-3", "0x1.a1a3cba0a7e95p-11"),
+        ("1", "21", 12, 40, 30, 3): ("0x1.f17e4b17e4b18p-2", "0x1.5d325af1d7e10p-6"),
+        ("21", "654321", 60, 4, 2000, 6): ("0x1.4395810624dd3p-6", "0x1.7127ca687fd7cp-8"),
     }
     for (tau, pi, j, samples, subset, seed), (mean, err) in pinned.items():
         e = estimate_limit_density(
             tau, pi, j=j, samples=samples, subset_samples=subset, seed=seed
         )
         assert (e.mean.hex(), e.stderr.hex()) == (mean, err), (tau, pi, j)
+
+
+def _sample_rows(seed: str, n: int, k: int, count: int) -> tuple:
+    rng = random.Random(seed)
+    want = [rng.sample(range(n), k) for _ in range(count)]
+    blocks = montecarlo._subset_draws(random.Random(seed), n, k, count)
+    return [row for block in blocks for row in block.tolist()], want
+
+
+def test_subset_draws_match_random_sample():
+    # n up to 100 crosses sample()'s pool thresholds (n <= 21, and n <= 85
+    # once k > 5); small n makes repeated indices, and so the redraw
+    # replay, frequent
+    for n in range(1, 101):
+        for k in range(1, min(n, 6) + 1):
+            got, want = _sample_rows(f"{n}:{k}", n, k, 40)
+            assert got == want, (n, k)
+    # a power of two and one past it (about half the words rejected), the
+    # benchmark's 9 * 2000 host, and a population whose candidates take all
+    # 32 bits of a word
+    for n in (2**15, 2**15 + 1, 18000, 2**31 + 1):
+        got, want = _sample_rows(f"{n}", n, 3, 400)
+        assert got == want, n
+    # more rows than one block holds, on both of sample()'s branches
+    for n in (18000, 21):
+        got, want = _sample_rows("blocks", n, 3, montecarlo._DRAW_ROWS + 5)
+        assert got == want, n
+
+
+def test_integer_arguments_are_checked():
+    for name in ("j", "samples", "subset_samples", "seed"):
+        kwargs = {"j": 10, "samples": 2, "subset_samples": 5, "seed": 1}
+        kwargs[name] = True
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            estimate_limit_density("132", "12", **kwargs)
+        kwargs[name] = 1.0
+        with pytest.raises(TypeError):
+            estimate_limit_density("132", "12", **kwargs)
+    # an integer-like object is read as its int, seed included
+    e = estimate_limit_density("132", "12", j=np.int64(10), samples=2, seed=np.int64(1))
+    assert type(e.seed) is int and type(e.j) is int
+    assert e == estimate_limit_density("132", "12", j=10, samples=2, seed=1)
+
+
+def test_exact_mode_counts_its_host_directly(monkeypatch):
+    # exact mode is the check of the limit formula that does not depend on
+    # it, so it must count with count_length3_all itself, whatever path
+    # density() takes
+    def refuse(*args):
+        raise AssertionError("exact mode went through density()")
+
+    monkeypatch.setattr(inflatable.core, "density", refuse)
+    monkeypatch.setattr(montecarlo, "density", refuse, raising=False)
+    calls = []
+    counter = montecarlo.count_length3_all
+
+    def counted(host):
+        calls.append(len(host))
+        return counter(host)
+
+    monkeypatch.setattr(montecarlo, "count_length3_all", counted)
+    e = estimate_limit_density("132", "123", j=40, samples=10, seed=5)
+    assert calls == [120] * 10
+    assert (e.mean.hex(), e.stderr.hex()) == ("0x1.c631cd230c7c6p-3", "0x1.7347bf3104ab7p-8")
