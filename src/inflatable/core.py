@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import string
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
@@ -170,8 +172,12 @@ def _pattern(values: Sequence[int]) -> Perm:
     The ranks of distinct values are a permutation by construction, so the
     result skips Perm's validation.
     """
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0] * len(values)
+    return _from_argsort(sorted(range(len(values)), key=values.__getitem__))
+
+
+def _from_argsort(order: Sequence[int]) -> Perm:
+    """The pattern whose argsort is order: position order[r - 1] holds rank r."""
+    ranks = [0] * len(order)
     for r, idx in enumerate(order, start=1):
         ranks[idx] = r
     return tuple.__new__(Perm, ranks)
@@ -264,8 +270,8 @@ def count_occurrences(pi: PermLike, tau: PermLike) -> int:
 def density(pi: PermLike, tau: PermLike) -> Fraction:
     """Pattern density t(pi, tau) = occurrences / C(|tau|, |pi|), exact.
 
-    Patterns of length 2 and 3 on hosts of length >= 3 are read off
-    count_length3_all; every other case enumerates with count_occurrences.
+    The count is read from the host's occurrence table (_occurrences), so
+    every pattern of one length on one host shares a single count.
 
     >>> density("12", "132")
     Fraction(2, 3)
@@ -276,9 +282,40 @@ def density(pi: PermLike, tau: PermLike) -> Fraction:
         raise ValueError(
             f"density undefined: pattern length {p.n} exceeds host length {t.n}"
         )
-    if 2 <= p.n <= 3 and t.n >= 3:
-        return count_length3_all(t).density_of(p)
-    return Fraction(count_occurrences(p, t), comb(t.n, p.n))
+    return Fraction(_occurrences(t, p.n).get(p, 0), comb(t.n, p.n))
+
+
+# a few hosts at once: enough for a check and a limit sum on the same host,
+# while a long host counted once is soon let go
+@lru_cache(maxsize=4)
+def _host_tables(tau: Perm) -> dict:
+    """Pattern length -> occurrence counts of one host, filled by _occurrences."""
+    return {}
+
+
+def _occurrences(tau: Perm, s: int) -> dict:
+    """Occurrence counts of every length-s pattern in tau; do not mutate.
+
+    A pattern missing from the dict does not occur. Length 1 occurs |tau|
+    times; lengths 2 and 3 on hosts of length >= 3 are filled together
+    from one count_length3_all call; any other length is one pass over the
+    C(|tau|, s) index subsets that tallies each subset's argsort and turns
+    each distinct argsort into its pattern once. This is the one place that
+    picks a counter; the tables of the last few hosts are kept.
+    """
+    tables = _host_tables(tau)
+    if s not in tables:
+        if s == 1:
+            tables[1] = {Perm((1,)): tau.n}
+        elif 2 <= s <= 3 and tau.n >= 3:
+            pc = count_length3_all(tau)
+            tables[2] = {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}
+            tables[3] = pc.counts
+        else:
+            r = range(s)
+            keys = Counter(tuple(sorted(r, key=sub.__getitem__)) for sub in combinations(tau, s))
+            tables[s] = {_from_argsort(key): c for key, c in keys.items()}
+    return tables[s]
 
 
 PATTERNS_3 = (

@@ -24,9 +24,8 @@ from .core import (
     PATTERNS_3,
     Perm,
     PermLike,
+    _occurrences,
     as_perm,
-    count_length3_all,
-    count_occurrences,
     density,
     format_permutation,
     inflate,
@@ -135,34 +134,14 @@ def check_3_inflatable(tau: PermLike) -> InflatabilityReport:
     t = as_perm(tau)
     n = t.n
     if n == 1:
-        return InflatabilityReport(
-            tau=t,
-            length=1,
-            admissible_length=True,
-            required={},
-            observed={},
-            observed_counts={},
-            verdict=True,
-        )
-    if n == 2:
-        obs12 = density(_P12, t)
-        return InflatabilityReport(
-            tau=t,
-            length=2,
-            admissible_length=False,
-            required={_P12: Fraction(1, 2)},
-            observed={_P12: obs12},
-            observed_counts={_P12: count_occurrences(_P12, t)},
-            verdict=False,
-        )
-    required = target_densities_3(n)
-    pc = count_length3_all(t)
-    observed: dict[Perm, Fraction] = {_P12: Fraction(pc.inv12, comb(n, 2))}
-    observed_counts: dict[Perm, int] = {_P12: pc.inv12}
-    for p in PATTERNS_3:
-        observed[p] = Fraction(pc.counts[p], comb(n, 3))
-        observed_counts[p] = pc.counts[p]
-    admissible = target_counts_3(n) is not None
+        required = {}
+    elif n == 2:
+        required = {_P12: Fraction(1, 2)}
+    else:
+        required = target_densities_3(n)
+    observed_counts = {p: _occurrences(t, p.n).get(p, 0) for p in required}
+    observed = {p: Fraction(c, comb(n, p.n)) for p, c in observed_counts.items()}
+    admissible = n == 1 or (n >= 3 and target_counts_3(n) is not None)
     verdict = admissible and all(observed[p] == required[p] for p in required)
     return InflatabilityReport(
         tau=t,

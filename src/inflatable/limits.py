@@ -11,9 +11,10 @@ with n = |tau|, occ(sigma, tau) = C(n, |sigma|) t(sigma, tau) the number of
 occurrences of sigma in tau, and the product running over the inner blocks
 alpha of b. Terms with |sigma| > n drop out (sigma does not occur), and
 blocks of length 1 contribute a factor of exactly 1, since every valid
-profile has s(1) = 1. The occurrence counts of one host are computed once
-per pattern length and shared by every pattern summed on it. Everything here
-is exact rational arithmetic.
+profile has s(1) = 1. The occurrence counts come from core's table, which
+is computed once per host and shared by every pattern summed on it:
+lengths 2 and 3 from one count_length3_all call, longer ones from one pass
+over the host's subsets each. Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 from typing import Mapping, Union
 
-from .core import Perm, PermLike, _pattern, all_patterns, as_perm, count_length3_all
+from .core import Perm, PermLike, _occurrences, all_patterns, as_perm
 from .partitions import block_partitions
 
 __all__ = [
@@ -44,7 +44,9 @@ RationalLike = Union[Fraction, int, str]
 
 
 def parse_rational(value: RationalLike) -> Fraction:
-    """Exact rational from an int, Fraction, or "p/q" / "p" text."""
+    """Exact rational from an int (not a bool), Fraction, or "p/q" / "p" text."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {value!r} (bools are not accepted)")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -121,29 +123,6 @@ def uniform_profile(max_len: int) -> DensityProfile:
         for p in all_patterns(k):
             entries[p] = w
     return DensityProfile(entries)
-
-
-# room for every pattern length on a few hosts at once
-@lru_cache(maxsize=4 * LIMIT_PATTERN_MAX)
-def _occurrences(tau: Perm, s: int) -> dict:
-    """Occurrence counts of the length-s patterns in tau.
-
-    A pattern missing from the dict does not occur. Lengths 2 and 3 on
-    hosts of length >= 3 are read off count_length3_all, length 1 occurs
-    |tau| times, and any other length is one pass over the C(|tau|, s)
-    index subsets that tallies each subset's pattern. Memoized, so the
-    patterns summed on one host share its counts.
-    """
-    if s == 1:
-        return {Perm((1,)): tau.n}
-    if 2 <= s <= 3 and tau.n >= 3:
-        pc = count_length3_all(tau)
-        return pc.counts if s == 3 else {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}
-    counts: dict[Perm, int] = {}
-    for sub in combinations(tau, s):
-        sigma = _pattern(sub)
-        counts[sigma] = counts.get(sigma, 0) + 1
-    return counts
 
 
 def limit_density_inflation(

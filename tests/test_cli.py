@@ -46,6 +46,21 @@ def test_golden_lengths_bytes():
     assert proc.stdout == b'{"residues":[0,1,17,64,80,81]}\n'
 
 
+def test_golden_check_degenerate_lengths_bytes():
+    proc = module_cli(["check", "1", "--json"])
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        b'{"tau":"1","length":1,"admissible_length":true,"required":{},'
+        b'"observed":{},"observed_counts":{},"verdict":true}\n'
+    )
+    proc = module_cli(["check", "21", "--json"])
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        b'{"tau":"21","length":2,"admissible_length":false,"required":{"12":"1/2"},'
+        b'"observed":{"12":"0"},"observed_counts":{"12":0},"verdict":false}\n'
+    )
+
+
 def test_golden_check_refuted():
     proc = module_cli(["check", "472951836", "--json"])
     assert proc.returncode == 0

@@ -5,9 +5,12 @@ from math import comb
 
 import pytest
 
+from inflatable import core
 from inflatable import (
     PATTERNS_3,
     Perm,
+    all_patterns,
+    check_3_inflatable,
     count_length3_all,
     count_occurrences,
     density,
@@ -19,7 +22,7 @@ from inflatable import (
     pattern_of,
     rotate,
 )
-from util import brute_counts3, random_perm
+from util import brute_counts3, random_perm, record_count3_calls
 
 
 def test_parse_compact_and_comma_agree():
@@ -179,14 +182,36 @@ def test_density_examples():
     assert density("1", "312") == Fraction(1)
     with pytest.raises(ValueError):
         density("123", "12")
-    # lengths 2 and 3 on hosts of length >= 3 go through the length-3
-    # counter, everything else through direct enumeration
+    # lengths 2 and 3 on hosts of length >= 3 come from the length-3
+    # counter, everything else from the host's subset tally
     rng = random.Random(16)
     for k in range(1, 5):
         for pi in permutations(range(1, k + 1)):
             for n in range(k, 13):
                 tau = random_perm(rng, n)
                 assert density(pi, tau) == Fraction(count_occurrences(pi, tau), comb(n, k))
+
+
+def test_occurrence_table_matches_count_occurrences():
+    # every pattern of length 1..5 on hosts of length 1..9, the hosts
+    # shorter than 3 and than the pattern included
+    rng = random.Random(17)
+    for n in range(1, 10):
+        for _ in range(2):
+            tau = random_perm(rng, n)
+            for k in range(1, 6):
+                table = core._occurrences(tau, k)
+                assert sum(table.values()) == comb(n, k)
+                for pi in all_patterns(k):
+                    assert table.get(pi, 0) == count_occurrences(pi, tau)
+
+
+def test_check_and_density_share_one_count(monkeypatch):
+    calls = record_count3_calls(monkeypatch)
+    host = Perm("G54ABC319HF678ED2")
+    assert check_3_inflatable(host).verdict
+    assert density("132", host) == Fraction(119, 680)
+    assert calls == [host]
 
 
 def test_count_length3_all_anchor():

@@ -19,6 +19,7 @@ from inflatable import (
     target_counts_3,
     target_densities_3,
 )
+from inflatable.criteria import _admissible_n
 from util import random_perm
 
 G17 = Perm("G54ABC319HF678ED2")
@@ -136,6 +137,13 @@ def test_admissibility_is_necessary_and_sufficient():
     rset = set(admissible_residues(144))
     for n in range(3, 300):
         assert (target_counts_3(n) is not None) == (n % 144 in rset), n
+
+
+def test_admissibility_rules_agree():
+    # the cleared-denominator rule behind admissible_residues and the
+    # integrality of the count targets decide the same lengths
+    for n in range(3, 5000):
+        assert _admissible_n(n) == (target_counts_3(n) is not None), n
 
 
 def test_admissible_residues_other_moduli():

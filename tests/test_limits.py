@@ -13,13 +13,14 @@ from inflatable import (
     abc_coefficients,
     all_patterns,
     block_partitions,
+    count_occurrences,
     density,
     limit_density_inflation,
     limit_density_uniform,
     rotate,
     uniform_profile,
 )
-from util import random_perm
+from util import random_perm, record_count3_calls
 
 
 def test_uniform_profile_contents():
@@ -168,15 +169,33 @@ def test_parse_rational_rejects_floats():
         parse_rational(0.5)
 
 
+def test_bools_are_not_rationals():
+    from inflatable.limits import parse_rational
+    for value in (True, False):
+        with pytest.raises(ValueError, match="bool"):
+            parse_rational(value)
+    with pytest.raises(ValueError, match="bool"):
+        DensityProfile({"1": True, "12": "1/2", "21": "1/2"})
+    with pytest.raises(ValueError, match="bool"):
+        DensityProfile.from_json('{"1": true, "12": "1/2", "21": "1/2"}')
+
+
+def test_limit_sum_counts_lengths_2_and_3_at_once(monkeypatch):
+    # the host's length-2 and length-3 tables come from one count
+    calls = record_count3_calls(monkeypatch)
+    assert limit_density_uniform("1234", "472951836") == Fraction(521, 17496)
+    assert calls == [Perm("472951836")]
+
+
 def reference_limit(pi, tau, profile):
-    """The limit sum term by term: C(n, |sigma|) t(sigma, tau) per partition."""
+    """The limit sum term by term, counting each sigma by direct enumeration."""
     p, t = Perm(pi), Perm(tau)
     n = t.n
     total = Fraction(0)
     for bp in block_partitions(p):
         if bp.outer.n > n:
             continue
-        term = comb(n, bp.outer.n) * density(bp.outer, t)
+        term = Fraction(count_occurrences(bp.outer, t))
         for alpha in bp.inner:
             term *= Fraction(profile[alpha], factorial(alpha.n))
         total += term

@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 from math import comb
 
-from inflatable import PATTERNS_3, Perm, pattern_of
+from inflatable import PATTERNS_3, Perm, core, pattern_of
 
 
 def brute_counts3(perm) -> tuple:
@@ -23,3 +23,17 @@ def random_perm(rng: random.Random, n: int) -> Perm:
     vals = list(range(1, n + 1))
     rng.shuffle(vals)
     return Perm(vals)
+
+
+def record_count3_calls(monkeypatch) -> list:
+    """Empty core's occurrence memo and list each host count_length3_all counts from now on."""
+    calls = []
+    counter = core.count_length3_all
+
+    def counted(host):
+        calls.append(host)
+        return counter(host)
+
+    monkeypatch.setattr(core, "count_length3_all", counted)
+    core._host_tables.cache_clear()
+    return calls
