@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
+from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -60,6 +61,13 @@ def _validate_values(values: tuple) -> None:
         if seen[v]:
             raise ValueError(f"duplicate value {v}")
         seen[v] = True
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, by operator.index; a bool raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    return index(value)
 
 
 class Perm(tuple):

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, log, sqrt
-from operator import index
 from statistics import fmean, stdev
 import random
 
-from .core import PermLike, as_perm, count_length3_all, count_occurrences, inflate
+from .core import PermLike, _integer, as_perm, count_length3_all, count_occurrences, inflate
 
 __all__ = ["Estimate", "estimate_limit_density", "GENERATOR_ID", "EXACT_CELL_CAP"]
 
@@ -135,12 +134,6 @@ def estimate_limit_density(
     return Estimate(mean=mean, stderr=err, samples=samples, j=j, seed=seed)
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not a bool")
-    return index(value)
-
-
 def _subset_draws(rng: random.Random, n: int, k: int, count: int):
     """Yield int64 blocks of rows that stack to [rng.sample(range(n), k) for _ in range(count)].
 
@@ -149,12 +142,14 @@ def _subset_draws(rng: random.Random, n: int, k: int, count: int):
     again while that is >= n (``_randbelow_with_getrandbits``) or already
     picked. Here one getrandbits call per block reads the words
     (little-endian, so the first word drawn is the lowest) and numpy keeps
-    the candidates < n. Rows are read k candidates at a time; a window
-    holding a repeated index is replayed by sample()'s redraw rule, which
-    shifts every later row. Words drawn past the last row are never read:
-    each sample's generator is discarded after its subset draws, so
-    over-drawing moves no later stream. Where sample() takes its pool
-    branch, or an index spans two words, it is called itself.
+    the candidates < n. Rows are read k candidates at a time. A candidate
+    equal to one of the k - 1 before it is flagged, and a row holding a
+    flag is replayed by sample()'s redraw rule, which shifts every later
+    row; a flag set by an equal index in the row before replays to the
+    same row. Words drawn past the last row are never read: each sample's
+    generator is discarded after its subset draws, so over-drawing moves
+    no later stream. Where sample() takes its pool branch, or an index
+    spans two words, it is called itself.
     """
     import numpy as np
 
@@ -173,29 +168,23 @@ def _subset_draws(rng: random.Random, n: int, k: int, count: int):
         raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
         words = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
         cand = np.concatenate((cand, words[words < n]))
-        if len(cand) < k:
-            continue
-        # repeat[q]: the window cand[q:q + k] holds a repeated index
-        last = len(cand) - k + 1
-        repeat = np.zeros(last, dtype=bool)
+        dup = np.zeros(len(cand), dtype=bool)
         for d in range(1, k):
-            same = cand[d:] == cand[:-d]
-            for a in range(k - d):
-                repeat |= same[a:a + last]
-        # the windows with a repeat, split by start position mod k
-        bad = [np.flatnonzero(repeat[r::k]) * k + r for r in range(k)]
+            dup[d:] |= cand[d:] == cand[:-d]
+        flags = np.flatnonzero(dup)
         block = []
         pos = 0
         while left:
-            starts = bad[pos % k]
-            b = int(np.searchsorted(starts, pos))
-            stop = int(starts[b]) if b < len(starts) else len(cand)
+            # the rows that end before the next flag after pos are clean
+            b = int(np.searchsorted(flags, pos, side="right"))
+            stop = int(flags[b]) if b < len(flags) else len(cand)
             clean = min((stop - pos) // k, left)
-            block.append(cand[pos:pos + clean * k].reshape(clean, k))
+            if clean:
+                block.append(cand[pos:pos + clean * k].reshape(clean, k))
             left -= clean
             pos += clean * k
-            if not left or b == len(starts):
-                break  # done, or every full window left is clean
+            if not left or b == len(flags):
+                break  # done, or every full row left is clean
             picked = []
             nxt = pos
             while len(picked) < k and nxt < len(cand):
@@ -209,4 +198,5 @@ def _subset_draws(rng: random.Random, n: int, k: int, count: int):
             left -= 1
             pos = nxt
         cand = cand[pos:]
-        yield np.concatenate(block, dtype=np.int64)
+        if block:
+            yield np.concatenate(block, dtype=np.int64)

@@ -54,7 +54,7 @@ from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterator, Optional
 
-from .core import PATTERNS_3, Perm
+from .core import PATTERNS_3, Perm, _integer
 from .criteria import admissible_residues, target_counts_3
 
 __all__ = [
@@ -100,12 +100,13 @@ class SearchTimeout(Exception):
 class SearchConfig:
     """Parameters of one search run.
 
-    n: candidate length (>= 3).
+    n: candidate length, an integer >= 3.
     central_only: restrict to centrally symmetric candidates.
-    limit: stop after this many hits (None scans everything).
+    limit: stop after this many hits, an integer >= 1 (None scans everything).
     threads: accepted and validated (>= 1) for compatibility; every scan
         runs in one process, so it does not change how a scan runs.
-    timeout: wall-clock seconds before SearchTimeout (None = no timeout).
+    timeout: wall-clock seconds > 0 before SearchTimeout (None = no timeout).
+    n and limit are read by operator.index; a bool raises ValueError.
     """
 
     n: int
@@ -215,46 +216,31 @@ def _pair_stats(M: np.ndarray) -> tuple:
     return asc_before, asc_after, desc_before, desc_after, asc_total
 
 
-def _last_triples(
-    above: np.ndarray, below: np.ndarray, stats: tuple, k: int
-) -> np.ndarray:
-    """Counts of triples {old, old, new} with the new point last, by pattern.
-
-    Sums over k new values: above[i, s] and below[i, s] count those above
-    and below old value i of state s. stats are the _pair_stats of the
-    same states. Returns one row per pattern, one column per state.
-    """
-    import numpy as np
-
-    asc_b, asc_a, desc_b, desc_a, asc_tot = stats
-    d = above.shape[0]
-    b = np.empty((6, above.shape[1]), dtype=np.int32)
-    b[0] = (above * asc_b).sum(axis=0, dtype=np.int32)
-    b[3] = (below * asc_a).sum(axis=0, dtype=np.int32)
-    b[1] = asc_tot * k - b[0] - b[3]
-    b[2] = (above * desc_a).sum(axis=0, dtype=np.int32)
-    b[5] = (below * desc_b).sum(axis=0, dtype=np.int32)
-    b[4] = (d * (d - 1) // 2 - asc_tot) * k - b[2] - b[5]
-    return b
-
-
 def _prefix_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
     """The count vector of the triples with at least two points in the left
     block W and of the pairs with a point in it (unrestricted rule).
 
     stats are the _pair_stats of W. Every point outside the block lies
     after it and all of 1..n occur, so the later points below W[i, s] are
-    the W[i, s] - 1 values below it less the block's own, and a triple with
-    two block points has its later point last, whatever its value.
+    the W[i, s] - 1 values below it less the block's own, and a triple
+    {block, block, later} has its later point last, whatever its value.
     """
     import numpy as np
 
     asc_b, asc_a, desc_b, desc_a, asc_tot = stats
     d, N = W.shape
+    k = n - d  # later points
     below = W.astype(np.int32) - 1 - asc_b - desc_a
-    above = (n - d) - below
+    above = k - below
     P = np.empty((7, N), dtype=np.int32)
-    P[:6] = _last_triples(above, below, stats, n - d)
+    # triples {block, block, later}: the block pair's order and where the
+    # later value falls against the pair's values fix the pattern
+    P[0] = (above * asc_b).sum(axis=0, dtype=np.int32)
+    P[3] = (below * asc_a).sum(axis=0, dtype=np.int32)
+    P[1] = asc_tot * k - P[0] - P[3]
+    P[2] = (above * desc_a).sum(axis=0, dtype=np.int32)
+    P[5] = (below * desc_b).sum(axis=0, dtype=np.int32)
+    P[4] = (d * (d - 1) // 2 - asc_tot) * k - P[2] - P[5]
 
     def pairs(x: np.ndarray) -> np.ndarray:
         return (x * (x - 1) // 2).sum(axis=0, dtype=np.int32)
@@ -272,7 +258,7 @@ def _prefix_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
     return P
 
 
-def _central_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
+def _central_counts(n: int, W: np.ndarray) -> np.ndarray:
     """The count vector of the triples with at most one unplaced point, the
     center and an unplaced point never together, and of the pairs with at
     most one unplaced point of centrally symmetric states (left halves W).
@@ -290,6 +276,7 @@ def _central_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
     d = W.shape[0]
     odd = n & 1
     k = n - 2 * d - odd
+    stats = _pair_stats(W)
     asc_b, _, _, desc_a, _ = stats
     Wi = W.astype(np.int32)
     P = _prefix_counts(n, W, stats)
@@ -337,11 +324,11 @@ class _Space:
     after d steps has leaves[d] candidates under it. A step chooses one of
     `values` not yet taken; taken(v) are the values a step placing v uses
     up, and as_hit turns a state's stored values into the candidate's
-    value tuple. counts(W, stats) is the space's exact count rule for the
+    value tuple. counts(W) is the space's exact count rule for the
     position-major states W (W[j, s] is the value at position j of state
-    s) with _pair_stats stats, one column of 7 counts per state: the
-    unplaced points follow the prefix (prefix rule) or sit between the
-    placed outer blocks (central rule).
+    s), one column of 7 counts per state: the unplaced points follow the
+    prefix (prefix rule) or sit between the placed outer blocks (central
+    rule).
     """
 
     steps: int
@@ -362,7 +349,7 @@ def _space(n: int, central: bool) -> _Space:
             leaves=tuple(factorial(n - d) for d in range(n + 1)),
             values=tuple(range(1, nn1)),
             taken=lambda v: {v},
-            counts=partial(_prefix_counts, n),
+            counts=lambda W: _prefix_counts(n, W, _pair_stats(W)),
             as_hit=lambda row: row,
         )
     m = n // 2
@@ -441,7 +428,7 @@ def _scan_shard(
             + [comb(n, 2) - comb(placed, 2) - D * k],
             dtype=np.int32,
         )[:, None]
-        C = space.counts(W, _pair_stats(W))
+        C = space.counts(W)
         keep = ((C <= T) & (C + slack >= T)).all(axis=0)
         kept = int(keep.sum())
         scanned += (N - kept) * space.leaves[d]
@@ -546,12 +533,13 @@ def _search_space(
     """Run the sharded scan; returns (hits as Perms, scanned).
 
     Shards are the first-placement choices, processed and merged in index
-    order, so hits, scanned, and the limit cut are reproducible. Shards
-    past the middle are derived from their complement mirrors (see
-    _shard_job), and each scan is made when a shard first needs it. A
-    shard with at least limit hits is cut at its own limit-th hit, with
-    scanned counted up to that hit. Raises SearchTimeout when the deadline
-    passes.
+    order, so hits, scanned, and the limit cut are reproducible. Each
+    shard's hits come sorted and start with its first value, so the merged
+    hits are sorted as built. Shards past the middle are derived from their
+    complement mirrors (see _shard_job), and each scan is made when a shard
+    first needs it. A shard with at least limit hits is cut at its own
+    limit-th hit, with scanned counted up to that hit. Raises SearchTimeout
+    when the deadline passes.
     """
     # imports numpy, and raises ValueError, before the clock starts
     _value_dtype(n)
@@ -583,8 +571,8 @@ def _search_space(
 
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     if timed_out:
-        raise SearchTimeout(sorted(hits), scanned, elapsed_ms)
-    return sorted(hits), scanned
+        raise SearchTimeout(hits, scanned, elapsed_ms)
+    return hits, scanned
 
 
 def search_3_inflatable(
@@ -601,14 +589,18 @@ def search_3_inflatable(
     >>> search_3_inflatable(SearchConfig(n=9)).status
     'inadmissible'
     """
-    if config.n < 3:
+    n = _integer("n", config.n)
+    limit = None if config.limit is None else _integer("limit", config.limit)
+    if n < 3:
         raise ValueError("search needs n >= 3")
     if config.threads < 1:
         raise ValueError("threads must be >= 1")
-    if config.limit is not None and config.limit < 1:
+    if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1 when given")
+    if config.timeout is not None and not config.timeout > 0:
+        raise ValueError("timeout must be > 0 when given")
     t0 = time.monotonic()
-    tv = _target_vector(config.n)
+    tv = _target_vector(n)
     if tv is None:
         residues = admissible_residues()
         return SearchResult(
@@ -617,18 +609,13 @@ def search_3_inflatable(
             found=0,
             status="inadmissible",
             reason=(
-                f"length {config.n} is inadmissible: the exact targets are "
+                f"length {n} is inadmissible: the exact targets are "
                 f"not integer counts (admissible residues mod 144: {residues})"
             ),
             elapsed_ms=int((time.monotonic() - t0) * 1000),
         )
     hits, scanned = _search_space(
-        config.n,
-        tv,
-        config.central_only,
-        config.limit,
-        config.timeout,
-        progress,
+        n, tv, config.central_only, limit, config.timeout, progress
     )
     return SearchResult(
         hits=hits,

@@ -353,6 +353,11 @@ def test_search_timeout_maps_to_error(tmp_path):
     payload = json.loads(out)
     assert payload == result.payload
     assert payload["found"] == len(target.read_text().splitlines())
+    # a timeout that is not > 0 is a usage error: no scan and no payload
+    for timeout in ("nan", "0", "-1"):
+        result, out = invoke(["search", "--n", "17", "--central", "--timeout", timeout, "--json"])
+        assert result.exit_code == 2 and out == "" and result.payload == {}
+        assert result.diagnostics == ["timeout must be > 0 when given"]
 
 
 def test_cli_import_leaves_numpy_unloaded():

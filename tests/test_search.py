@@ -26,7 +26,6 @@ import inflatable.search
 from inflatable.search import (
     _complement_targets,
     _derive_shard,
-    _pair_stats,
     _scan_shard,
     _search_space,
     _shard_job,
@@ -112,6 +111,21 @@ def test_config_validation():
         search_3_inflatable(SearchConfig(n=17, threads=0))
     with pytest.raises(ValueError):
         search_3_inflatable(SearchConfig(n=17, limit=0))
+    # n and limit are integers: a bool is refused and a float fails
+    # operator.index
+    for cfg in (SearchConfig(n=True), SearchConfig(n=17, limit=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            search_3_inflatable(cfg)
+    for cfg in (SearchConfig(n=17.0), SearchConfig(n=17, limit=2.5)):
+        with pytest.raises(TypeError):
+            search_3_inflatable(cfg)
+    # a timeout must be > 0; NaN compares false, so it is refused too
+    for timeout in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="timeout"):
+            search_3_inflatable(SearchConfig(n=17, timeout=timeout))
+    # an integer-like n or limit is read as its int
+    res = search_3_inflatable(SearchConfig(n=np.int64(17), limit=np.int64(1)))
+    assert res.found == 1
 
 
 def old_limit_rule(pool: list, vectors: list, tv: tuple, limit: int) -> tuple:
@@ -247,7 +261,7 @@ def test_count_rules_equal_enumeration():
                         rows.append(tuple(rng.sample(range(1, n + 1), d)))
                 # position-major, as the kernel stores blocks: W[j, s]
                 W = np.array(rows, dtype=np.uint8).reshape(len(rows), d).T
-                got = space.counts(W, _pair_stats(W))
+                got = space.counts(W)
                 assert got.shape == (7, len(rows))
                 for row, vector in zip(rows, got.T.tolist()):
                     assert tuple(vector) == rule_counts_brute(n, row, central)
@@ -263,10 +277,10 @@ def test_exact_test_prunes_the_final_level():
     space = _space(12, True)
     rows = []
 
-    def counts(W, stats):
+    def counts(W):
         if W.shape[0] == space.steps:
             rows.append(W.shape[1])
-        return space.counts(W, stats)
+        return space.counts(W)
 
     counting = dataclasses.replace(space, counts=counts)
     hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
@@ -312,6 +326,27 @@ def test_real_targets_scan_half_the_shards(monkeypatch):
     hits, scanned = _search_space(17, tv, True, None, None)
     assert hits == [] and scanned == space_size(17, True)
     assert sorted(calls) == [(u, tv) for u in range(1, 9)]
+
+
+def test_timed_out_hits_keep_shard_order(monkeypatch):
+    # the merge never sorts: each shard's hits arrive sorted and start with
+    # its first value, so a partial result is the scanned shards' hits
+    # concatenated in shard order, and sorted; the job for first value 5
+    # times out, so shards 1..5 contribute and nothing after them
+    tv = _target_vector(17)
+
+    def stub(n, job_tv, job_space, first_u, deadline):
+        rest = [v for v in range(1, n + 1) if v != first_u]
+        orders = (rest, rest[::-1], rest[first_u:] + rest[:first_u])
+        hits = sorted((first_u,) + tuple(order) for order in orders)
+        return hits, 1, first_u == 5
+
+    monkeypatch.setattr(inflatable.search, "_scan_shard", stub)
+    with pytest.raises(SearchTimeout) as info:
+        _search_space(17, tv, True, None, None)
+    want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, u, None)[0]]
+    assert info.value.hits == sorted(info.value.hits) == want
+    assert info.value.scanned == 5
 
 
 def test_search_space_threads_deterministic():
@@ -482,5 +517,5 @@ def test_full_length17_scan_is_thread_invariant():
     e17 = Perm("E534BGA9HC2D1687F")
     assert not is_centrally_symmetric(e17) and e17 not in runs[0].hits
     W = np.array(e17, dtype=np.uint8)[:, None]
-    got = _space(17, False).counts(W, _pair_stats(W))
+    got = _space(17, False).counts(W)
     assert tuple(got[:, 0].tolist()) == _target_vector(17) == count_vector(e17)
