@@ -346,7 +346,7 @@ def run(argv: list, stdout=None) -> CommandResult:
         return CommandResult("error", {}, [f"argument parsing failed ({exc.code})"])
     try:
         result = args.handler(args, stream)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         result = CommandResult("error", {}, [str(exc)])
 
     error = result.status == "error"

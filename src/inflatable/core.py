@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 from operator import index
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "COMPACT_MAX",

@@ -9,8 +9,9 @@ t(12) must be 1/2 and each length-3 density must solve
 
 with the coefficients from abc_coefficients. The targets are rational, so
 the corresponding counts are integers only for certain n; lengths where all
-targets are integral are called admissible, and admissibility only depends
-on n mod 144.
+targets are integral are called admissible. target_counts_3 is the one
+admissibility rule: admissible_residues reads its residues mod 144 off it,
+and the tests pin that the rule has period 144.
 """
 
 from __future__ import annotations
@@ -154,35 +155,26 @@ def check_3_inflatable(tau: PermLike) -> InflatabilityReport:
     )
 
 
-def _admissible_n(n: int) -> bool:
-    # integrality of the three count targets, cleared of denominators:
-    #   C(n,3) (4n-5)/(24(n-2)) integral  <=>  144 | n(n-1)(4n-5)
-    #   C(n,3) (2n-7)/(12(n-2)) integral  <=>   72 | n(n-1)(2n-7)
-    #   C(n,2) / 2 integral               <=>  C(n,2) even
-    return (
-        n * (n - 1) * (4 * n - 5) % 144 == 0
-        and n * (n - 1) * (2 * n - 7) % 72 == 0
-        and (n * (n - 1) // 2) % 2 == 0
-    )
-
-
 def admissible_residues(modulus: int = 144) -> list[int]:
     """Residues r mod modulus such that every n = r (mod modulus) is admissible.
 
-    Admissibility is periodic mod 144, so the scan runs over one period of
-    lcm(modulus, 144) and keeps r only when all lifts pass.
+    The admissible set mod 144 is read off target_counts_3 over one period,
+    144 <= n < 288 (the tests pin that the rule has period 144). A residue r
+    is kept only when every lift of r in one period of lcm(modulus, 144)
+    lands in that set.
 
     >>> admissible_residues()
     [0, 1, 17, 64, 80, 81]
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
+    base = {n % 144 for n in range(144, 288) if target_counts_3(n) is not None}
     period = lcm(modulus, 144)
-    good = []
-    for r in range(modulus):
-        if all(_admissible_n(s) for s in range(r, period + r, modulus)):
-            good.append(r)
-    return good
+    return [
+        r
+        for r in range(modulus)
+        if all(s % 144 in base for s in range(r, period + r, modulus))
+    ]
 
 
 def residue_multiplication_table() -> dict:

@@ -45,15 +45,19 @@ RationalLike = Union[Fraction, int, str]
 
 def parse_rational(value: RationalLike) -> Fraction:
     """Exact rational from an int (not a bool), Fraction, or "p/q" / "p" text."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r} (bools are not accepted)")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"not a rational: {value!r} (zero denominator)") from None
+    raise ValueError(
+        f"not a rational: {value!r} (accepted: an int that is not a bool, "
+        'a Fraction, or "p/q" text)'
+    )
 
 
 class DensityProfile:
@@ -132,8 +136,8 @@ def limit_density_inflation(
 
     Each block partition (b, sigma) of pi adds occ(sigma, tau) times the
     product of s(alpha) / |alpha|! over its inner blocks of length >= 2
-    (a singleton block's factor is exactly 1). Requires |pi| <= 6 (block
-    partition enumeration) and a profile covering every length up to |pi|.
+    (a singleton block's factor is exactly 1). Requires |pi| <=
+    LIMIT_PATTERN_MAX and a profile covering every length up to |pi|.
 
     >>> limit_density_inflation("12", "132", uniform_profile(2))
     Fraction(11, 18)

@@ -154,7 +154,7 @@ def test_limit_uniform_golden():
     assert proc.stdout == b'{"pattern":"12","tau":"132","limit_density":"11/18"}\n'
 
 
-def test_limit_with_profile_file(tmp_path):
+def test_limit_with_profile_file(tmp_path, capsys):
     prof = tmp_path / "profile.json"
     prof.write_text(json.dumps({"1": "1", "12": "1", "21": "0"}))
     _, out = invoke(["limit", "132", "--pattern", "12", "--profile", str(prof), "--json"])
@@ -167,6 +167,12 @@ def test_limit_with_profile_file(tmp_path):
     missing = str(tmp_path / "nope.json")
     result, _ = invoke(["limit", "132", "--pattern", "12", "--profile", missing])
     assert result.exit_code == 2
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"1": "1/0", "12": "1/2", "21": "1/2"}))
+    capsys.readouterr()
+    result, out = invoke(["limit", "132", "--pattern", "12", "--profile", str(zero)])
+    assert result.exit_code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: not a rational: '1/0'")
 
 
 def test_lengths_variants():

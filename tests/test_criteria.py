@@ -19,7 +19,6 @@ from inflatable import (
     target_counts_3,
     target_densities_3,
 )
-from inflatable.criteria import _admissible_n
 from util import random_perm
 
 G17 = Perm("G54ABC319HF678ED2")
@@ -139,11 +138,10 @@ def test_admissibility_is_necessary_and_sufficient():
         assert (target_counts_3(n) is not None) == (n % 144 in rset), n
 
 
-def test_admissibility_rules_agree():
-    # the cleared-denominator rule behind admissible_residues and the
-    # integrality of the count targets decide the same lengths
+def test_admissibility_is_periodic_mod_144():
+    # admissible_residues reads one period of target_counts_3
     for n in range(3, 5000):
-        assert _admissible_n(n) == (target_counts_3(n) is not None), n
+        assert (target_counts_3(n) is None) == (target_counts_3(n + 144) is None), n
 
 
 def test_admissible_residues_other_moduli():

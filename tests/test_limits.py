@@ -42,6 +42,8 @@ def test_profile_validation():
         DensityProfile({"12": Fraction(3, 2), "21": Fraction(-1, 2), "1": 1})
     with pytest.raises(ValueError, match="not a rational"):
         DensityProfile({"12": 0.5, "21": 0.5, "1": 1})
+    with pytest.raises(ValueError, match="zero denominator"):
+        DensityProfile({"1": "1/0", "12": "1/2", "21": "1/2"})
     prof = DensityProfile({"12": "1/3", "21": "2/3", "1": "1"})
     assert prof["21"] == Fraction(2, 3)
 
@@ -167,6 +169,16 @@ def test_parse_rational_rejects_floats():
     assert parse_rational(2) == Fraction(2)
     with pytest.raises(ValueError):
         parse_rational(0.5)
+
+
+def test_zero_denominators_and_wrong_types_are_not_rationals():
+    from inflatable.limits import parse_rational
+    with pytest.raises(ValueError, match="'1/0'.*zero denominator"):
+        parse_rational("1/0")
+    # a wrong type is told what is accepted
+    for value in (None, [1, 2], {"p": 1}):
+        with pytest.raises(ValueError, match="accepted: an int .* a Fraction"):
+            parse_rational(value)
 
 
 def test_bools_are_not_rationals():
