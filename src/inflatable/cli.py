@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from math import isnan
@@ -46,8 +45,6 @@ from .search import SearchConfig, SearchTimeout, search_3_inflatable
 
 __all__ = ["CommandResult", "run", "main"]
 
-THREADS_ENV = "INFLATABLE_THREADS"
-
 
 @dataclass
 class CommandResult:
@@ -70,18 +67,6 @@ class CommandResult:
     @property
     def exit_code(self) -> int:
         return 2 if self.status == "error" else 0
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw.strip():
-        try:
-            v = int(raw)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-    return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--central", action="store_true", help="centrally symmetric only")
     p.add_argument("--limit", type=int, help="stop after this many hits")
-    p.add_argument("--threads", type=int, help="accepted; scans run in one process")
     p.add_argument("--timeout", type=float, help="wall-clock seconds")
     p.add_argument("--emit-all", action="store_true", help="stream hits as found")
 
@@ -295,13 +279,8 @@ def _cmd_montecarlo(args, stream) -> CommandResult:
 
 
 def _cmd_search(args, stream) -> CommandResult:
-    threads = args.threads if args.threads is not None else _default_threads()
     cfg = SearchConfig(
-        n=args.n,
-        central_only=args.central,
-        limit=args.limit,
-        threads=threads,
-        timeout=args.timeout,
+        n=args.n, central_only=args.central, limit=args.limit, timeout=args.timeout
     )
     progress = None
     if args.emit_all:

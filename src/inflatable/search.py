@@ -103,10 +103,11 @@ class SearchConfig:
     n: candidate length, an integer >= 3.
     central_only: restrict to centrally symmetric candidates.
     limit: stop after this many hits, an integer >= 1 (None scans everything).
-    threads: accepted and validated (>= 1) for compatibility; every scan
-        runs in one process, so it does not change how a scan runs.
+    threads: ignored (every scan runs in one process); it is still checked
+        to be >= 1 and is kept only because the benchmark harness passes it.
     timeout: wall-clock seconds > 0 before SearchTimeout (None = no timeout).
-    n and limit are read by operator.index; a bool raises ValueError.
+    n and limit are read by operator.index; a bool n, limit or timeout
+    raises ValueError.
     """
 
     n: int
@@ -149,12 +150,13 @@ def space_size(n: int, central_only: bool) -> int:
 
 
 def enumerate_centrally_symmetric(n: int) -> Iterator[Perm]:
-    """Yield every centrally symmetric permutation of length n, lexicographically.
+    """Iterate over the length-n centrally symmetric permutations, lexicographically.
 
     The first half determines the rest (value at position i pairs with
     n+1-i summing to n+1; odd n pins the center), so there are
     2^(n//2) * (n//2)! of them and lexicographic order on the first half is
-    lexicographic order on the whole permutation.
+    lexicographic order on the whole permutation. An n below 1 raises
+    ValueError at the call, not on the first step of the iterator.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -181,7 +183,7 @@ def enumerate_centrally_symmetric(n: int) -> Iterator[Perm]:
             yield from rec(pos + 1)
             used[pid] = 0
 
-    yield from rec(0)
+    return rec(0)
 
 
 def _target_vector(n: int) -> Optional[tuple]:
@@ -597,6 +599,8 @@ def search_3_inflatable(
         raise ValueError("threads must be >= 1")
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1 when given")
+    if isinstance(config.timeout, bool):
+        raise ValueError("timeout must be a number of seconds, not a bool")
     if config.timeout is not None and not config.timeout > 0:
         raise ValueError("timeout must be > 0 when given")
     t0 = time.monotonic()

@@ -158,7 +158,7 @@ def test_criterion_5_closure():
 def test_criterion_6_search_reproduction():
     t0 = time.monotonic()
     problems = []
-    res = search_3_inflatable(SearchConfig(n=17, central_only=True, threads=1))
+    res = search_3_inflatable(SearchConfig(n=17, central_only=True))
     if res.status != "ok":
         problems.append(f"status {res.status}")
     if res.scanned != space_size(17, True):

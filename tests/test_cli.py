@@ -4,8 +4,11 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from inflatable import (
     Perm,
+    SearchConfig,
     SearchResult,
     generalized_inflate,
     inflate,
@@ -13,7 +16,7 @@ from inflatable import (
     render_svg,
     rotate,
 )
-from inflatable.cli import THREADS_ENV, main, run
+from inflatable.cli import main, run
 from util import random_perm
 
 G = "G54ABC319HF678ED2"
@@ -250,6 +253,8 @@ def test_plot_rotation_property():
         rot = render_ascii(rotate(tau)).splitlines()
         assert rot == [line[::-1] for line in reversed(art)]
         assert render_svg(tau).count("<circle") == tau.n
+    with pytest.raises(ValueError, match="cap at length 200"):
+        render_ascii(Perm(tuple(range(1, 202))))
 
 
 def test_search_inadmissible_cli():
@@ -317,7 +322,9 @@ def test_search_emit_all_json_and_out(monkeypatch, tmp_path):
     assert target.read_text() == f"{G}\n{E}\n"
 
 
-def test_search_thread_env(monkeypatch):
+def test_search_thread_env(monkeypatch, capsys):
+    # search takes no thread count: the old flag is an unknown argument,
+    # and the old environment variable is not read
     seen = {}
 
     def fake(cfg, progress=None):
@@ -325,17 +332,12 @@ def test_search_thread_env(monkeypatch):
         return _fake_result([])
 
     monkeypatch.setattr("inflatable.cli.search_3_inflatable", fake)
-    monkeypatch.setenv(THREADS_ENV, "5")
+    result, out = invoke(["search", "--n", "17", "--central", "--threads", "2"])
+    assert result.exit_code == 2 and out == "" and not seen
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    monkeypatch.setenv("INFLATABLE_THREADS", "5")
     invoke(["search", "--n", "17", "--central"])
-    assert seen["cfg"].threads == 5
-    invoke(["search", "--n", "17", "--central", "--threads", "2"])
-    assert seen["cfg"].threads == 2
-    monkeypatch.setenv(THREADS_ENV, "garbage")
-    invoke(["search", "--n", "17", "--central"])
-    assert seen["cfg"].threads == 1
-    monkeypatch.delenv(THREADS_ENV)
-    invoke(["search", "--n", "17", "--central"])
-    assert seen["cfg"].threads == 1
+    assert seen["cfg"] == SearchConfig(n=17, central_only=True)
 
 
 def test_search_timeout_maps_to_error(tmp_path):

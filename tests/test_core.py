@@ -45,6 +45,10 @@ def test_parse_rejects_garbage():
         parse_permutation("1,,2")
     with pytest.raises(ValueError):
         parse_permutation("0,1")
+    with pytest.raises(ValueError, match="non-empty"):
+        Perm(())
+    with pytest.raises(ValueError, match="must be integers"):
+        Perm([1.0])
 
 
 def test_format_round_trip():
@@ -57,6 +61,8 @@ def test_format_round_trip():
         else:
             with pytest.raises(ValueError, match="compact"):
                 format_permutation(p, "compact")
+    with pytest.raises(ValueError, match="unknown style"):
+        format_permutation("12", style="x")
 
 
 def test_format_compact_symbols():
@@ -70,6 +76,10 @@ def test_pattern_of():
     assert pattern_of((10,)) == Perm("1")
     with pytest.raises(ValueError):
         pattern_of((3, 3))
+    with pytest.raises(ValueError, match="non-empty"):
+        pattern_of(())
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        all_patterns(0)
 
 
 def test_inflate_worked_examples():

@@ -60,6 +60,8 @@ def test_target_densities_sum_to_one():
     for n in range(3, 60):
         td = target_densities_3(n)
         assert sum(td[p] for p in PATTERNS_3) == 1
+    with pytest.raises(ValueError, match="n >= 3"):
+        target_densities_3(2)
 
 
 def test_targets_follow_from_limit_fixed_point():

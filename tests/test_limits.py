@@ -44,6 +44,12 @@ def test_profile_validation():
         DensityProfile({"12": 0.5, "21": 0.5, "1": 1})
     with pytest.raises(ValueError, match="zero denominator"):
         DensityProfile({"1": "1/0", "12": "1/2", "21": "1/2"})
+    # "12" and "1,2" name the same pattern
+    with pytest.raises(ValueError, match="duplicate"):
+        DensityProfile({"1": 1, "12": "1/2", "1,2": "1/2", "21": "1/2"})
+    for max_len in (0, 7):
+        with pytest.raises(ValueError, match="max_len"):
+            uniform_profile(max_len)
     prof = DensityProfile({"12": "1/3", "21": "2/3", "1": "1"})
     assert prof["21"] == Fraction(2, 3)
 
@@ -152,6 +158,10 @@ def test_profile_coverage_errors():
         limit_density_inflation("123", "132", prof)
     with pytest.raises(ValueError, match="caps"):
         limit_density_uniform("1234567", "1234567")
+    # limit_density_uniform checks the cap before it builds a profile, so
+    # limit_density_inflation's own check is reached only directly
+    with pytest.raises(ValueError, match="caps at 6, got 7"):
+        limit_density_inflation("1234567", "12", prof)
 
 
 def test_term_skipping_when_sigma_exceeds_tau():
