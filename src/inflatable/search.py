@@ -23,12 +23,12 @@ arrays it holds stay bounded. A block is stored position-major, one row
 per position and one column per state, so every sum over a state's
 positions is a few adds of contiguous vectors. The same kernel serves
 full scans (length 17, 10,321,920 centrally symmetric candidates, in
-about half a second on one core) and scans cut by a result limit or a
-timeout: each shard is scanned whole and its sorted hits are cut at the
-limit. Only the count rule and the step depend on the space:
-unrestricted states grow by one value placed last, centrally symmetric
-ones by a complementary pair. The test suite checks both against
-brute-force filtering.
+about a third of a second on one core; see BENCH_search17.json) and
+scans cut by a result limit or a timeout: each shard is scanned whole
+and its sorted hits are cut at the limit. Only the count rule and the
+step depend on the space: unrestricted states grow by one value placed
+last, centrally symmetric ones by a complementary pair. The test suite
+checks both against brute-force filtering.
 
 Shards are the choices of first value u. Complement (v -> n+1-v) maps
 shard u onto shard n+1-u and fixes the real targets, so only the shards
@@ -202,62 +202,76 @@ def _pair_stats(M: np.ndarray) -> tuple:
 
     M is position-major: M[j, s] is the value at position j of state s.
     Returns (asc_before, asc_after, desc_before, desc_after, asc_total)
-    where asc_before[j, s] counts i < j with M[i, s] < M[j, s], etc.
+    where asc_before[j, s] counts i < j with M[i, s] < M[j, s], etc. The
+    per-position counts are int16 (each is below d <= n, so the int16
+    reductions are exact; see _value_dtype) and asc_total is int32.
     """
     import numpy as np
 
     d = M.shape[0]
-    iu = np.triu(np.ones((d, d), dtype=bool), 1)
-    lt = (M[:, None, :] < M[None, :, :]) & iu[:, :, None]
-    asc_before = lt.sum(axis=0, dtype=np.int32)
-    asc_after = lt.sum(axis=1, dtype=np.int32)
-    idx = np.arange(d, dtype=np.int32)[:, None]
+    lt = M[:, None, :] < M[None, :, :]
+    lt[np.tril_indices(d)] = False  # keep the pairs i < j
+    asc_before = lt.sum(axis=0, dtype=np.int16)
+    asc_after = lt.sum(axis=1, dtype=np.int16)
+    idx = np.arange(d, dtype=np.int16)[:, None]
     desc_before = idx - asc_before
     desc_after = (d - 1 - idx) - asc_after
     asc_total = asc_before.sum(axis=0, dtype=np.int32)
     return asc_before, asc_after, desc_before, desc_after, asc_total
 
 
-def _prefix_counts(n: int, W: np.ndarray, stats: tuple) -> np.ndarray:
-    """The count vector of the triples with at least two points in the left
-    block W and of the pairs with a point in it (unrestricted rule).
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Column sums of x * y, in int32, in one pass."""
+    import numpy as np
 
-    stats are the _pair_stats of W. Every point outside the block lies
-    after it and all of 1..n occur, so the later points below W[i, s] are
-    the W[i, s] - 1 values below it less the block's own, and a triple
-    {block, block, later} has its later point last, whatever its value.
+    return np.einsum("ij,ij->j", x, y, dtype=np.int32)
+
+
+def _prefix_counts(n: int, W: np.ndarray, stats: tuple) -> tuple:
+    """The count vector of the triples with at least two points in the left
+    block W and of the pairs with a point in it (unrestricted rule), and
+    the number of later points below each block value.
+
+    stats are the _pair_stats of W. Returns (P, below): P is the (7, N)
+    int32 count vector and below[i, s] counts the later points below
+    W[i, s]. Every point outside the block lies after it and all of 1..n
+    occur, so below[i, s] is the W[i, s] - 1 values below it less the
+    block's own, and a triple {block, block, later} has its later point
+    last, whatever its value.
     """
     import numpy as np
 
     asc_b, asc_a, desc_b, desc_a, asc_tot = stats
     d, N = W.shape
     k = n - d  # later points
-    below = W.astype(np.int32) - 1 - asc_b - desc_a
+    desc_tot = d * (d - 1) // 2 - asc_tot
+    below = W - (1 + asc_b + desc_a)
     above = k - below
     P = np.empty((7, N), dtype=np.int32)
     # triples {block, block, later}: the block pair's order and where the
     # later value falls against the pair's values fix the pattern
-    P[0] = (above * asc_b).sum(axis=0, dtype=np.int32)
-    P[3] = (below * asc_a).sum(axis=0, dtype=np.int32)
+    P[0] = _dot(above, asc_b)
+    P[3] = _dot(below, asc_a)
     P[1] = asc_tot * k - P[0] - P[3]
-    P[2] = (above * desc_a).sum(axis=0, dtype=np.int32)
-    P[5] = (below * desc_b).sum(axis=0, dtype=np.int32)
-    P[4] = (d * (d - 1) // 2 - asc_tot) * k - P[2] - P[5]
+    P[2] = _dot(above, desc_a)
+    P[5] = _dot(below, desc_b)
+    P[4] = desc_tot * k - P[2] - P[5]
 
-    def pairs(x: np.ndarray) -> np.ndarray:
-        return (x * (x - 1) // 2).sum(axis=0, dtype=np.int32)
+    def pairs(x: np.ndarray, total: np.ndarray) -> np.ndarray:
+        # the column sums of C(x, 2), given those of x
+        return (_dot(x, x) - total) // 2
 
     # the block's own triples, by the closed forms of count_length3_all
-    c123 = (asc_b * asc_a).sum(axis=0, dtype=np.int32)
-    c321 = (desc_b * desc_a).sum(axis=0, dtype=np.int32)
+    c123 = _dot(asc_b, asc_a)
+    c321 = _dot(desc_b, desc_a)
     P[0] += c123
-    P[1] += pairs(asc_a) - c123
-    P[2] += pairs(asc_b) - c123
-    P[3] += pairs(desc_b) - c321
-    P[4] += pairs(desc_a) - c321
+    P[1] += pairs(asc_a, asc_tot) - c123
+    P[2] += pairs(asc_b, asc_tot) - c123
+    P[3] += pairs(desc_b, desc_tot) - c321
+    P[4] += pairs(desc_a, desc_tot) - c321
     P[5] += c321
     P[_P12_IDX] = asc_tot + above.sum(axis=0, dtype=np.int32)
-    return P
+    return P, below
 
 
 def _central_counts(n: int, W: np.ndarray) -> np.ndarray:
@@ -271,30 +285,29 @@ def _central_counts(n: int, W: np.ndarray) -> np.ndarray:
     points sit between the blocks, so a triple with one point in each block
     has a known pattern too. A[i, s] counts the right points above the left
     point W[i, s], the center left out: the partner n+1-w of w lies above
-    W[i, s] exactly when w + W[i, s] <= n.
+    W[i, s] exactly when W[i, s] <= n - w.
     """
     import numpy as np
 
     d = W.shape[0]
     odd = n & 1
     k = n - 2 * d - odd
-    stats = _pair_stats(W)
-    asc_b, _, _, desc_a, _ = stats
-    Wi = W.astype(np.int32)
-    P = _prefix_counts(n, W, stats)
+    P, below = _prefix_counts(n, W, _pair_stats(W))
     F = P + P[_RMAP, :]
-    A = (Wi[:, None, :] + Wi[None, :, :] <= n).sum(axis=1, dtype=np.int32)
+    A = (W[:, None, :] <= (n - W)[None, :, :]).sum(axis=0, dtype=np.int16)
     lo = A.sum(axis=0, dtype=np.int32)
     hi = d * d - lo
     F[_P12_IDX] -= lo
     # one point in each block and the unplaced point between them, below
     # a, between or above c: a < c gives 213, 123, 132; a > c gives 312,
     # 321, 231. r counts the unplaced values below each left value: its
-    # later points below (as in _prefix_counts) less the right points and
-    # the center below it.
-    r = Wi - 1 - asc_b - desc_a - (d - A) - odd * (2 * Wi > n + 1)
-    r_lo = (A * r).sum(axis=0, dtype=np.int32)
-    r_hi = ((d - A) * r).sum(axis=0, dtype=np.int32)
+    # later points below less the right points and the center below it.
+    r = below - (d - A)
+    if odd:
+        low = W < (n + 1) // 2
+        r -= ~low
+    r_lo = _dot(A, r)
+    r_hi = d * r.sum(axis=0, dtype=np.int32) - r_lo  # the sums of (d - A) * r
     F[0] += k * lo - 2 * r_lo
     F[1] += r_lo
     F[2] += r_lo
@@ -304,11 +317,11 @@ def _central_counts(n: int, W: np.ndarray) -> np.ndarray:
     if odd:
         # one point in each block and the center m between them; lb left
         # values lie below m, and as many right values above it
-        low = 2 * Wi < n + 1
         lb = low.sum(axis=0, dtype=np.int32)
         la = d - lb
-        s132 = (low * (A - lb)).sum(axis=0, dtype=np.int32)
-        s213 = (~low * A).sum(axis=0, dtype=np.int32)
+        low_a = _dot(low, A)
+        s132 = low_a - lb * lb
+        s213 = lo - low_a
         F[0] += lb * lb
         F[1] += s132
         F[2] += s213
@@ -351,7 +364,7 @@ def _space(n: int, central: bool) -> _Space:
             leaves=tuple(factorial(n - d) for d in range(n + 1)),
             values=tuple(range(1, nn1)),
             taken=lambda v: {v},
-            counts=lambda W: _prefix_counts(n, W, _pair_stats(W)),
+            counts=lambda W: _prefix_counts(n, W, _pair_stats(W))[0],
             as_hit=lambda row: row,
         )
     m = n // 2
@@ -371,10 +384,17 @@ def _value_dtype(n: int) -> np.dtype:
     """Dtype of the search kernel's stored values: the smallest unsigned
     type that holds n.
 
-    The count rules work in int32. A state's counts, and its counts plus
-    the slack left for the rest, stay at most C(n, 3) per pattern, and no
-    term of a rule reaches 3 * C(n, 3). Lengths past that bound raise
-    ValueError.
+    The count rules keep per-position counts in int16 (int32 where they
+    meet uint16 values) and sum over positions in int32. Every per-position
+    count (pairs before or after a position, values below or above it, A
+    and r) is at most n - 1 <= 1625, so the int16 reductions and
+    differences are exact. A state's counts,
+    and its counts plus the slack left for the rest, stay at most C(n, 3)
+    per pattern, and no term of a rule reaches 3 * C(n, 3): a column sum
+    of squares x**2, with x at position i at most d - 1 - i, is at most
+    2 * C(d, 3) + C(d, 2), and d * sum(r) = r_lo + r_hi counts distinct
+    triples, so it is at most C(n, 3). Lengths past that bound (n > 1626)
+    raise ValueError.
     """
     import numpy as np
 

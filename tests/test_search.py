@@ -271,6 +271,30 @@ def test_count_rules_equal_enumeration():
                     assert tuple(vector) == rule_counts_brute(n, row, central)
 
 
+def test_count_rules_at_the_int32_edge():
+    # the longest lengths the kernel accepts, past what enumeration
+    # reaches: values stored as uint16, and the rules' largest squares and
+    # products. A full-depth state is a whole permutation, so each rule
+    # gives its six counts and ascending pairs exactly.
+    rng = random.Random(1626)
+    for n in (1625, 1626):
+        for central in (True, False):
+            space = _space(n, central)
+            m = space.steps
+            if central:
+                pairs = rng.sample(range(1, m + 1), m)
+                shuffled = [rng.choice((u, n + 1 - u)) for u in pairs]
+            else:
+                shuffled = rng.sample(range(1, n + 1), n)
+            # one random state, the increasing one and the decreasing one
+            rows = [shuffled, list(range(1, m + 1)), list(range(n, n - m, -1))]
+            W = np.array(rows, dtype=_value_dtype(n)).T
+            assert W.dtype == np.uint16
+            got = space.counts(W)
+            for row, vector in zip(rows, got.T.tolist()):
+                assert tuple(vector) == count_vector(Perm(space.as_hit(tuple(row))))
+
+
 def test_exact_test_prunes_the_final_level():
     # one central n=12 shard: the rows entering the last level, where the
     # test is an exact match; a prune on the slack alone lets 1367 rows
