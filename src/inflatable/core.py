@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import comb
-from operator import index
+from itertools import combinations, permutations, product
+from math import comb, isqrt
+from operator import index, sub
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -297,33 +297,153 @@ def density(pi: PermLike, tau: PermLike) -> Fraction:
 # while a long host counted once is soon let go
 @lru_cache(maxsize=4)
 def _host_tables(tau: Perm) -> dict:
-    """Pattern length -> occurrence counts of one host, filled by _occurrences."""
+    """One host's memo: length -> occurrence counts (_occurrences) and
+    ("limit", k) -> (profile, limit densities) (limits._limit_table)."""
     return {}
 
 
 def _occurrences(tau: Perm, s: int) -> dict:
     """Occurrence counts of every length-s pattern in tau; do not mutate.
 
-    A pattern missing from the dict does not occur. Length 1 occurs |tau|
-    times; lengths 2 and 3 on hosts of length >= 3 are filled together
-    from one count_length3_all call; any other length is one pass over the
-    C(|tau|, s) index subsets that tallies each subset's argsort and turns
-    each distinct argsort into its pattern once. This is the one place that
-    picks a counter; the tables of the last few hosts are kept.
+    A pattern missing from the dict does not occur. This is the one place
+    that picks a counter; the tables of the last few hosts are kept. On a
+    miss at s >= 2, _split_inflation looks for tau = inflate(tau1, tau2)
+    first. If there is one, every length up to max(s, 3) is filled at once
+    by the forward sum over the factors' tables (_composed_tables), and the
+    factors' own tables are not kept, so they take no host's place here.
+    Otherwise the host is counted directly (_direct_tables).
     """
     tables = _host_tables(tau)
     if s not in tables:
-        if s == 1:
-            tables[1] = {Perm((1,)): tau.n}
-        elif 2 <= s <= 3 and tau.n >= 3:
-            pc = count_length3_all(tau)
-            tables[2] = {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}
-            tables[3] = pc.counts
+        split = _split_inflation(tau) if s > 1 else None
+        if split is None:
+            tables.update(_direct_tables(tau, s))
         else:
-            r = range(s)
-            keys = Counter(tuple(sorted(r, key=sub.__getitem__)) for sub in combinations(tau, s))
-            tables[s] = {_from_argsort(key): c for key, c in keys.items()}
+            tables.update(_composed_tables(split, max(s, 3)))
     return tables[s]
+
+
+def _direct_tables(tau: Perm, s: int) -> dict:
+    """Length -> occurrence counts of tau, for s and any length counted with it.
+
+    Length 1 occurs |tau| times; lengths 2 and 3 on hosts of length >= 3
+    come together from one count_length3_all call; any other length is one
+    pass over the C(|tau|, s) index subsets that tallies each subset's
+    argsort and turns each distinct argsort into its pattern once.
+    """
+    if s == 1:
+        return {1: {Perm((1,)): tau.n}}
+    if 2 <= s <= 3 and tau.n >= 3:
+        pc = count_length3_all(tau)
+        return {2: {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}, 3: pc.counts}
+    r = range(s)
+    keys = Counter(tuple(sorted(r, key=sub.__getitem__)) for sub in combinations(tau, s))
+    return {s: {_from_argsort(key): c for key, c in keys.items()}}
+
+
+def _tables_upto(tau: Perm, s: int) -> dict:
+    """Length -> occurrence counts of tau, for every length 1..s; nothing is kept."""
+    split = _split_inflation(tau)
+    if split is not None:
+        return _composed_tables(split, s)
+    out: dict = {}
+    for j in range(1, s + 1):
+        if j not in out:
+            out.update(_direct_tables(tau, j))
+    return out
+
+
+def _composed_tables(split: tuple, s: int) -> dict:
+    """Length -> occurrence counts of inflate(tau1, tau2), for every length 1..s.
+
+    An occurrence of pi picks m blocks of tau, which form an occurrence of
+    some rho in tau1, and inside the i-th of them an occurrence of some
+    alpha_i in tau2, with pi = rho[alpha_1, ..., alpha_m]. So
+    occ(pi) = sum of occ(rho, tau1) * prod occ(alpha_i, tau2) over the block
+    partitions of pi, with occ(1, tau2) = |tau2|: the forward sum of
+    _inflation_sums over the factors' tables, which split again in turn.
+    """
+    outer, inner = (_tables_upto(f, s) for f in split)
+    return {j: _inflation_sums(j, outer, inner) for j in range(1, s + 1)}
+
+
+def _proper_divisors(n: int) -> list[int]:
+    """The divisors m of n with 1 < m < n, in increasing order."""
+    small = [m for m in range(2, isqrt(n) + 1) if n % m == 0]
+    return small + [n // m for m in reversed(small) if m * m != n]
+
+
+def _split_inflation(tau: Perm):
+    """(tau1, tau2) with tau = inflate(tau1, tau2) and |tau1|, |tau2| > 1, or None.
+
+    Tries each divisor m of n, smallest first. The first m positions must
+    hold the values of an interval; their pattern is tau2. Then every block
+    of m positions must hold those values shifted by the same amount, read
+    off its first entry: so each column j (positions j, j + m, ...) is the
+    first column plus tau2[j] - tau2[0], one pass over each column. The blocks
+    then hold disjoint intervals of m values, which can only be the aligned
+    ones, and tau1 ranks them. The whole search is O(n d(n)).
+    """
+    n = len(tau)
+    for m in _proper_divisors(n):
+        first = tau[:m]
+        low = min(first) - 1
+        if max(first) - low != m:
+            continue
+        heads = tau[::m]
+        # differences within a block are below m: for m < 257 they are
+        # ints Python keeps cached, so the pass allocates none
+        if all(set(map(sub, tau[j::m], heads)) == {v - first[0]} for j, v in enumerate(first)):
+            g0 = first[0] - low
+            outer = tuple((h - g0) // m + 1 for h in heads)
+            return tuple.__new__(Perm, outer), tuple.__new__(Perm, (v - low for v in first))
+    return None
+
+
+def _inflation_sums(k: int, outer: dict, inner: dict) -> dict:
+    """pi -> sum of outer[rho] * prod inner[alpha_i] over pi = rho[alpha_1, ..., alpha_m].
+
+    outer and inner map a length to {pattern: int weight}; a pattern
+    missing there weighs 0. Each block partition of each length-k pi is one
+    way to write pi as rho[alpha_1, ..., alpha_m], and this builds each
+    once, forward: every rho, every composition of k into m = |rho| block
+    sizes, and every choice of inner patterns of those sizes. So no
+    partition is searched for and no pattern is rebuilt to be checked. A
+    pi that no term reaches is missing from the result.
+    """
+    sums: dict = {}
+    for m in range(1, k + 1):
+        rhos = outer.get(m)
+        if not rhos:
+            continue
+        for cuts in combinations(range(1, k), m - 1):
+            bounds = (0, *cuts, k)
+            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+            blocks = [[(a, w) for a, w in inner.get(c, {}).items() if w] for c in sizes]
+            if not all(blocks):
+                continue
+            for rho, weight in rhos.items():
+                if not weight:
+                    continue
+                # the block at entry i of rho sits above the blocks of every
+                # smaller entry, as in generalized_inflate
+                base = [0] * m
+                low = 0
+                for i in sorted(range(m), key=rho.__getitem__):
+                    base[i] = low
+                    low += sizes[i]
+                choices = [
+                    [(tuple(b + v for v in alpha), w) for alpha, w in block]
+                    for b, block in zip(base, blocks)
+                ]
+                for combo in product(*choices):
+                    key = ()
+                    term = weight
+                    for part, w in combo:
+                        key += part
+                        term *= w
+                    sums[key] = sums.get(key, 0) + term
+    return {tuple.__new__(Perm, key): c for key, c in sums.items()}
 
 
 PATTERNS_3 = (

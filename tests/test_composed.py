@@ -1,0 +1,152 @@
+"""The uniform-inflation splitter and the composed-host count path of core._occurrences."""
+
+import importlib.util
+import random
+import sys
+from math import comb
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from inflatable import (
+    Perm,
+    check_3_inflatable,
+    count_length3_all,
+    count_occurrences,
+    inflate,
+    limit_density_uniform,
+    pattern_of,
+)
+from inflatable import core, limits
+from util import random_perm
+
+EXAMPLES_17 = (Perm("G54ABC319HF678ED2"), Perm("E534BGA9HC2D1687F"))
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def brute_split(tau):
+    """(tau1, tau2) for the smallest block length m that rebuilds tau, or None.
+
+    If tau = inflate(tau1, tau2) with |tau2| = m, then tau's first m entries
+    have the pattern tau2 and its entries m apart, from the first, have the
+    pattern tau1; so rebuilding from those two patterns decides each m.
+    """
+    n = tau.n
+    for m in range(2, n):
+        if n % m == 0:
+            parts = pattern_of(tau[::m]), pattern_of(tau[:m])
+            if inflate(*parts) == tau:
+                return parts
+    return None
+
+
+def test_splitter_round_trips_random_inflations():
+    rng = random.Random(41)
+    for _ in range(60):
+        tau = inflate(random_perm(rng, rng.randint(2, 5)), random_perm(rng, rng.randint(2, 5)))
+        split = core._split_inflation(tau)
+        assert split is not None and min(map(len, split)) > 1
+        assert inflate(*split) == tau
+        # the smallest block length is tried first
+        assert split == brute_split(tau)
+
+
+def test_splitter_round_trips_the_17_by_17_examples():
+    for a in EXAMPLES_17:
+        for b in EXAMPLES_17:
+            assert core._split_inflation(inflate(a, b)) == (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_splitter_agrees_with_brute_force(values):
+    # random permutations of composite length are mostly not inflations
+    tau = Perm(values)
+    assert core._split_inflation(tau) == brute_split(tau)
+
+
+def test_splitter_returns_none_on_prime_lengths_and_non_inflations():
+    rng = random.Random(42)
+    for n in (1, 2, 3, 5, 7, 11, 13, 17):
+        assert core._split_inflation(Perm(range(1, n + 1))) is None
+    assert core._split_inflation(EXAMPLES_17[0]) is None
+    found = 0
+    for n in (4, 6, 8, 9, 12, 15, 16):
+        for _ in range(20):
+            tau = random_perm(rng, n)
+            if brute_split(tau) is None:
+                found += 1
+                assert core._split_inflation(tau) is None
+    assert found > 100
+
+
+def test_splitter_rejects_a_transposition_across_a_block_boundary():
+    for a, b, m in ((Perm("2413"), Perm("312"), 3), (*EXAMPLES_17, 17)):
+        values = list(inflate(a, b))
+        for cut in (m, len(values) - m):
+            swapped = values.copy()
+            swapped[cut - 1], swapped[cut] = swapped[cut], swapped[cut - 1]
+            tau = Perm(swapped)
+            assert brute_split(tau) is None
+            assert core._split_inflation(tau) is None
+
+
+def test_composed_tables_match_count_occurrences():
+    # every pattern of length 1..5, on inflations whose factors may split
+    # again; the counts listed add up to all C(n, k) subsets, so every
+    # pattern left out does not occur
+    rng = random.Random(43)
+    for _ in range(12):
+        a = random_perm(rng, rng.randint(2, 4))
+        b = random_perm(rng, rng.randint(2, 4))
+        tau = inflate(a, b)
+        assert core._split_inflation(tau) is not None
+        core._host_tables.cache_clear()
+        for k in range(1, 6):
+            table = core._occurrences(tau, k)
+            assert sum(table.values()) == comb(tau.n, k)
+            for pi, count in table.items():
+                assert count == count_occurrences(pi, tau), (tau, pi)
+
+
+def test_composed_tables_match_count_length3_all_at_4913():
+    # the 4913-long hosts of perfbench's exact workload, as it builds them
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in (1, 7, 801):
+        host = workloads.Exact(seed).host4913
+        split = core._split_inflation(host)
+        assert host.n == 4913 and split is not None
+        tables = core._composed_tables(split, 3)
+        pc = count_length3_all(host)
+        assert tables[3] == {p: c for p, c in pc.counts.items() if c}
+        assert tables[2] == {Perm("12"): pc.inv12, Perm("21"): pc.inv21}
+
+
+def test_a_cold_composed_host_takes_one_memo_place():
+    # the factors' tables are not memoized, so counting a 17^k host leaves
+    # the other hosts in the memo where they are
+    host289 = inflate(*EXAMPLES_17)
+    host4913 = inflate(host289, EXAMPLES_17[0])
+    core._host_tables.cache_clear()
+    for expected, host in enumerate((host289, host4913), start=1):
+        assert check_3_inflatable(host).verdict
+        assert core._host_tables.cache_info().currsize == expected
+    # a limit table is kept in its host's entry
+    assert limit_density_uniform("123", host289) == limit_density_uniform("123", host289)
+    assert core._host_tables.cache_info().currsize == 2
+
+
+def test_the_library_keeps_two_module_level_caches():
+    # a new memo would need clearing wherever these two are cleared
+    modules = [m for name, m in sys.modules.items() if name.startswith("inflatable.")]
+    assert core in modules and limits in modules
+    cached = {
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
+    }
+    assert cached == {"inflatable.core._host_tables", "inflatable.limits.uniform_profile"}

@@ -15,11 +15,13 @@ from inflatable import (
     block_partitions,
     count_occurrences,
     density,
+    inflate,
     limit_density_inflation,
     limit_density_uniform,
     rotate,
     uniform_profile,
 )
+from inflatable import core, limits
 from util import random_perm, record_count3_calls
 
 
@@ -252,3 +254,40 @@ def test_limit_matches_per_partition_reference(tau, pi, rng):
     # pattern; the explicit examples pin one of each
     profile = skewed_profile(rng, pi.n)
     assert limit_density_inflation(pi, tau, profile) == reference_limit(pi, tau, profile)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tau=perms(1, 9), k=st.integers(1, 6), rng=st.randoms(use_true_random=False))
+@example(tau=Perm("1"), k=4, rng=random.Random(38))
+@example(tau=Perm("312"), k=6, rng=random.Random(39))
+@example(tau=inflate("231", "21"), k=5, rng=random.Random(40))
+def test_limit_table_matches_reference_and_sums_to_one(tau, k, rng):
+    # the whole length-k table, hosts shorter than k and composed hosts included
+    profile = skewed_profile(rng, k)
+    table = limits._limit_table(tau, k, profile)
+    assert sum(table.values()) == 1
+    for pi in all_patterns(k):
+        assert table.get(pi, 0) == reference_limit(pi, tau, profile), pi
+
+
+def test_one_limit_table_per_host_length_and_profile(monkeypatch):
+    calls = []
+    forward = limits._inflation_sums
+
+    def counted(k, outer, inner):
+        calls.append(k)
+        return forward(k, outer, inner)
+
+    monkeypatch.setattr(limits, "_inflation_sums", counted)
+    tau = Perm("472951836")
+    core._host_tables.cache_clear()
+    total = sum(limit_density_uniform(p, tau) for p in all_patterns(6))
+    assert total == 1 and calls == [6]
+    expected = limit_density_uniform("132546", tau)
+    assert calls == [6]
+    # a distinct profile object with the same entries gets its own table,
+    # which takes the host's length-6 place
+    twin = DensityProfile({p: uniform_profile(6)[p] for k in range(1, 7) for p in all_patterns(k)})
+    assert limit_density_inflation("132546", tau, twin) == expected
+    assert limit_density_inflation("123456", tau, twin) == limit_density_uniform("123456", tau)
+    assert calls == [6, 6, 6]
