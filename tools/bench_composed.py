@@ -5,12 +5,14 @@ Usage, from the root of a source checkout:
     python3 tools/bench_composed.py --out BENCH_composed.json [--repeat 5] \\
         [--parent PARENT_DIR]
 
-Each checkout is measured in a fresh process that imports the package from
-that checkout's ``src/``. Every operation runs ``--repeat`` times; before
-each run the library's memos (``core._host_tables``, ``limits.uniform_profile``)
-are cleared outside the timed region, so a run times the counting and not
-a lookup, except ``limit_wide_warm``, which repeats ``limit_wide`` with the
-memos as it left them. The operations:
+Each repetition measures each checkout once, in a fresh process that
+imports the package from that checkout's ``src/`` and runs every operation
+once, in the order below; with ``--parent`` the two checkouts alternate
+which goes first, so a slow phase of a shared host hits both. Before each
+operation the library's memos (``core._host_tables``,
+``limits.uniform_profile``) are cleared outside the timed region, so it
+times the counting and not a lookup, except ``limit_wide_warm``, which
+repeats ``limit_wide_cold`` with the memos as it left them. The operations:
 
 - ``check_17_5_*``: CLI ``check --json`` on the 1,419,857-long composition
   of the two length-17 examples, whole (``cli``) and in three parts: parse
@@ -58,6 +60,7 @@ ALL_OPS = (
     "limit_wide_warm",
 )
 PARENT_OPS = ("check_4913_cli", "limit_wide_cold", "limit_wide_warm")
+ORDER = "one fresh process per side and repetition; even repetitions run the change first, odd ones the parent"
 
 
 def machine(checkout: Path) -> dict:
@@ -68,8 +71,8 @@ def machine(checkout: Path) -> dict:
     return run.machine()
 
 
-def measure(ops: list, repeat: int) -> dict:
-    """Run each named operation ``repeat`` times in this process; seconds per run."""
+def measure(ops: list) -> dict:
+    """Run each named operation once, in order, in this process; seconds per operation."""
     import inflatable
     import inflatable.cli
     from inflatable import core, limits
@@ -114,32 +117,24 @@ def measure(ops: list, repeat: int) -> dict:
             check_17_5_count=lambda: inflatable.check_3_inflatable(host),
             check_17_5_format=lambda: inflatable.format_permutation(host),
         )
-    runs: dict = {op: [] for op in ops}
-    for _ in range(repeat):
-        for op in ops:
-            if op != "limit_wide_warm":
-                clear()
-            t0 = perf_counter()
-            timed[op]()
-            runs[op].append(perf_counter() - t0)
-    return runs
+    seconds = {}
+    for op in ops:
+        if op != "limit_wide_warm":
+            clear()
+        t0 = perf_counter()
+        timed[op]()
+        seconds[op] = perf_counter() - t0
+    return seconds
 
 
-def run_checkout(checkout: Path, ops: tuple, repeat: int) -> dict:
-    """Measure ``ops`` in a fresh process importing ``checkout``/src."""
+def measure_in(checkout: Path, ops: tuple) -> dict:
+    """``measure(ops)`` in a fresh process importing ``checkout``/src."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [sys.executable, __file__, "--measure", ",".join(ops), "--repeat", str(repeat)]
+    cmd = [sys.executable, __file__, "--measure", ",".join(ops)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: measuring {checkout} failed:\n{proc.stderr}")
-    runs = json.loads(proc.stdout)
-    return {
-        "machine": machine(checkout),
-        "ops": {
-            op: {"median_s": round(median(r), 5), "runs_s": [round(x, 5) for x in r]}
-            for op, r in runs.items()
-        },
-    }
+    return json.loads(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -149,24 +144,40 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("--measure", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.repeat < 1:
-        raise SystemExit("error: --repeat must be >= 1")
     if args.measure:
-        json.dump(measure(args.measure.split(","), args.repeat), sys.stdout)
+        json.dump(measure(args.measure.split(",")), sys.stdout)
         return 0
     if args.out is None:
         ap.error("--out is required")
+    if args.repeat < 1:
+        ap.error("--repeat must be >= 1")
 
+    sides = {"change": (ROOT, ALL_OPS)}
+    if args.parent:
+        sides["parent"] = (args.parent.resolve(), PARENT_OPS)
+    runs = {side: {op: [] for op in ops} for side, (_, ops) in sides.items()}
+    for i in range(args.repeat):
+        for side in sides if i % 2 == 0 else reversed(sides):
+            checkout, ops = sides[side]
+            for op, t in measure_in(checkout, ops).items():
+                runs[side][op].append(t)
     doc = {
         "command": "python3 tools/bench_composed.py" + (" --parent PARENT_DIR" if args.parent else ""),
         "repeat": args.repeat,
+        "order": ORDER,
         "memos": "cleared before every run, outside the timed region, except limit_wide_warm",
-        "change": run_checkout(ROOT, ALL_OPS, args.repeat),
     }
+    for side, (checkout, _) in sides.items():
+        doc[side] = {
+            "machine": machine(checkout),
+            "ops": {
+                op: {"median_s": round(median(r), 5), "runs_s": [round(x, 5) for x in r]}
+                for op, r in runs[side].items()
+            },
+        }
     if args.parent:
-        doc["parent"] = run_checkout(args.parent.resolve(), PARENT_OPS, args.repeat)
         doc["parent_over_change"] = {
-            op: round(doc["parent"]["ops"][op]["median_s"] / doc["change"]["ops"][op]["median_s"], 2)
+            op: round(median(runs["parent"][op]) / median(runs["change"][op]), 2)
             for op in PARENT_OPS
         }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
