@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 from .core import (
     PATTERNS_3,
-    count_length3_all,
+    Perm,
+    _occurrences,
     density,
     format_permutation,
     generalized_inflate,
@@ -158,14 +159,17 @@ def _cmd_density(args, stream) -> CommandResult:
 
 
 def _cmd_counts(args, stream) -> CommandResult:
-    pc = count_length3_all(parse_permutation(args.tau))
+    tau = parse_permutation(args.tau)
+    if tau.n < 3:
+        raise ValueError(f"need length >= 3, got {tau.n}")
+    pairs, triples = _occurrences(tau, 2), _occurrences(tau, 3)
     return CommandResult(
         "ok",
         {
-            "n": pc.n,
-            "counts": {str(p): pc.counts[p] for p in PATTERNS_3},
-            "inv12": pc.inv12,
-            "inv21": pc.inv21,
+            "n": tau.n,
+            "counts": {str(p): triples.get(p, 0) for p in PATTERNS_3},
+            "inv12": pairs.get(Perm((1, 2)), 0),
+            "inv21": pairs.get(Perm((2, 1)), 0),
         },
     )
 
@@ -312,12 +316,19 @@ def _cmd_search(args, stream) -> CommandResult:
     return CommandResult(status, payload, diagnostics, out=out)
 
 
+# built by the first run and kept: each build costs a few ms and leaves
+# reference cycles that only a full garbage collection frees
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv: list, stdout=None) -> CommandResult:
     """Parse argv, execute, print, and return the structured outcome."""
+    global _PARSER
     stream = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed its message (help or usage error)
         if exc.code in (0, None):

@@ -123,22 +123,26 @@ def parse_permutation(text: str) -> Perm:
     if not s:
         raise ValueError("empty permutation text")
     if "," in s:
-        parts = [p.strip() for p in s.split(",")]
-        vals = []
-        for part in parts:
-            if not part or not (part.isdigit() or (part[0] == "-" and part[1:].isdigit())):
-                raise ValueError(f"malformed comma-style entry {part!r} in {text!r}")
-            vals.append(int(part))
-        values = tuple(vals)
+        parts = s.split(",")
+        try:
+            # int() also takes a "+" sign and "_" separators; an entry does not
+            if "+" in s or "_" in s:
+                raise ValueError
+            values = tuple(map(int, parts))
+        except ValueError:
+            # an entry is an optional "-" and decimal digits
+            entries = map(str.strip, parts)
+            bad = next((p for p in entries if not p.removeprefix("-").isdecimal()), None)
+            if bad is None:
+                raise  # int()'s own cap on the digits of one entry
+            raise ValueError(f"malformed comma-style entry {bad!r} in {text!r}") from None
     else:
-        vals = []
-        for ch in s:
-            if ch not in _COMPACT_VALUE:
-                raise ValueError(
-                    f"invalid character {ch!r} in compact permutation {text!r}"
-                )
-            vals.append(_COMPACT_VALUE[ch])
-        values = tuple(vals)
+        try:
+            values = tuple(map(_COMPACT_VALUE.__getitem__, s))
+        except KeyError as exc:
+            raise ValueError(
+                f"invalid character {exc.args[0]!r} in compact permutation {text!r}"
+            ) from None
     _validate_values(values)
     return tuple.__new__(Perm, values)
 
@@ -204,7 +208,7 @@ def inflate(tau: PermLike, gamma: PermLike) -> Perm:
     t = as_perm(tau)
     g = as_perm(gamma)
     m = g.n
-    return Perm(tuple(m * (tv - 1) + gv for tv in t for gv in g))
+    return tuple.__new__(Perm, [m * (tv - 1) + gv for tv in t for gv in g])
 
 
 def generalized_inflate(tau: PermLike, blocks: Sequence[PermLike]) -> Perm:
@@ -231,7 +235,7 @@ def generalized_inflate(tau: PermLike, blocks: Sequence[PermLike]) -> Perm:
     out: list[int] = []
     for i, g in enumerate(gs):
         out.extend(offsets[i] + gv for gv in g)
-    return Perm(tuple(out))
+    return tuple.__new__(Perm, out)
 
 
 def rotate(pi: PermLike) -> Perm:
@@ -241,7 +245,7 @@ def rotate(pi: PermLike) -> Perm:
     """
     p = as_perm(pi)
     n = p.n
-    return Perm(tuple(n + 1 - p[n - 1 - i] for i in range(n)))
+    return tuple.__new__(Perm, [n + 1 - v for v in reversed(p)])
 
 
 def is_centrally_symmetric(pi: PermLike) -> bool:
@@ -305,66 +309,51 @@ def _host_tables(tau: Perm) -> dict:
 def _occurrences(tau: Perm, s: int) -> dict:
     """Occurrence counts of every length-s pattern in tau; do not mutate.
 
-    A pattern missing from the dict does not occur. This is the one place
-    that picks a counter; the tables of the last few hosts are kept. On a
-    miss at s >= 2, _split_inflation looks for tau = inflate(tau1, tau2)
-    first. If there is one, every length up to max(s, 3) is filled at once
-    by the forward sum over the factors' tables (_composed_tables), and the
-    factors' own tables are not kept, so they take no host's place here.
-    Otherwise the host is counted directly (_direct_tables).
+    A pattern missing from the dict does not occur. _fill counts into the
+    host's memo, which keeps the last few hosts; a composed host's factors
+    are filled into dicts of their own, so they take no host's place here.
     """
     tables = _host_tables(tau)
-    if s not in tables:
-        split = _split_inflation(tau) if s > 1 else None
-        if split is None:
-            tables.update(_direct_tables(tau, s))
-        else:
-            tables.update(_composed_tables(split, max(s, 3)))
+    _fill(tau, s, tables)
     return tables[s]
 
 
-def _direct_tables(tau: Perm, s: int) -> dict:
-    """Length -> occurrence counts of tau, for s and any length counted with it.
+def _fill(tau: Perm, s: int, tables: dict) -> None:
+    """Add tau's length-s occurrence counts to tables (length -> counts).
 
-    Length 1 occurs |tau| times; lengths 2 and 3 on hosts of length >= 3
-    come together from one count_length3_all call; any other length is one
-    pass over the C(|tau|, s) index subsets that tallies each subset's
-    argsort and turns each distinct argsort into its pattern once.
+    The one place that decides how a host is counted. At s >= 2 a host
+    inflate(tau1, tau2) (_split_inflation) gets every length up to max(s, 3)
+    at once: an occurrence of pi picks an occurrence of some rho in tau1
+    and, in the i-th block it picks, one of some alpha_i in tau2, with
+    pi = rho[alpha_1, ..., alpha_m]; so occ(pi) is the forward sum of
+    _inflation_sums over the factors' tables, filled here in turn into
+    fresh dicts. Any other host is counted directly: length 1 occurs |tau|
+    times, lengths 2 and 3 on hosts of length >= 3 come from one
+    count_length3_all call, and any other length is one pass over the
+    C(|tau|, s) index subsets that turns each distinct argsort into its
+    pattern once.
     """
-    if s == 1:
-        return {1: {Perm((1,)): tau.n}}
-    if 2 <= s <= 3 and tau.n >= 3:
-        pc = count_length3_all(tau)
-        return {2: {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}, 3: pc.counts}
-    r = range(s)
-    keys = Counter(tuple(sorted(r, key=sub.__getitem__)) for sub in combinations(tau, s))
-    return {s: {_from_argsort(key): c for key, c in keys.items()}}
-
-
-def _tables_upto(tau: Perm, s: int) -> dict:
-    """Length -> occurrence counts of tau, for every length 1..s; nothing is kept."""
-    split = _split_inflation(tau)
+    if s in tables:
+        return
+    split = _split_inflation(tau) if s > 1 else None
     if split is not None:
-        return _composed_tables(split, s)
-    out: dict = {}
-    for j in range(1, s + 1):
-        if j not in out:
-            out.update(_direct_tables(tau, j))
-    return out
-
-
-def _composed_tables(split: tuple, s: int) -> dict:
-    """Length -> occurrence counts of inflate(tau1, tau2), for every length 1..s.
-
-    An occurrence of pi picks m blocks of tau, which form an occurrence of
-    some rho in tau1, and inside the i-th of them an occurrence of some
-    alpha_i in tau2, with pi = rho[alpha_1, ..., alpha_m]. So
-    occ(pi) = sum of occ(rho, tau1) * prod occ(alpha_i, tau2) over the block
-    partitions of pi, with occ(1, tau2) = |tau2|: the forward sum of
-    _inflation_sums over the factors' tables, which split again in turn.
-    """
-    outer, inner = (_tables_upto(f, s) for f in split)
-    return {j: _inflation_sums(j, outer, inner) for j in range(1, s + 1)}
+        top = max(s, 3)
+        factors = ({}, {})
+        for f, counts in zip(split, factors):
+            # longest first: a factor that splits fills every shorter length with it
+            for j in range(top, 0, -1):
+                _fill(f, j, counts)
+        tables.update({j: _inflation_sums(j, *factors) for j in range(1, top + 1)})
+    elif s == 1:
+        tables[1] = {Perm((1,)): tau.n}
+    elif s in (2, 3) and tau.n >= 3:
+        pc = count_length3_all(tau)
+        tables[2] = {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}
+        tables[3] = pc.counts
+    else:
+        r = range(s)
+        keys = Counter(tuple(sorted(r, key=sub.__getitem__)) for sub in combinations(tau, s))
+        tables[s] = {_from_argsort(key): c for key, c in keys.items()}
 
 
 def _proper_divisors(n: int) -> list[int]:

@@ -20,12 +20,10 @@ adds each term to the pattern it builds, and gives every length-k limit
 on a host at once. The table is kept per (host, k, profile object) in
 core's memo, next to the host's occurrence counts, which are computed once
 per host and shared by every pattern summed on it. So the first pattern
-asked for on a host pays for the whole table: about 10 ms for k = 6 on a
-9-long host, where one pattern's own sum over its partitions took about
-1 ms from cold (0.1 ms with the host's counts at hand), and every later
-length-6 pattern there is a lookup (2-vCPU Xeon VM, Python 3.11). A fresh
-profile object per call rebuilds the table, and takes the place of the
-last one. Everything here is exact rational arithmetic.
+asked for on a host pays for the whole table, about 10 ms for k = 6 on a
+9-long host (2-vCPU Xeon VM, Python 3.11), and every later length-6
+pattern there is a lookup. A fresh profile object per call rebuilds the
+table, and takes the place of the last one. Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """The uniform-inflation splitter and the composed-host count path of core._occurrences."""
 
 import importlib.util
+import io
+import json
 import random
 import sys
 from math import comb
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflatable import (
+    PATTERNS_3,
     Perm,
     check_3_inflatable,
     count_length3_all,
@@ -18,8 +21,8 @@ from inflatable import (
     limit_density_uniform,
     pattern_of,
 )
-from inflatable import core, limits
-from util import random_perm
+from inflatable import cli, core, limits
+from util import random_perm, record_count3_calls
 
 EXAMPLES_17 = (Perm("G54ABC319HF678ED2"), Perm("E534BGA9HC2D1687F"))
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -119,10 +122,29 @@ def test_composed_tables_match_count_length3_all_at_4913():
         host = workloads.Exact(seed).host4913
         split = core._split_inflation(host)
         assert host.n == 4913 and split is not None
-        tables = core._composed_tables(split, 3)
+        tables = {}
+        core._fill(host, 3, tables)
         pc = count_length3_all(host)
         assert tables[3] == {p: c for p, c in pc.counts.items() if c}
         assert tables[2] == {Perm("12"): pc.inv12, Perm("21"): pc.inv21}
+
+
+def test_cli_counts_splits_composed_hosts(monkeypatch):
+    # the 289 and 4913 compositions are counted through their length-17 factors
+    host289 = inflate(*EXAMPLES_17)
+    for host in (host289, inflate(host289, EXAMPLES_17[0])):
+        pc = count_length3_all(host)
+        expected = {
+            "n": host.n,
+            "counts": {str(p): pc.counts[p] for p in PATTERNS_3},
+            "inv12": pc.inv12,
+            "inv21": pc.inv21,
+        }
+        calls = record_count3_calls(monkeypatch)
+        buf = io.StringIO()
+        assert cli.run(["counts", str(host), "--json"], stdout=buf).exit_code == 0
+        assert json.loads(buf.getvalue()) == expected
+        assert calls and {h.n for h in calls} == {17}
 
 
 def test_a_cold_composed_host_takes_one_memo_place():

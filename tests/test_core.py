@@ -4,6 +4,8 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inflatable import core
 from inflatable import (
@@ -45,6 +47,12 @@ def test_parse_rejects_garbage():
         parse_permutation("1,,2")
     with pytest.raises(ValueError):
         parse_permutation("0,1")
+    # int() reads a "+" sign and "_" separators; the comma style does not
+    with pytest.raises(ValueError, match="malformed"):
+        parse_permutation("+1,2")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_permutation("1_0,9,8,7,6,5,4,3,2,1")
+    assert parse_permutation("1, 2") == Perm((1, 2))
     with pytest.raises(ValueError, match="non-empty"):
         Perm(())
     with pytest.raises(ValueError, match="must be integers"):
@@ -160,6 +168,21 @@ def test_rotate_involution():
     for _ in range(50):
         p = random_perm(rng, rng.randint(1, 12))
         assert rotate(rotate(p)) == p
+
+
+perms = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=perms, blocks=st.lists(perms, min_size=6, max_size=6))
+def test_built_permutations_are_valid(tau, blocks):
+    # inflate, generalized_inflate and rotate skip Perm's validation
+    for out in (
+        inflate(tau, blocks[0]),
+        generalized_inflate(tau, blocks[: len(tau)]),
+        rotate(tau),
+    ):
+        assert isinstance(out, Perm) and Perm(tuple(out)) == out
 
 
 def test_central_symmetry():
