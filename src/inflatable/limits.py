@@ -23,7 +23,8 @@ per host and shared by every pattern summed on it. So the first pattern
 asked for on a host pays for the whole table, about 10 ms for k = 6 on a
 9-long host (2-vCPU Xeon VM, Python 3.11), and every later length-6
 pattern there is a lookup. A fresh profile object per call rebuilds the
-table, and takes the place of the last one. Everything here is exact rational arithmetic.
+table, and takes the place of the last one. Everything here is exact
+rational arithmetic.
 """
 
 from __future__ import annotations
