@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, isqrt
-from operator import index, sub
+from operator import index, mul, sub
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -459,7 +459,10 @@ class PatternCounts3:
     inv21: int
 
     def density_of(self, pi: PermLike) -> Fraction:
+        """The density of pi, a pattern of length 2 or 3, in the counted host."""
         p = as_perm(pi)
+        if p.n not in (2, 3):
+            raise ValueError(f"density_of takes a pattern of length 2 or 3, got length {p.n}")
         if p.n == 2:
             c = self.inv12 if p == Perm((1, 2)) else self.inv21
             return Fraction(c, comb(self.n, 2))
@@ -469,44 +472,55 @@ class PatternCounts3:
 def count_length3_all(tau: PermLike) -> PatternCounts3:
     """Count all six length-3 patterns and both length-2 patterns at once.
 
-    Each position splits the other points into four groups: smaller or
-    larger values, to its left or to its right (ls, ll, rs, rl). ls comes
-    from a bisect on the sorted prefix and fixes the other three. With the
-    position in the middle, ls*rl triples form 123 and ll*rs form 321;
-    C(rl,2), C(ls,2), C(ll,2) and C(rs,2) count the triples in which it is
-    the lowest and first, highest and last, lowest and last, and highest
-    and first point, each the sum of a monotone pattern and another one.
-    O(n log n) comparisons; the sorted-prefix insertions move O(n^2) words.
+    Each position i (0-based) with value v splits the other points into
+    four groups: smaller or larger values, to its left or to its right
+    (ls, ll, rs, rl). One pass builds the rank vector r, r_i = ls, by a
+    bisect on the sorted prefix; the other three follow from it, as
+    ll = i - r, rs = v - 1 - r and rl = n - v - i + r. With the position in
+    the middle, ls*rl triples form 123 and ll*rs form 321; C(rl,2),
+    C(ls,2), C(ll,2) and C(rs,2) count the triples in which it is the
+    lowest and first, highest and last, lowest and last, and highest and
+    first point, each the sum of a monotone pattern and another one. Every
+    term is a polynomial of degree <= 2 in (i, v, r), so the counts need
+    only five sums over the positions, S = sum r, Q = sum r^2,
+    Si = sum r*i, Sv = sum r*v and P = sum i*v, each one C-level pass in
+    exact integers, and the closed forms of sum i and sum i^2 (v - 1 runs
+    over the same values as i). O(n log n) comparisons; the sorted-prefix
+    insertions move O(n^2) words, which is what dominates on long hosts.
     """
     t = as_perm(tau)
     n = t.n
     if n < 3:
         raise ValueError(f"need length >= 3, got {n}")
-    c123 = c321 = low_first = high_last = low_last = high_first = inv12 = 0
+    ranks: list[int] = []
     prefix: list[int] = []
-    for i, v in enumerate(t):
-        ls = bisect_left(prefix, v)
+    for v in t:
+        ranks.append(bisect_left(prefix, v))
         insort(prefix, v)
-        ll = i - ls
-        rs = v - 1 - ls
-        rl = n - v - ll
-        c123 += ls * rl
-        c321 += ll * rs
-        low_first += comb(rl, 2)
-        high_last += comb(ls, 2)
-        low_last += comb(ll, 2)
-        high_first += comb(rs, 2)
-        inv12 += ls
+    pos = range(n)
+    S = sum(ranks)
+    Q = sum(map(mul, ranks, ranks))
+    Si = sum(map(mul, ranks, pos))
+    Sv = sum(map(mul, ranks, t))
+    P = sum(map(mul, pos, t))
+    # sum of i and of i^2 over 0..n-1; v - 1 runs over the same values
+    I1 = n * (n - 1) // 2
+    I2 = I1 * (2 * n - 1) // 3
+    c123 = n * S - Sv - Si + Q
+    c321 = P - I1 - Si - Sv + S + Q
+    # each other pattern is sum C(x, 2) for x one of rl, ls, ll, rs, less a
+    # monotone count; sum C(x, 2) = (sum x^2 - sum x) / 2, with
+    # sum rl = sum ls = S and sum ll = sum rs = I1 - S
     by_pattern = (
         c123,
-        low_first - c123,
-        high_last - c123,
-        low_last - c321,
-        high_first - c321,
+        I2 - n * I1 + P - (Q + S) // 2,
+        (Q - S) // 2 - c123,
+        (I2 - I1 - 2 * Si + S + Q) // 2 - c321,
+        (I2 - I1 - 2 * Sv + 3 * S + Q) // 2 - c321,
         c321,
     )
     counts = dict(zip(PATTERNS_3, by_pattern))
-    return PatternCounts3(n=n, counts=counts, inv12=inv12, inv21=comb(n, 2) - inv12)
+    return PatternCounts3(n=n, counts=counts, inv12=S, inv21=I1 - S)
 
 
 def all_patterns(k: int) -> list[Perm]:

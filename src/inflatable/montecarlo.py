@@ -34,8 +34,9 @@ __all__ = ["Estimate", "estimate_limit_density", "GENERATOR_ID", "EXACT_CELL_CAP
 GENERATOR_ID = "mt19937; per-sample seed sha512('{seed}:{index}'); Fisher-Yates shuffle"
 
 # exact per-sample counting runs the rank-count length-3 counter on the
-# |tau| * j long host; one sample takes about 0.07 s at 18,000 cells and
-# 1.2-1.5 s at 100,000 (2-vCPU Xeon VM, Python 3.11.7)
+# |tau| * j long host; one sample of tau = 472951836 takes about 0.066 s at
+# 18,000 cells and 0.95-1.03 s at 99,999 (j = 11,111), 3 seeds each
+# (2-vCPU Xeon VM, Python 3.11.7)
 EXACT_CELL_CAP = 100_000
 
 # subset mode draws and classifies at most this many subsets at a time, so

@@ -261,7 +261,12 @@ def _prefix_counts(n: int, W: np.ndarray, stats: tuple) -> tuple:
         # the column sums of C(x, 2), given those of x
         return (_dot(x, x) - total) // 2
 
-    # the block's own triples, by the closed forms of count_length3_all
+    # the block's own triples, by position: with asc_b = ls, asc_a = rl,
+    # desc_b = ll and desc_a = rs (smaller or larger, left or right), ls*rl
+    # triples have it in the middle of a 123 and ll*rs of a 321; C(rl,2),
+    # C(ls,2), C(ll,2) and C(rs,2) count those where it is lowest and first,
+    # highest and last, lowest and last, highest and first: 123 + 132,
+    # 123 + 213, 321 + 231 and 321 + 312
     c123 = _dot(asc_b, asc_a)
     c321 = _dot(desc_b, desc_a)
     P[0] += c123

@@ -369,15 +369,22 @@ def test_search_timeout_maps_to_error(tmp_path):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported by the search kernel only, when a search runs
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, inflatable.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=60,
+    # numpy is imported by the search kernel and subset-mode sampling only:
+    # importing the CLI, checking a host and an exact-mode estimate at the
+    # Monte Carlo benchmark's size (|tau| * j = 450) each leave it out
+    runs = (
+        "pass",
+        f"run(['check', {G!r}], stdout=io.StringIO())",
+        "run(['montecarlo', '472951836', '--pattern', '132', '--j', '50', '--samples', '2'],"
+        " stdout=io.StringIO())",
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    for call in runs:
+        code = f"import io, sys; from inflatable.cli import run; {call}; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n", call
 
 
 def test_out_file_for_plain_command(tmp_path):

@@ -24,7 +24,7 @@ from inflatable import (
     pattern_of,
     rotate,
 )
-from util import brute_counts3, random_perm, record_count3_calls
+from util import brute_counts3, per_position_counts3, random_perm, record_count3_calls
 
 
 def test_parse_compact_and_comma_agree():
@@ -266,12 +266,27 @@ def test_count_length3_all_matches_brute():
         assert (pc.inv12, pc.inv21) == (b12, b21)
 
 
+@settings(max_examples=60, deadline=None)
+@given(values=st.integers(3, 600).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_count_length3_all_matches_per_position_sums(values):
+    # the rank-vector sums against the per-position loop, on hosts too long
+    # for brute_counts3
+    pc = count_length3_all(values)
+    assert (pc.counts, pc.inv12, pc.inv21) == per_position_counts3(values)
+
+
 def test_count_length3_all_extremes():
-    up = count_length3_all(tuple(range(1, 11)))
-    assert up.counts[Perm("123")] == comb(10, 3)
-    assert sum(v for k, v in up.counts.items() if k != Perm("123")) == 0
-    down = count_length3_all(tuple(range(10, 0, -1)))
-    assert down.counts[Perm("321")] == comb(10, 3)
+    # the identity and the reverse, short and at the Monte Carlo benchmark's
+    # host length
+    for n in (10, 450):
+        up = count_length3_all(tuple(range(1, n + 1)))
+        assert up.counts[Perm("123")] == comb(n, 3)
+        assert sum(v for k, v in up.counts.items() if k != Perm("123")) == 0
+        assert (up.inv12, up.inv21) == (comb(n, 2), 0)
+        down = count_length3_all(tuple(range(n, 0, -1)))
+        assert down.counts[Perm("321")] == comb(n, 3)
+        assert sum(v for k, v in down.counts.items() if k != Perm("321")) == 0
+        assert (down.inv12, down.inv21) == (0, comb(n, 2))
     with pytest.raises(ValueError):
         count_length3_all("12")
 
@@ -280,6 +295,10 @@ def test_density_of_helper():
     pc = count_length3_all("472951836")
     assert pc.density_of("12") == Fraction(1, 2)
     assert pc.density_of("132") == Fraction(17, 84)
+    # only lengths 2 and 3 are counted; any other length is named, not a KeyError
+    for pi, n in (("1", 1), ("1234", 4), ("21543", 5)):
+        with pytest.raises(ValueError, match=f"got length {n}"):
+            pc.density_of(pi)
 
 
 def test_rotation_lemma_counts():
