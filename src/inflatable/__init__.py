@@ -4,7 +4,22 @@ Pattern densities as exact rationals, the limit-density formula for
 repeated inflation, decision procedures for 2- and 3-inflatability,
 admissible-length arithmetic, exhaustive search for 3-inflatable
 permutations, and a Monte Carlo cross-check.
+
+``import inflatable`` runs ``core`` and ``criteria`` only. ``limits``,
+``montecarlo``, ``partitions``, ``plotting`` and ``search`` are registered
+in ``sys.modules`` at once through ``importlib.util.LazyLoader``, and each
+is an attribute of the package at once, but its code runs only on its
+first attribute access: ``inflatable.search.SearchConfig``, or a name it
+gives the package, such as ``inflatable.SearchConfig`` or
+``from inflatable import *``. As it runs, it and those names are bound
+here, so later lookups are plain attribute reads. First-use loading is
+single-threaded, like the rest of the package: on Python 3.10 and 3.11
+``LazyLoader`` takes no lock, so two threads that touch the same module
+before it has run could both run it.
 """
+
+import importlib.util as _util
+import sys as _sys
 
 from .core import (
     COMPACT_MAX,
@@ -34,29 +49,73 @@ from .criteria import (
     target_counts_3,
     target_densities_3,
 )
-from .limits import (
-    DensityProfile,
-    abc_coefficients,
-    limit_density_inflation,
-    limit_density_uniform,
-    uniform_profile,
-)
-from .montecarlo import (
-    EXACT_CELL_CAP,
-    GENERATOR_ID,
-    Estimate,
-    estimate_limit_density,
-)
-from .partitions import BlockPartition, block_partitions
-from .plotting import render_ascii, render_svg
-from .search import (
-    SearchConfig,
-    SearchResult,
-    SearchTimeout,
-    enumerate_centrally_symmetric,
-    search_3_inflatable,
-    space_size,
-)
+
+# each submodule that runs on first use, and the names it gives the package
+_LAZY = {
+    "limits": (
+        "DensityProfile",
+        "abc_coefficients",
+        "limit_density_inflation",
+        "limit_density_uniform",
+        "uniform_profile",
+    ),
+    "montecarlo": ("EXACT_CELL_CAP", "GENERATOR_ID", "Estimate", "estimate_limit_density"),
+    "partitions": ("BlockPartition", "block_partitions"),
+    "plotting": ("render_ascii", "render_svg"),
+    "search": (
+        "SearchConfig",
+        "SearchResult",
+        "SearchTimeout",
+        "enumerate_centrally_symmetric",
+        "search_3_inflatable",
+        "space_size",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+class _BindingLoader:
+    """Runs a submodule with its own loader, then binds it and its names here."""
+
+    def __init__(self, loader, names):
+        self.loader, self.names = loader, names
+
+    def __getattr__(self, attr):
+        # get_source, get_filename, ... for tracebacks and inspect
+        return getattr(self.loader, attr)
+
+    def exec_module(self, module):
+        self.loader.exec_module(module)
+        globals()[module.__name__.rpartition(".")[2]] = module
+        globals().update((name, getattr(module, name)) for name in self.names)
+
+
+# registered now, bound here when run: a module bound now would run when code
+# that walks this namespace touches it (doctest's finder does), and its names
+# would change the dict under the walk
+for _module, _names in _LAZY.items():
+    _spec = _util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = _util.LazyLoader(_BindingLoader(_spec.loader, _names))
+    _sys.modules[_spec.name] = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(_sys.modules[_spec.name])
+del _module, _names, _spec
+
+
+def __getattr__(name):
+    # only a lazy submodule that has not run, or one of its names, gets here;
+    # running it binds the name, so the module's own value is returned only
+    # after a del
+    if name in _LAZY:
+        return _sys.modules[f"{__name__}.{name}"]
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_sys.modules[f"{__name__}.{_OWNER[name]}"], name)
+    return globals().get(name, value)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_OWNER))
+
 
 __version__ = "0.1.0"
 

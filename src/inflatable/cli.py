@@ -38,11 +38,9 @@ from .criteria import (
     compose_inflatables,
     residue_multiplication_table,
 )
-from .limits import DensityProfile, limit_density_inflation, limit_density_uniform
-from .montecarlo import estimate_limit_density
-from .partitions import block_partitions
-from .plotting import render_ascii, render_svg
-from .search import SearchConfig, SearchTimeout, search_3_inflatable
+# each of these runs on its first use (see the package docstring), so a
+# command runs only the modules it calls into
+from . import limits, montecarlo, partitions, plotting, search
 
 __all__ = ["CommandResult", "run", "main"]
 
@@ -191,7 +189,7 @@ def _cmd_blocks(args, stream) -> CommandResult:
             "blocks": [str(b) for b in bp.inner],
             "sizes": list(bp.sizes),
         }
-        for bp in block_partitions(pi)
+        for bp in partitions.block_partitions(pi)
     ]
     text = "\n".join(f"σ={part['sigma']} b={','.join(part['blocks'])}" for part in parts)
     return CommandResult("ok", {"pi": str(pi), "partitions": parts}, text=text)
@@ -202,10 +200,10 @@ def _cmd_limit(args, stream) -> CommandResult:
     pi = parse_permutation(args.pattern)
     if args.profile:
         with open(args.profile, "r", encoding="utf-8") as fh:
-            profile = DensityProfile.from_json(fh.read())
-        val = limit_density_inflation(pi, tau, profile)
+            profile = limits.DensityProfile.from_json(fh.read())
+        val = limits.limit_density_inflation(pi, tau, profile)
     else:
-        val = limit_density_uniform(pi, tau)
+        val = limits.limit_density_uniform(pi, tau)
     return CommandResult(
         "ok",
         {"pattern": str(pi), "tau": str(tau), "limit_density": str(val)},
@@ -258,14 +256,14 @@ def _cmd_rotate(args, stream) -> CommandResult:
 
 def _cmd_plot(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
-    art = render_ascii(tau) if args.format == "ascii" else render_svg(tau)
+    art = plotting.render_ascii(tau) if args.format == "ascii" else plotting.render_svg(tau)
     return CommandResult("ok", {"format": args.format, "plot": art}, text=art)
 
 
 def _cmd_montecarlo(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
     pi = parse_permutation(args.pattern)
-    est = estimate_limit_density(
+    est = montecarlo.estimate_limit_density(
         tau,
         pi,
         j=args.j,
@@ -273,7 +271,7 @@ def _cmd_montecarlo(args, stream) -> CommandResult:
         subset_samples=args.subset_samples,
         seed=args.seed,
     )
-    exact = limit_density_uniform(pi, tau)
+    exact = limits.limit_density_uniform(pi, tau)
     # one sample has no standard error; JSON has no NaN, so both are null
     stderr = None if isnan(est.stderr) else est.stderr
     z = (est.mean - float(exact)) / stderr if stderr else None
@@ -283,7 +281,7 @@ def _cmd_montecarlo(args, stream) -> CommandResult:
 
 
 def _cmd_search(args, stream) -> CommandResult:
-    cfg = SearchConfig(
+    cfg = search.SearchConfig(
         n=args.n, central_only=args.central, limit=args.limit, timeout=args.timeout
     )
     progress = None
@@ -299,8 +297,8 @@ def _cmd_search(args, stream) -> CommandResult:
                 for h in batch:
                     stream.write(f"hit subtree={shard} {h}\n")
     try:
-        res = search_3_inflatable(cfg, progress=progress)
-    except SearchTimeout as exc:
+        res = search.search_3_inflatable(cfg, progress=progress)
+    except search.SearchTimeout as exc:
         res, status, diagnostics = exc, "error", [str(exc)]
     else:
         status = res.status

@@ -291,7 +291,7 @@ def test_search_emit_all_text(monkeypatch):
             progress(3, hits[1:])
         return _fake_result(hits)
 
-    monkeypatch.setattr("inflatable.cli.search_3_inflatable", fake)
+    monkeypatch.setattr("inflatable.search.search_3_inflatable", fake)
     _, out = invoke(["search", "--n", "17", "--central", "--emit-all"])
     lines = out.splitlines()
     assert lines[0] == f"hit subtree=0 {G}"
@@ -308,7 +308,7 @@ def test_search_emit_all_json_and_out(monkeypatch, tmp_path):
             progress(3, hits[1:])
         return _fake_result(hits)
 
-    monkeypatch.setattr("inflatable.cli.search_3_inflatable", fake)
+    monkeypatch.setattr("inflatable.search.search_3_inflatable", fake)
     target = tmp_path / "hits.txt"
     _, out = invoke([
         "search", "--n", "17", "--central", "--emit-all", "--json",
@@ -331,7 +331,7 @@ def test_search_thread_env(monkeypatch, capsys):
         seen["cfg"] = cfg
         return _fake_result([])
 
-    monkeypatch.setattr("inflatable.cli.search_3_inflatable", fake)
+    monkeypatch.setattr("inflatable.search.search_3_inflatable", fake)
     result, out = invoke(["search", "--n", "17", "--central", "--threads", "2"])
     assert result.exit_code == 2 and out == "" and not seen
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
