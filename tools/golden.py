@@ -32,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import inflatable
 from inflatable import cli, core, format_permutation, inflate, limits
@@ -42,7 +43,6 @@ LONG = 1000
 
 G = "G54ABC319HF678ED2"
 E = "E534BGA9HC2D1687F"
-COMMA = "1,3,2"
 FILES = {
     "profile": '{"1": "1", "12": "1/3", "21": "2/3"}',
     "bad_profile": '{"1": "1", "12": "1/0", "21": "1/2"}',
@@ -72,7 +72,7 @@ CASES = [
     ["limit", "2413", "--pattern", "1234567", "--json"],
     ["check", G],
     ["check", G, "--json"],
-    ["check", COMMA, "--json"],
+    ["check", "1,3,2", "--json"],
     ["check", "{host_17_4}", "--json"],
     ["check", "1", "--json"],
     ["check", "21"],
@@ -133,19 +133,6 @@ def mask(text: str) -> str:
     return re.sub(r'(elapsed_ms"?: ?)\d+', r"\g<1><masked>", text)
 
 
-@contextlib.contextmanager
-def columns(width: int):
-    old = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = str(width)
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = old
-
-
 def record(argv: list) -> dict:
     """Run one case through ``cli.run`` and return what the corpus stores."""
     core._host_tables.cache_clear()
@@ -159,7 +146,8 @@ def record(argv: list) -> dict:
             values["host_17_4"] = host_17_4()
         args = [values.get(a[1:-1], a) if a.startswith("{") else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), columns(80):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, COLUMNS="80"):
             result = cli.run(args)
         rec = {
             "argv": argv,
