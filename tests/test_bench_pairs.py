@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,84 @@ def test_seed_ranges_and_perfbench_command(bench_pairs):
         "python3", "perfbench/run.py", "--workload", "montecarlo",
         "--seed", "7", "--seconds", "30", "--trace", "0",
     ]
+
+
+def test_pairs_alternate_with_the_parent_first_on_odd_pairs(bench_pairs):
+    calls = []
+
+    def measure(checkout, seed):
+        calls.append((checkout, seed))
+        return {"t": float(seed)}
+
+    runs = bench_pairs.run_pairs([5, 6, 7], {"parent": "P", "change": "C"}, measure)
+    assert calls == [("P", 5), ("C", 5), ("C", 6), ("P", 6), ("P", 7), ("C", 7)]
+    assert runs == {"parent": [{"t": 5.0}, {"t": 6.0}, {"t": 7.0}], "change": [{"t": 5.0}, {"t": 6.0}, {"t": 7.0}]}
+
+
+MACHINE = {"nproc": 2, "cpu": "cpu", "python": "3.11.7", "numpy": "2.4.6", "commit": "abcdef0123", "src_sha256": "0"}
+
+
+def test_row_writer_creates_the_file_then_appends(bench_pairs, tmp_path):
+    out = tmp_path / "BENCH_startup.json"
+    bench_pairs.write_row(out, "startup", "cmd", MACHINE, {"change": "a"})
+    bench_pairs.write_row(out, "startup", "other cmd", MACHINE, {"change": "b"})
+    machine = {k: MACHINE[k] for k in ("nproc", "cpu", "python", "numpy")}
+    assert json.loads(out.read_text()) == {
+        "workload": "startup", "command": "cmd", "machine": machine,
+        "rows": [{"change": "a"}, {"change": "b"}],
+    }
+
+
+def test_row_writer_refuses_another_workload(bench_pairs, tmp_path):
+    out = tmp_path / "BENCH_exact.json"
+    bench_pairs.write_row(out, "exact", "cmd", MACHINE, {"change": "a"})
+    with pytest.raises(SystemExit, match="holds workload 'exact'"):
+        bench_pairs.write_row(out, "composed", "cmd", MACHINE, {"change": "b"})
+    assert len(json.loads(out.read_text())["rows"]) == 1
+
+
+def perfbench_stdout(value):
+    info = {"machine": MACHINE, "problems": []}
+    metrics = {name: {"value": value} for name in ("setup_s", "wall_s", "stage1_s", "stage2_s", "peak_rss_mb")}
+    return json.dumps(info) + "\n" + json.dumps({"correct": True, "metrics": metrics}) + "\n"
+
+
+def fake_run(calls):
+    def run(cmd, checkout, **env):
+        calls.append((cmd, checkout))
+        return perfbench_stdout(1.0 if "parent" in str(checkout) else 0.5), 0.1
+    return run
+
+
+@pytest.mark.parametrize("seeds", ["1310-1301", "7"])
+def test_fewer_than_two_seeds_are_refused_before_any_run(bench_pairs, monkeypatch, tmp_path, seeds):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run", fake_run(calls))
+    argv = ["--parent", str(tmp_path), "--workload", "exact", "--seeds", seeds,
+            "--change", "c", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv)
+    assert calls == [] and not (tmp_path / "out.json").exists()
+
+
+def test_perfbench_row_keeps_its_keys(bench_pairs, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run", fake_run(calls))
+    machines = [MACHINE, MACHINE, MACHINE, {**MACHINE, "nproc": 4}]
+    monkeypatch.setattr(bench_pairs, "machine", lambda checkout: machines.pop(0))
+    out = tmp_path / "BENCH_exact.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--workload", "exact", "--seeds", "1-3",
+            "--seconds", "5", "--change", "c", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--claim", "faster"]) == 0
+    assert bench_pairs.main(argv) == 0
+    assert [cmd[cmd.index("--seed") + 1] for cmd, _ in calls] == ["1", "1", "2", "2", "3", "3"] * 2
+    doc = json.loads(out.read_text())
+    assert doc["command"] == "python3 perfbench/run.py --workload exact --seed N --seconds 5 --trace 0"
+    claimed, plain = doc["rows"]
+    assert list(claimed) == ["change", "parent_commit", "claimed", "claim", "pairs", "seeds", "order", "metrics"]
+    assert list(plain) == ["change", "parent_commit", "claimed", "pairs", "seeds", "order", "metrics", "machine"]
+    assert claimed["parent_commit"] == "abcdef0" and claimed["claimed"] and not plain["claimed"]
+    assert claimed["seeds"] == [1, 2, 3] and plain["machine"]["nproc"] == 4
+    assert list(claimed["metrics"]) == ["setup_s", "wall_s", "stage1_s", "stage2_s", "peak_rss_mb"]
+    assert claimed["metrics"]["peak_rss_mb"]["unit"] == "MB"
+    assert claimed["metrics"]["wall_s"]["change_wins"] == 3

@@ -1,14 +1,12 @@
-"""Timings of composed hosts, the limit table and the length-3 counter, written to a BENCH_composed.json.
+"""One run of the composed-host, limit-table and length-3 counter timings, as JSON.
 
-Usage, from the root of a source checkout:
+Usage, with the package importable (installed, or ``PYTHONPATH=src`` from
+the root of a source checkout):
 
-    python3 tools/bench_composed.py --out BENCH_composed.json [--repeat 5] \\
-        [--parent PARENT_DIR]
+    python3 tools/bench_composed.py
 
-Each repetition measures each checkout once, in a fresh process that
-imports the package from that checkout's ``src/`` and runs every operation
-once, in the order below; with ``--parent`` the two checkouts alternate
-which goes first, so a slow phase of a shared host hits both. Before each
+It runs every operation below once, in this order, in this process, and
+prints one JSON object: the seconds of each operation. Before each
 operation the library's memos (``core._host_tables``,
 ``limits.uniform_profile``) are cleared outside the timed region, so it
 times the counting and not a lookup, except ``limit_wide_warm``, which
@@ -28,53 +26,36 @@ repeats ``limit_wide_cold`` with the memos as it left them. The operations:
 - ``limit_wide_cold`` and ``limit_wide_warm``: the sum of all 720 length-6
   limits on a seeded 9-long host.
 
-With ``--parent`` the parent checkout runs the same operations, in the
-same order, so both sides meet the same warm-up. The output holds the
-machine, the median and every run of each operation, and with ``--parent``
-the parent-over-change ratio of medians of every operation.
+Each answer is checked after it is timed, outside the timed region: both
+CLI checks exit 0 with verdict true; the parsed host equals the built one;
+``check_3_inflatable`` gives verdict true with the counts of
+``target_counts_3(17**5)``; the formatted text equals the parsed text; the
+random host's length-3 counts sum to C(n, 3); the two limits on the
+289-long host equal their pinned values; the 720 limits sum to 1. A
+failed check exits non-zero. ``tools/bench_pairs.py --workload composed``
+runs this script in alternating parent/change pairs.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
 import io
 import json
-import os
 import random
-import subprocess
 import sys
+from fractions import Fraction
 from math import comb
-from pathlib import Path
-from statistics import median
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES_17 = ("G54ABC319HF678ED2", "E534BGA9HC2D1687F")
 TAU9_SEED = 7
 RANDOM_SEED = 17
 RANDOM_LENGTH = 17**4
-ALL_OPS = (
-    "check_17_5_cli",
-    "check_17_5_parse",
-    "check_17_5_count",
-    "check_17_5_format",
-    "check_4913_cli",
-    "count3_random_83521",
-    "limit_289_len4",
-    "limit_289_len6",
-    "limit_wide_cold",
-    "limit_wide_warm",
-)
-ORDER = "one fresh process per side and repetition; even repetitions run the change first, odd ones the parent"
-
-
-def machine(checkout: Path) -> dict:
-    """The machine line perfbench writes (cores, CPU, Python, numpy, commit, source digest)."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", checkout / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return run.machine()
+# the limits on the 289-long composition, pinned as the limit formula
+# gives them (tests/test_limits.py checks it against a per-partition sum)
+LIMITS_289 = {
+    "1234": Fraction(24063841, 579301656),
+    "123456": Fraction(8198955588589, 4935153068299152),
+}
 
 
 def measure() -> dict:
@@ -89,10 +70,11 @@ def measure() -> dict:
 
     def cli_check(text):
         buf = io.StringIO()
-        if inflatable.cli.run(["check", text, "--json"], stdout=buf).exit_code != 0:
-            raise SystemExit("error: check exited non-zero")
-        if json.loads(buf.getvalue())["verdict"] is not True:
-            raise SystemExit("error: check gave verdict false")
+        return inflatable.cli.run(["check", text, "--json"], stdout=buf).exit_code, buf
+
+    def cli_ok(answer):
+        exit_code, buf = answer
+        return exit_code == 0 and json.loads(buf.getvalue())["verdict"] is True
 
     e1, e2 = (inflatable.Perm(e) for e in EXAMPLES_17)
     host289 = inflatable.inflate(e1, e2)
@@ -106,93 +88,62 @@ def measure() -> dict:
     for e in (e1, e2, e1):
         host = inflatable.inflate(host, e)
     text = inflatable.format_permutation(host, style="comma")
+    target = inflatable.target_counts_3(host.n)
 
-    def count3_random():
-        counts = inflatable.count_length3_all(random_host).counts
-        if sum(counts.values()) != comb(RANDOM_LENGTH, 3):
-            raise SystemExit("error: the length-3 counts do not sum to C(n, 3)")
+    def limit_289(pattern):
+        return (
+            lambda: inflatable.limit_density_uniform(pattern, host289),
+            lambda limit: limit == LIMITS_289[pattern],
+            f"the limit of {pattern} moved from its pinned value",
+        )
 
-    def limit_wide():
-        if sum(inflatable.limit_density_uniform(p, tau9) for p in patterns6) != 1:
-            raise SystemExit("error: the length-6 limits do not sum to 1")
+    limit_wide = (
+        lambda: sum(inflatable.limit_density_uniform(p, tau9) for p in patterns6),
+        lambda total: total == 1,
+        "the length-6 limits do not sum to 1",
+    )
 
-    timed = {
-        "check_17_5_cli": lambda: cli_check(text),
-        "check_17_5_parse": lambda: inflatable.parse_permutation(text),
-        "check_17_5_count": lambda: inflatable.check_3_inflatable(host),
-        "check_17_5_format": lambda: inflatable.format_permutation(host),
-        "check_4913_cli": lambda: cli_check(text4913),
-        "count3_random_83521": count3_random,
-        "limit_289_len4": lambda: inflatable.limit_density_uniform("1234", host289),
-        "limit_289_len6": lambda: inflatable.limit_density_uniform("123456", host289),
+    # op: (timed call, check of its answer, what a failed check means)
+    ops = {
+        "check_17_5_cli": (lambda: cli_check(text), cli_ok, "check failed"),
+        "check_17_5_parse": (
+            lambda: inflatable.parse_permutation(text),
+            lambda parsed: parsed == host,
+            "the parsed host differs from the built one",
+        ),
+        "check_17_5_count": (
+            lambda: inflatable.check_3_inflatable(host),
+            lambda report: report.verdict is True and report.observed_counts == target,
+            "check_3_inflatable missed the target counts",
+        ),
+        "check_17_5_format": (
+            lambda: inflatable.format_permutation(host),
+            lambda formatted: formatted == text,
+            "the formatted text differs from the parsed one",
+        ),
+        "check_4913_cli": (lambda: cli_check(text4913), cli_ok, "check failed"),
+        "count3_random_83521": (
+            lambda: inflatable.count_length3_all(random_host).counts,
+            lambda counts: sum(counts.values()) == comb(RANDOM_LENGTH, 3),
+            "the length-3 counts do not sum to C(n, 3)",
+        ),
+        "limit_289_len4": limit_289("1234"),
+        "limit_289_len6": limit_289("123456"),
         "limit_wide_cold": limit_wide,
         "limit_wide_warm": limit_wide,
     }
     seconds = {}
-    for op in ALL_OPS:
+    for op, (call, ok, problem) in ops.items():
         if op != "limit_wide_warm":
             clear()
         t0 = perf_counter()
-        timed[op]()
+        answer = call()
         seconds[op] = perf_counter() - t0
+        if not ok(answer):
+            raise SystemExit(f"error: {op}: {problem}")
     return seconds
 
 
-def measure_in(checkout: Path) -> dict:
-    """``measure()`` in a fresh process importing ``checkout``/src."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [sys.executable, __file__, "--measure"]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"error: measuring {checkout} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path, help="where to write the JSON")
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.measure:
-        json.dump(measure(), sys.stdout)
-        return 0
-    if args.out is None:
-        ap.error("--out is required")
-    if args.repeat < 1:
-        ap.error("--repeat must be >= 1")
-
-    sides = {"change": ROOT}
-    if args.parent:
-        sides["parent"] = args.parent.resolve()
-    runs = {side: {op: [] for op in ALL_OPS} for side in sides}
-    for i in range(args.repeat):
-        for side in sides if i % 2 == 0 else reversed(sides):
-            for op, t in measure_in(sides[side]).items():
-                runs[side][op].append(t)
-    doc = {
-        "command": "python3 tools/bench_composed.py" + (" --parent PARENT_DIR" if args.parent else ""),
-        "repeat": args.repeat,
-        "order": ORDER,
-        "memos": "cleared before every run, outside the timed region, except limit_wide_warm",
-    }
-    for side, checkout in sides.items():
-        doc[side] = {
-            "machine": machine(checkout),
-            "ops": {
-                op: {"median_s": round(median(r), 5), "runs_s": [round(x, 5) for x in r]}
-                for op, r in runs[side].items()
-            },
-        }
-    if args.parent:
-        doc["parent_over_change"] = {
-            op: round(median(runs["parent"][op]) / median(runs["change"][op]), 2)
-            for op in ALL_OPS
-        }
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    json.dump(measure(), sys.stdout)
+    print()

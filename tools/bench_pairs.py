@@ -1,38 +1,64 @@
-"""Alternating parent/change pairs of perfbench runs, summarised as a BENCH_*.json row.
+"""Alternating parent/change pairs of one bench workload, summarised as a BENCH_*.json row.
 
 Usage, from the root of the change's checkout, with a second checkout of the
-parent commit (``git clone`` it; ``perfbench/run.py`` reads the commit from
-its ``.git``):
+parent commit (``git clone`` it; perfbench reads the commit from its
+``.git``):
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --workload montecarlo \\
         --seeds 1301-1310 --seconds 30 --change "what the change does" \\
         --out BENCH_montecarlo.json [--claim "stage2_s improves by ..."]
 
-Pair i (counted from 1) runs ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once in each checkout, one run at a time, with the
-i-th seed: odd pairs run the parent first, even pairs the change first. A run
-whose answers are not all correct stops the script. The end-to-end metrics
-and their better direction come from the change's ``BENCHMARK.json``.
+``--seeds`` names the pairs, at least 2. Pair i (counted from 1) measures
+each checkout once with the i-th seed, one process at a time: odd pairs
+run the parent first, even pairs the change first. Every process imports
+the package from its own checkout's ``src``. The workloads:
 
-Each metric is summarised by both sides' medians and quartiles
+- those of ``BENCHMARK.json``: one ``perfbench/run.py --workload W --seed S
+  --seconds T --trace 0`` run, whose end-to-end metrics and their better
+  direction come from the change's ``BENCHMARK.json``. A run whose answers
+  are not all correct stops the script. Only these read ``--seconds``.
+- ``composed``: one ``python3 tools/bench_composed.py`` process, the
+  change's script on both sides, so both run the same operations; the
+  seconds of each operation.
+- ``startup``: three processes, each timed in seconds.
+  ``setup_cached_s`` is perfbench's setup probe for ``exact`` (import the
+  package and build the workload's inputs, calibrated as ``setup_s`` is)
+  with bytecode cached. ``check_process_s`` is the wall time of a whole
+  ``python3 -m inflatable check G54ABC319HF678ED2`` process with
+  ``PYTHONDONTWRITEBYTECODE=1``, so that it compiles every package source
+  it imports. ``check_process_cached_s`` is the same with bytecode cached.
+  Cached bytecode lives under a temporary ``PYTHONPYCACHEPREFIX``, written
+  by one run of each kind per side before the pairs, so neither checkout
+  may hold caches under ``src``.
+
+``composed`` and ``startup`` have fixed inputs; their seeds only name the
+pairs. Each metric is summarised by both sides' medians and quartiles
 (``statistics.quantiles``, inclusive method) and ``change_wins``, the number
 of pairs in which the change read better; ties count for neither side. The
 row is appended to ``--out``, which is created with the workload, command
-and machine when it does not exist yet.
+and machine (perfbench's ``machine()``) when it does not exist yet.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDER = "odd pairs run the parent first, even pairs the change first; one run at a time"
 MACHINE_KEYS = ("nproc", "cpu", "python", "numpy")
+COMPOSED = "tools/bench_composed.py"
+PROBE = ["python3", "perfbench/run.py", "--setup-probe", "--workload", "exact",
+         "--seed", "1", "--seconds", "0"]
+CHECK = ["python3", "-m", "inflatable", "check", "G54ABC319HF678ED2"]
 
 
 def command(workload: str, seed, seconds: float) -> list:
@@ -42,21 +68,63 @@ def command(workload: str, seed, seconds: float) -> list:
     ]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``checkout``: its machine line and metric values."""
-    proc = subprocess.run(
-        command(workload, seed, seconds), cwd=checkout, capture_output=True, text=True
-    )
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
-        raise SystemExit(f"error: run in {checkout} failed:\n{proc.stderr}{proc.stdout}")
-    info, result = json.loads(lines[-2]), json.loads(lines[-1])
-    if not result["correct"]:
-        raise SystemExit(f"error: run in {checkout} gave wrong answers: {info['problems']}")
-    return {
-        "machine": info["machine"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-    }
+def run(cmd: list, checkout: Path, **env) -> tuple:
+    """Run cmd in checkout with its src on PYTHONPATH and ``env`` (None
+    unsets a variable); its stdout and wall seconds."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), **env}
+    env = {k: v for k, v in env.items() if v is not None}
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} failed:\n{proc.stderr}{proc.stdout}")
+    return proc.stdout, seconds
+
+
+def workload_measure(workload: str, seconds: float, sides: dict, cache: str) -> tuple:
+    """The workload's command, as --out records it, and its measure:
+    (checkout, seed) -> {metric: value}."""
+    if workload == "composed":
+        def composed(checkout, seed):
+            return json.loads(run(["python3", str(ROOT / COMPOSED)], checkout)[0])
+
+        return f"python3 {COMPOSED}", composed
+    if workload == "startup":
+        cached = {"PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": cache}
+        uncached = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": None}
+        for checkout in sides.values():
+            if any((checkout / "src").rglob("__pycache__")):
+                raise SystemExit(f"error: {checkout / 'src'} holds bytecode caches")
+            run(PROBE, checkout, **cached)
+            run(CHECK, checkout, **cached)
+
+        def startup(checkout, seed):
+            return {
+                "setup_cached_s": float(run(PROBE, checkout, **cached)[0].split()[-1]),
+                "check_process_s": run(CHECK, checkout, **uncached)[1],
+                "check_process_cached_s": run(CHECK, checkout, **cached)[1],
+            }
+
+        return " ; ".join(" ".join(cmd) for cmd in (PROBE, CHECK)), startup
+
+    def perfbench(checkout, seed):
+        lines = run(command(workload, seed, seconds), checkout)[0].strip().splitlines()
+        info, result = json.loads(lines[-2]), json.loads(lines[-1])
+        if not result["correct"]:
+            raise SystemExit(f"error: run in {checkout} gave wrong answers: {info['problems']}")
+        return {name: m["value"] for name, m in result["metrics"].items()}
+
+    return " ".join(command(workload, "N", seconds)), perfbench
+
+
+def run_pairs(seeds: list, sides: dict, measure) -> dict:
+    """Each side's measures, one {metric: value} dict per pair, in pair order."""
+    runs: dict = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds, start=1):
+        for side in ("parent", "change") if i % 2 else ("change", "parent"):
+            runs[side].append(measure(sides[side], seed))
+            print(f"pair {i} seed {seed} {side}: {runs[side][-1]}", file=sys.stderr)
+    return runs
 
 
 def summarize(parent: list, change: list, metrics: list) -> dict:
@@ -86,6 +154,30 @@ def summarize(parent: list, change: list, metrics: list) -> dict:
     return out
 
 
+def machine(checkout: Path) -> dict:
+    """The machine and commit of ``checkout``, from its perfbench/run.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", checkout / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.machine()
+
+
+def write_row(out: Path, workload: str, cmd: str, machine: dict, row: dict) -> None:
+    """Append row to ``out``, creating it with the workload, command and
+    machine; a row run on another machine than the file's carries its own."""
+    machine = {k: machine[k] for k in MACHINE_KEYS}
+    if out.exists():
+        doc = json.loads(out.read_text())
+        if doc.get("workload") != workload:
+            raise SystemExit(f"error: {out} holds workload {doc.get('workload')!r}, not {workload!r}")
+        if doc["machine"] != machine:
+            row = {**row, "machine": machine}
+    else:
+        doc = {"workload": workload, "command": cmd, "machine": machine, "rows": []}
+    doc["rows"].append(row)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
 def parse_seeds(text: str) -> list:
     """"1301-1310" or "7,8,9" as a list of ints."""
     if "-" in text:
@@ -95,31 +187,31 @@ def parse_seeds(text: str) -> list:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in bench["workloads"]] + ["composed", "startup"])
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1301-1310")
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--change", required=True, help="one line saying what the change does")
     ap.add_argument("--claim", help="the claimed gain, if the row makes one")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if len(args.seeds) < 2:
+        ap.error(f"--seeds names {len(args.seeds)} pairs; a summary needs at least 2")
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    runs: dict = {"parent": [], "change": []}
-    machines: dict = {}
-    for i, seed in enumerate(args.seeds, start=1):
-        for side in ("parent", "change") if i % 2 else ("change", "parent"):
-            run = run_once(sides[side], args.workload, seed, args.seconds)
-            machines.setdefault(side, run["machine"])
-            runs[side].append(run["metrics"])
-            print(f"pair {i} seed {seed} {side}: {run['metrics']}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as cache:
+        cmd, measure = workload_measure(args.workload, args.seconds, sides, cache)
+        runs = run_pairs(args.seeds, sides, measure)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    metrics = [(m["name"], m["unit"], m["better"]) for m in spec]
+    # composed and startup report seconds, which are not in BENCHMARK.json
+    units = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
+    metrics = [(name, *units.get(name, ("s", "lower"))) for name in runs["change"][0]]
     row = {
         "change": args.change,
-        "parent_commit": machines["parent"]["commit"][:7],
+        "parent_commit": machine(sides["parent"])["commit"][:7],
         "claimed": args.claim is not None,
     }
     if args.claim:
@@ -130,18 +222,7 @@ def main(argv=None) -> int:
         order=ORDER,
         metrics=summarize(runs["parent"], runs["change"], metrics),
     )
-    machine = {k: machines["change"][k] for k in MACHINE_KEYS}
-    if args.out.exists():
-        doc = json.loads(args.out.read_text())
-        if doc["workload"] != args.workload:
-            raise SystemExit(f"error: {args.out} holds workload {doc['workload']!r}")
-        if doc["machine"] != machine:
-            row["machine"] = machine
-    else:
-        cmd = " ".join(command(args.workload, "N", args.seconds))
-        doc = {"workload": args.workload, "command": cmd, "machine": machine, "rows": []}
-    doc["rows"].append(row)
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    write_row(args.out, args.workload, cmd, machine(ROOT), row)
     return 0
 
 
