@@ -15,9 +15,11 @@ sample's subsets at once.
 
 Determinism: sample i uses its own ``random.Random(f"{seed}:{i}")``, which
 string-seeds through SHA-512, so runs are reproducible across platforms
-and insensitive to sampling order. Subset mode draws exactly the subsets
-``rng.sample(range(|tau| * j), |pi|)`` would, from the same 32-bit words,
-but reads the words in bulk (``_subset_draws``).
+and insensitive to sampling order. Each sample's lambda is exactly the
+list ``Random.shuffle`` would leave, from the same 32-bit words, but the
+words are read in bulk (``_shuffle``). Subset mode then draws exactly the
+subsets ``rng.sample(range(|tau| * j), |pi|)`` would, likewise in bulk
+(``_subset_draws``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from math import ceil, comb, log, sqrt
 from statistics import fmean, stdev
 import random
+import sys
 
 from .core import PermLike, _integer, as_perm, count_length3_all, count_occurrences, inflate
 
@@ -72,7 +75,8 @@ def estimate_limit_density(
     """Estimate lim t(pi, inflate(tau, lambda_j)) by direct simulation.
 
     Each of the ``samples`` repetitions draws a uniform lambda of length j
-    (Fisher-Yates on its own per-sample generator), inflates tau by it, and
+    (Fisher-Yates on its own per-sample generator, the words of
+    ``Random.shuffle`` read in bulk), inflates tau by it, and
     measures t(pi, .): exactly when subset_samples == 0 (requires
     |pi| <= 3 and |tau| * j <= EXACT_CELL_CAP), otherwise by classifying
     subset_samples uniform index subsets. Subset mode reads host values by
@@ -114,7 +118,7 @@ def estimate_limit_density(
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
         lam = list(range(1, j + 1))
-        rng.shuffle(lam)
+        _shuffle(rng, lam)
         if subset_samples == 0:
             g = inflate(t, lam)
             # density()'s rules: the length-3 counter needs |pi| >= 2, |g| >= 3
@@ -133,6 +137,34 @@ def estimate_limit_density(
     mean = fmean(values)
     err = stdev(values) / sqrt(samples) if samples >= 2 else float("nan")
     return Estimate(mean=mean, stderr=err, samples=samples, j=j, seed=seed)
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Leave x and rng as Random.shuffle(rng, x) would, reading the words in bulk.
+
+    Random.shuffle steps i from len(x) - 1 down to 1 and swaps x[i] with x[c],
+    c the top (i + 1).bit_length() bits of a 32-bit MT19937 word, drawn
+    again while c > i (``_randbelow_with_getrandbits``). So with i steps
+    left at least i more words are read: one getrandbits call reads exactly
+    i of them (the first drawn is the lowest), and they are walked in order
+    until they run out, never past the words Random.shuffle would read.
+    """
+    i = len(x) - 1
+    if i < 1:
+        return
+    k = (i + 1).bit_length()
+    shift = 32 - k
+    low = (1 << (k - 1)) - 1  # once i drops below this, i + 1 takes one bit less
+    while i:
+        words = memoryview(rng.getrandbits(32 * i).to_bytes(4 * i, sys.byteorder)).cast("I")
+        for w in words if sys.byteorder == "little" else reversed(words):
+            c = w >> shift
+            if c <= i:
+                x[i], x[c] = x[c], x[i]
+                i -= 1
+                if i < low:
+                    shift += 1
+                    low >>= 1
 
 
 def _subset_draws(rng: random.Random, n: int, k: int, count: int):

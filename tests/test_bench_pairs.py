@@ -35,6 +35,11 @@ def test_summarize_medians_quartiles_and_wins(bench_pairs):
 def test_summarize_rounds_and_refuses_unpaired_runs(bench_pairs):
     out = bench_pairs.summarize([{"x": 1 / 3}, {"x": 2 / 3}], [{"x": 0.1}, {"x": 0.2}], [("x", "s", "lower")])
     assert out["x"]["parent_median"] == 0.5 and out["x"]["parent_quartiles"] == [0.4167, 0.5833]
+    # 4 significant digits, not 4 decimals: millisecond timings keep theirs
+    ms = bench_pairs.summarize([{"x": 0.011437}, {"x": 0.011391}], [{"x": 0.0052149}, {"x": 0.0052851}],
+                               [("x", "s", "lower")])
+    assert ms["x"]["parent_median"] == 0.01141 and ms["x"]["change_median"] == 0.00525
+    assert ms["x"]["change_quartiles"] == [0.005232, 0.005268]
     with pytest.raises(ValueError):
         bench_pairs.summarize([{"x": 1.0}] * 3, [{"x": 1.0}] * 2, [("x", "s", "lower")])
 
@@ -88,17 +93,17 @@ def perfbench_stdout(value):
     return json.dumps(info) + "\n" + json.dumps({"correct": True, "metrics": metrics}) + "\n"
 
 
-def fake_run(calls):
+def fake_run(calls, parent):
     def run(cmd, checkout, **env):
         calls.append((cmd, checkout))
-        return perfbench_stdout(1.0 if "parent" in str(checkout) else 0.5), 0.1
+        return perfbench_stdout(1.0 if checkout == parent else 0.5), 0.1
     return run
 
 
 @pytest.mark.parametrize("seeds", ["1310-1301", "7"])
 def test_fewer_than_two_seeds_are_refused_before_any_run(bench_pairs, monkeypatch, tmp_path, seeds):
     calls = []
-    monkeypatch.setattr(bench_pairs, "run", fake_run(calls))
+    monkeypatch.setattr(bench_pairs, "run", fake_run(calls, tmp_path.resolve()))
     argv = ["--parent", str(tmp_path), "--workload", "exact", "--seeds", seeds,
             "--change", "c", "--out", str(tmp_path / "out.json")]
     with pytest.raises(SystemExit):
@@ -108,7 +113,9 @@ def test_fewer_than_two_seeds_are_refused_before_any_run(bench_pairs, monkeypatc
 
 def test_perfbench_row_keeps_its_keys(bench_pairs, monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(bench_pairs, "run", fake_run(calls))
+    # the parent is told apart by its exact path: the change's checkout may
+    # itself sit under a directory named "parent"
+    monkeypatch.setattr(bench_pairs, "run", fake_run(calls, (tmp_path / "parent").resolve()))
     machines = [MACHINE, MACHINE, MACHINE, {**MACHINE, "nproc": 4}]
     monkeypatch.setattr(bench_pairs, "machine", lambda checkout: machines.pop(0))
     out = tmp_path / "BENCH_exact.json"

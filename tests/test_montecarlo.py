@@ -160,6 +160,21 @@ def test_estimates_are_bit_for_bit_pinned():
         assert (e.mean.hex(), e.stderr.hex()) == (mean, err), (tau, pi, j)
 
 
+def test_shuffle_matches_random_shuffle():
+    # every length to 70, each side of the powers of two up to 4096 (where
+    # the bits per word change and about half the words are rejected), and
+    # the benchmark's j = 2000; the list and the generator's state after
+    # must both match, so every later draw reads the same stream
+    lengths = [*range(71), *(2**k + d for k in range(1, 13) for d in (-1, 0, 1)), 2000]
+    for n in lengths:
+        for seed in ("a", "b", "c", f"{n}:0"):
+            rng, want = random.Random(seed), list(range(n))
+            rng.shuffle(want)
+            bulk, got = random.Random(seed), list(range(n))
+            montecarlo._shuffle(bulk, got)
+            assert got == want and bulk.getstate() == rng.getstate(), (n, seed)
+
+
 def _sample_rows(seed: str, n: int, k: int, count: int) -> tuple:
     rng = random.Random(seed)
     want = [rng.sample(range(n), k) for _ in range(count)]

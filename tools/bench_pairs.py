@@ -33,10 +33,11 @@ the package from its own checkout's ``src``. The workloads:
 
 ``composed`` and ``startup`` have fixed inputs; their seeds only name the
 pairs. Each metric is summarised by both sides' medians and quartiles
-(``statistics.quantiles``, inclusive method) and ``change_wins``, the number
-of pairs in which the change read better; ties count for neither side. The
-row is appended to ``--out``, which is created with the workload, command
-and machine (perfbench's ``machine()``) when it does not exist yet.
+(``statistics.quantiles``, inclusive method), rounded to 4 significant
+digits, and ``change_wins``, the number of pairs in which the change read
+better; ties count for neither side. The row is appended to ``--out``,
+which is created with the workload, command and machine (perfbench's
+``machine()``) when it does not exist yet.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ def run_pairs(seeds: list, sides: dict, measure) -> dict:
     return runs
 
 
+def _sig(x: float) -> float:
+    """x rounded to 4 significant digits, so millisecond timings keep theirs."""
+    return float(f"{x:.4g}")
+
+
 def summarize(parent: list, change: list, metrics: list) -> dict:
     """Per metric: both sides' median and quartiles, and the pairs the change won.
 
@@ -145,10 +151,10 @@ def summarize(parent: list, change: list, metrics: list) -> dict:
         q_c = quantiles(c, n=4, method="inclusive")
         out[name] = {
             "unit": unit,
-            "parent_median": round(median(p), 4),
-            "parent_quartiles": [round(q_p[0], 4), round(q_p[2], 4)],
-            "change_median": round(median(c), 4),
-            "change_quartiles": [round(q_c[0], 4), round(q_c[2], 4)],
+            "parent_median": _sig(median(p)),
+            "parent_quartiles": [_sig(q_p[0]), _sig(q_p[2])],
+            "change_median": _sig(median(c)),
+            "change_quartiles": [_sig(q_c[0]), _sig(q_c[2])],
             "change_wins": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
         }
     return out
