@@ -25,10 +25,10 @@ positions is a few adds of contiguous vectors. The same kernel serves
 full scans (length 17, 10,321,920 centrally symmetric candidates, in
 about a third of a second on one core; see BENCH_search17.json) and
 scans cut by a result limit or a timeout: each shard is scanned whole
-and its sorted hits are cut at the limit. Only the count rule and the
-step depend on the space: unrestricted states grow by one value placed
-last, centrally symmetric ones by a complementary pair. The test suite
-checks both against brute-force filtering.
+and the run's sorted hits are cut at the limit. Only the count rule and
+the step depend on the space: unrestricted states grow by one value
+placed last, centrally symmetric ones by a complementary pair. The test
+suite checks both against brute-force filtering.
 
 Shards are the choices of first value u. Complement (v -> n+1-v) maps
 shard u onto shard n+1-u and fixes the real targets, so only the shards
@@ -123,10 +123,10 @@ class SearchResult:
 
     scanned counts candidates covered: visited leaves plus every leaf under
     a pruned branch, so a completed scan reports exactly the space size.
-    A limited run counts by the lexicographic-cut rule instead: a shard
-    with at least limit hits is scanned whole but credited only up to its
-    own limit-th hit, as if its scan had stopped there, so scanned is not
-    every leaf the run covered.
+    A run that reaches its limit reports the lexicographic rank of its
+    last hit, the candidates a scan in lexicographic order would cover
+    when it stops there; one with fewer hits than its limit reports the
+    space size.
     status is "ok" or "inadmissible"; inadmissible lengths are decided
     without scanning (scanned = 0) and reason says why.
     """
@@ -227,21 +227,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, y, dtype=np.int32)
 
 
-def _prefix_counts(n: int, W: np.ndarray, stats: tuple) -> tuple:
+def _prefix_counts(n: int, W: np.ndarray) -> tuple:
     """The count vector of the triples with at least two points in the left
     block W and of the pairs with a point in it (unrestricted rule), and
     the number of later points below each block value.
 
-    stats are the _pair_stats of W. Returns (P, below): P is the (7, N)
-    int32 count vector and below[i, s] counts the later points below
-    W[i, s]. Every point outside the block lies after it and all of 1..n
-    occur, so below[i, s] is the W[i, s] - 1 values below it less the
-    block's own, and a triple {block, block, later} has its later point
-    last, whatever its value.
+    Returns (P, below): P is the (7, N) int32 count vector and below[i, s]
+    counts the later points below W[i, s]. Every point outside the block
+    lies after it and all of 1..n occur, so below[i, s] is the W[i, s] - 1
+    values below it less the block's own, and a triple {block, block,
+    later} has its later point last, whatever its value.
     """
     import numpy as np
 
-    asc_b, asc_a, desc_b, desc_a, asc_tot = stats
+    asc_b, asc_a, desc_b, desc_a, asc_tot = _pair_stats(W)
     d, N = W.shape
     k = n - d  # later points
     desc_tot = d * (d - 1) // 2 - asc_tot
@@ -297,7 +296,7 @@ def _central_counts(n: int, W: np.ndarray) -> np.ndarray:
     d = W.shape[0]
     odd = n & 1
     k = n - 2 * d - odd
-    P, below = _prefix_counts(n, W, _pair_stats(W))
+    P, below = _prefix_counts(n, W)
     F = P + P[_RMAP, :]
     A = (W[:, None, :] <= (n - W)[None, :, :]).sum(axis=0, dtype=np.int16)
     lo = A.sum(axis=0, dtype=np.int32)
@@ -369,7 +368,7 @@ def _space(n: int, central: bool) -> _Space:
             leaves=tuple(factorial(n - d) for d in range(n + 1)),
             values=tuple(range(1, nn1)),
             taken=lambda v: {v},
-            counts=lambda W: _prefix_counts(n, W, _pair_stats(W))[0],
+            counts=lambda W: _prefix_counts(n, W)[0],
             as_hit=lambda row: row,
         )
     m = n // 2
@@ -511,28 +510,6 @@ def _complement_targets(n: int, tv: tuple) -> tuple:
     return tv[5::-1] + (comb(n, 2) - tv[_P12_IDX],)
 
 
-def _shard_job(n: int, tv: tuple, u: int) -> tuple:
-    """The (first value, targets) scan that shard u is derived from.
-
-    Complement maps shard u onto shard n+1-u in either space, so a shard
-    with u > n+1-u is the complement image of shard n+1-u scanned under the
-    complemented targets. Where the complemented targets equal the
-    targets, as the real ones do, the upper shards reuse the lower shards'
-    scans and half the shards are scanned.
-    """
-    if u <= n + 1 - u:
-        return u, tv
-    return n + 1 - u, _complement_targets(n, tv)
-
-
-def _derive_shard(n: int, u: int, source_u: int, result: tuple) -> tuple:
-    """Shard u's (hits, scanned, timed_out) from the scan of shard source_u."""
-    hits, scanned, timed_out = result
-    if source_u != u:
-        hits = sorted(tuple(n + 1 - v for v in h) for h in hits)
-    return hits, scanned, timed_out
-
-
 def _covered_through(space: _Space, hit: tuple) -> int:
     """Candidates of hit's shard up to and including hit.
 
@@ -562,11 +539,12 @@ def _search_space(
     Shards are the first-placement choices, processed and merged in index
     order, so hits, scanned, and the limit cut are reproducible. Each
     shard's hits come sorted and start with its first value, so the merged
-    hits are sorted as built. Shards past the middle are derived from their
-    complement mirrors (see _shard_job), and each scan is made when a shard
-    first needs it. A shard with at least limit hits is cut at its own
-    limit-th hit, with scanned counted up to that hit. Raises SearchTimeout
-    when the deadline passes.
+    hits are sorted as built. A shard u > n+1-u is derived from the scan
+    of its mirror n+1-u under the complemented targets, made when a shard
+    first needs it. The shard that brings the hits to the limit is cut
+    there and credited up to its last kept hit, so a limited run's scanned
+    is the lexicographic rank of its last hit. Raises SearchTimeout when
+    the deadline passes.
     """
     # imports numpy, and raises ValueError, before the clock starts
     _value_dtype(n)
@@ -578,22 +556,23 @@ def _search_space(
     scanned = 0
     timed_out = False
     for i, u in enumerate(space.values):
-        job = _shard_job(n, tv, u)
-        first_u, job_tv = job
-        if job not in scans:
-            scans[job] = _scan_shard(n, job_tv, space, first_u, deadline)
-        shard_hits, shard_scanned, timed_out = _derive_shard(n, u, first_u, scans[job])
-        if limit is not None and len(shard_hits) >= limit and not timed_out:
-            shard_hits = shard_hits[:limit]
-            shard_scanned = _covered_through(space, shard_hits[-1])
-        scanned += shard_scanned
+        first_u, job_tv = (u, tv) if u <= n + 1 - u else (n + 1 - u, _complement_targets(n, tv))
+        if (first_u, job_tv) not in scans:
+            scans[first_u, job_tv] = _scan_shard(n, job_tv, space, first_u, deadline)
+        shard_hits, shard_scanned, timed_out = scans[first_u, job_tv]
+        if first_u != u:
+            shard_hits = sorted(tuple(n + 1 - v for v in h) for h in shard_hits)
         room = None if limit is None else limit - len(hits)
-        batch = shard_hits if room is None else shard_hits[:room]
-        batch = [Perm(h) for h in batch]
+        if room is not None and len(shard_hits) >= room:
+            shard_hits = shard_hits[:room]
+            if not timed_out:
+                shard_scanned = _covered_through(space, shard_hits[-1])
+        scanned += shard_scanned
+        batch = [Perm(h) for h in shard_hits]
         hits.extend(batch)
         if progress is not None and batch:
             progress(i, batch)
-        if timed_out or (limit is not None and len(hits) >= limit):
+        if timed_out or len(hits) == limit:
             break
 
     elapsed_ms = int((time.monotonic() - t0) * 1000)

@@ -26,6 +26,10 @@ def test_public_names_are_pinned():
     assert golden.api() == CORPUS["api"]
 
 
+def test_library_errors_are_pinned():
+    assert [golden.raised(call) for call in golden.ERRORS] == CORPUS["errors"]
+
+
 @pytest.mark.parametrize(
     "case", CORPUS["cases"], ids=lambda case: " ".join(case["argv"])[:48] or "(none)"
 )

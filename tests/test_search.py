@@ -25,10 +25,8 @@ from inflatable import (
 import inflatable.search
 from inflatable.search import (
     _complement_targets,
-    _derive_shard,
     _scan_shard,
     _search_space,
-    _shard_job,
     _space,
     _target_vector,
     _value_dtype,
@@ -132,27 +130,16 @@ def test_config_validation():
     assert res.found == 1
 
 
-def old_limit_rule(pool: list, vectors: list, tv: tuple, limit: int) -> tuple:
+def lexicographic_cut(pool: list, vectors: list, tv: tuple, limit: int) -> tuple:
     """The limited scan's (hits, scanned), from brute-force lexicographic order.
 
     pool lists the candidates in lexicographic order, vectors their count
-    vectors. Shards (first values) run in order. Each shard stops at
-    its own limit-th hit and counts the candidates up to and including it;
-    a shard with fewer hits counts in full. The scan ends with the shard
-    that brings the hits to the limit.
+    vectors. The run stops at its limit-th hit and counts the candidates
+    up to and including it; a run with fewer hits counts the whole pool.
     """
-    hits, scanned = [], 0
-    for u in sorted({p[0] for p in pool}):
-        shard = [(p, v) for p, v in zip(pool, vectors) if p[0] == u]
-        own = [p for p, v in shard if v == tv]
-        if len(own) >= limit:
-            scanned += shard.index((own[limit - 1], tv)) + 1
-        else:
-            scanned += len(shard)
-        hits += own
-        if len(hits) >= limit:
-            break
-    return hits[:limit], scanned
+    ranks = [i for i, v in enumerate(vectors, 1) if v == tv]
+    scanned = ranks[limit - 1] if len(ranks) >= limit else len(pool)
+    return [pool[i - 1] for i in ranks[:limit]], scanned
 
 
 def test_engines_agree_with_brute_force_central():
@@ -318,26 +305,21 @@ def test_exact_test_prunes_the_final_level():
 
 
 def test_derived_shards_equal_their_own_scans():
-    # every shard derived from its complement mirror equals a real scan of
-    # it; random targets are not complement-invariant, so the lower shards
-    # get scans of their own under the complemented targets, and odd n
-    # covers the unrestricted middle shard, which is its own mirror
+    # the search, whose upper shards are derived from their complement
+    # mirrors, equals a real scan of every shard; random targets are not
+    # complement-invariant, so the mirrors get scans of their own under the
+    # complemented targets, and odd n covers the unrestricted middle shard,
+    # which is its own mirror
     rng = random.Random(11)
     spaces = [(n, True, list(enumerate_centrally_symmetric(n))) for n in (8, 10, 12)]
     spaces += [
         (n, False, [Perm(p) for p in permutations(range(1, n + 1))]) for n in (6, 7, 8)
     ]
     for n, central, pool in spaces:
-        space = _space(n, central)
         for tau in rng.sample(pool, 2):
             tv = count_vector(tau)
             assert _complement_targets(n, tv) == count_vector(complement(tau)) != tv
-            for u in space.values:
-                first_u, job_tv = _shard_job(n, tv, u)
-                assert first_u == min(u, n + 1 - u)
-                job = _scan_shard(n, job_tv, space, first_u, None)
-                derived = _derive_shard(n, u, first_u, job)
-                assert derived == _scan_shard(n, tv, space, u, None)
+            assert _search_space(n, tv, central, None, None) == run_shards(n, tv, central)
 
 
 def test_real_targets_scan_half_the_shards(monkeypatch):
@@ -432,7 +414,7 @@ def test_limit_cut_is_deterministic_and_a_subset():
 
 def test_limited_scan_matches_the_lexicographic_cut():
     # the limit cut and its scanned count equal those of a scan that walks
-    # each shard in lexicographic order and stops at the shard's limit-th hit
+    # the space in lexicographic order and stops at its limit-th hit
     rng = random.Random(10)
     spaces = [(n, True, list(enumerate_centrally_symmetric(n))) for n in (8, 10)]
     spaces += [
@@ -447,7 +429,7 @@ def test_limited_scan_matches_the_lexicographic_cut():
         targets.add(Counter(vectors).most_common(1)[0][0])
         for tv in targets:
             for limit in (1, 2, 3, 5):
-                want = old_limit_rule(pool, vectors, tv, limit)
+                want = lexicographic_cut(pool, vectors, tv, limit)
                 assert _search_space(n, tv, central, limit, None) == want
 
 
@@ -535,3 +517,14 @@ def test_full_length17_central_scan():
     W = np.array(e17, dtype=np.uint8)[:, None]
     got = _space(17, False).counts(W)
     assert tuple(got[:, 0].tolist()) == _target_vector(17) == count_vector(e17)
+
+
+def test_limited_length17_scans_stop_at_their_last_hit():
+    # each limited central scan returns the full scan's first hits, and
+    # scanned is the rank of its last hit in lexicographic order: the 30th
+    # hit is candidate 1,691,279 of enumerate_centrally_symmetric(17)
+    hits = search_3_inflatable(SearchConfig(n=17)).hits
+    runs = {k: search_3_inflatable(SearchConfig(n=17, limit=k)) for k in (1, 3, 30, 750)}
+    for k, res in runs.items():
+        assert res.hits == hits[:k], k
+    assert runs[30].scanned == 1_691_279

@@ -6,11 +6,18 @@ the root of a source checkout):
     python3 tools/bench_composed.py
 
 It runs every operation below once, in this order, in this process, and
-prints one JSON object: the seconds of each operation. Before each
+prints one JSON object: the calibrated seconds of each operation, timed by
+``perfbench/pace.py``'s ``Pace.time`` (its wall time less the reference
+chunks run inside it, scaled to the pace where one chunk takes
+``REF_NOMINAL_S``), so the host's speed phases mostly cancel. Before each
 operation the library's memos (``core._host_tables``,
 ``limits.uniform_profile``) are cleared outside the timed region, so it
 times the counting and not a lookup, except ``limit_wide_warm``, which
-repeats ``limit_wide_cold`` with the memos as it left them. The operations:
+repeats ``limit_wide_cold`` with the memos as it left them. A full garbage
+collection runs before every operation, also outside the timed region:
+otherwise the one the allocations trip lands in whichever short operation
+comes next and adds about 15 ms (a pass over the long hosts the script
+holds) to an operation of 3-5 ms. The operations:
 
 - ``check_17_5_*``: CLI ``check --json`` on the 1,419,857-long composition
   of the two length-17 examples, whole (``cli``) and in three parts: parse
@@ -38,13 +45,17 @@ runs this script in alternating parent/change pairs.
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import io
 import json
 import random
 import sys
 from fractions import Fraction
 from math import comb
-from time import perf_counter
+from pathlib import Path
+
+PACE = Path(__file__).resolve().parent.parent / "perfbench" / "pace.py"
 
 EXAMPLES_17 = ("G54ABC319HF678ED2", "E534BGA9HC2D1687F")
 TAU9_SEED = 7
@@ -58,8 +69,17 @@ LIMITS_289 = {
 }
 
 
+def load_pace():
+    """perfbench's pace module, loaded from its file (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location("pace", PACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def measure() -> dict:
-    """Run each operation once, in order, in this process; seconds per operation."""
+    """Run each operation once, in order, in this process; calibrated
+    seconds per operation."""
     import inflatable
     import inflatable.cli
     from inflatable import core, limits
@@ -132,13 +152,13 @@ def measure() -> dict:
         "limit_wide_cold": limit_wide,
         "limit_wide_warm": limit_wide,
     }
+    pace = load_pace().Pace()
     seconds = {}
     for op, (call, ok, problem) in ops.items():
         if op != "limit_wide_warm":
             clear()
-        t0 = perf_counter()
-        answer = call()
-        seconds[op] = perf_counter() - t0
+        gc.collect()
+        answer, _, seconds[op] = pace.time(call)
         if not ok(answer):
             raise SystemExit(f"error: {op}: {problem}")
     return seconds

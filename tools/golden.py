@@ -6,8 +6,9 @@ Usage, from the root of the checkout:
 
 rewrites ``tests/golden/cli.json`` from ``CASES``. ``tests/test_golden.py``
 runs the same cases through ``record`` and compares them with the file, so
-the file pins the contract: the CLI's bytes and exit codes, and the public
-``__all__`` lists. Any rewrite that changes it is a contract change.
+the file pins the contract: the CLI's bytes and exit codes, the public
+``__all__`` lists, and the type and message of each documented library
+error in ``ERRORS``. Any rewrite that changes it is a contract change.
 
 Each case runs in-process through ``cli.run`` with ``COLUMNS=80`` (argparse
 wraps its usage text to the terminal width) and with the library's memos
@@ -64,10 +65,12 @@ CASES = [
     ["inflate", "21", "1", "132", "--json"],
     ["inflate", "21", "1", "--json"],
     ["blocks", "2413"],
+    ["blocks", "132"],
     ["blocks", "132", "--json"],
     ["blocks", "123456789AB", "--json"],
     ["limit", G, "--pattern", "123"],
     ["limit", "132", "--pattern", "231", "--json"],
+    ["limit", "132", "--pattern", "12", "--json"],
     ["limit", "2413", "--pattern", "12", "--profile", "{profile}", "--json"],
     ["limit", "2413", "--pattern", "12", "--profile", "{bad_profile}", "--json"],
     ["limit", "2413", "--pattern", "123", "--profile", "{profile}", "--json"],
@@ -78,6 +81,8 @@ CASES = [
     ["check", "{host_17_4}", "--json"],
     ["check", "1", "--json"],
     ["check", "21"],
+    ["check", "21", "--json"],
+    ["check", "472951836", "--json"],
     ["check", "1,2,2", "--json"],
     ["check", "1,,2", "--json"],
     ["check", "0,1", "--json"],
@@ -112,10 +117,56 @@ CASES = [
     ["rotate", "132", "--json", "--out", "{out}"],
     ["counts", "472951836", "--out", "{out}"],
     ["plot", "2413"],
+    ["plot", "132"],
     ["plot", "2413", "--json"],
     ["plot", "2413", "--format", "svg", "--out", "{out}"],
     ["plot", "2413", "--format", "png"],
     [],
+]
+
+# documented library errors, each a call evaluated with the package's public
+# names; the corpus keeps the type and message of what it raises
+ERRORS = [
+    'Perm("1,1")',
+    'Perm("")',
+    'Perm((1, 3))',
+    'Perm((1.5, 2))',
+    'parse_permutation("1,,2")',
+    'format_permutation(Perm(tuple(range(1, 37))), style="compact")',
+    'format_permutation("12", style="roman")',
+    'density("1234", "132")',
+    'generalized_inflate("12", ["1"])',
+    'all_patterns(0)',
+    'count_length3_all("12")',
+    f'compose_inflatables("12", "{G}")',
+    'target_counts_3(2)',
+    'admissible_residues(0)',
+    'DensityProfile({"1": "1", "12": "1/3"})',
+    'DensityProfile({"1": "1", "12": "2", "21": "-1"})',
+    'DensityProfile({"1": "1/0"})',
+    'DensityProfile.from_json("[]")',
+    'uniform_profile(7)',
+    'limit_density_uniform("1234567", "132")',
+    'limit_density_inflation("123", "132", uniform_profile(2))',
+    'estimate_limit_density("132", "123", j=2, samples=1)',
+    'estimate_limit_density("132", "12", j=5, samples=0)',
+    'estimate_limit_density("132", "12", j=True, samples=1)',
+    'estimate_limit_density("132", "12", j=5, samples=1, subset_samples=-1)',
+    'estimate_limit_density("132", "1234", j=5, samples=1)',
+    'estimate_limit_density("132", "12", j=10**6, samples=1)',
+    'block_partitions(Perm(tuple(range(1, 12))))',
+    'render_ascii(Perm(tuple(range(1, 202))))',
+    'space_size(0, True)',
+    'enumerate_centrally_symmetric(0)',
+    'search_3_inflatable(SearchConfig(n=17.0))',
+    'search_3_inflatable(SearchConfig(n=True))',
+    'search_3_inflatable(SearchConfig(n=2))',
+    'search_3_inflatable(SearchConfig(n=17, limit=0))',
+    'search_3_inflatable(SearchConfig(n=17, limit=2.5))',
+    'search_3_inflatable(SearchConfig(n=17, threads=0))',
+    'search_3_inflatable(SearchConfig(n=17, timeout=0))',
+    'search_3_inflatable(SearchConfig(n=17, timeout=True))',
+    'search_3_inflatable(SearchConfig(n=1728, timeout=0.05))',
 ]
 
 
@@ -163,6 +214,16 @@ def record(argv: list) -> dict:
     return rec
 
 
+def raised(call: str) -> dict:
+    """The type name and message of the exception ``call`` raises (None if none)."""
+    names = {name: getattr(inflatable, name) for name in inflatable.__all__}
+    try:
+        eval(call, names)
+    except Exception as exc:
+        return {"call": call, "type": type(exc).__name__, "message": str(exc)}
+    return {"call": call, "type": None, "message": None}
+
+
 def public_dir() -> list:
     """Public names of ``dir(inflatable)`` right after a fresh ``import inflatable``."""
     code = "import inflatable, json; print(json.dumps(sorted(n for n in dir(inflatable) if n[0] != '_')))"
@@ -183,10 +244,14 @@ def api() -> dict:
 
 
 def main() -> int:
-    doc = {"api": api(), "cases": [record(argv) for argv in CASES]}
+    doc = {
+        "api": api(),
+        "cases": [record(argv) for argv in CASES],
+        "errors": [raised(call) for call in ERRORS],
+    }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    print(f"wrote {len(CASES)} cases to {GOLDEN}")
+    print(f"wrote {len(CASES)} cases and {len(ERRORS)} errors to {GOLDEN}")
     return 0
 
 
