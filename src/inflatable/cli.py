@@ -160,7 +160,8 @@ def _cmd_counts(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
     if tau.n < 3:
         raise ValueError(f"need length >= 3, got {tau.n}")
-    pairs, triples = _occurrences(tau, 2), _occurrences(tau, 3)
+    tables = _occurrences(tau, 3)
+    pairs, triples = tables[2], tables[3]
     return CommandResult(
         "ok",
         {
@@ -334,6 +335,16 @@ def run(argv: list, stdout=None) -> CommandResult:
         return CommandResult("error", {}, [f"argument parsing failed ({exc.code})"])
     try:
         result = args.handler(args, stream)
+        if args.json:
+            text = json.dumps(result.payload, separators=(",", ":"))
+        elif result.text is not None:
+            text = result.text
+        else:
+            text = _render_human(result.payload)
+        # written before printing: a failed write leaves stdout empty
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n" if result.out is None else result.out)
     except (ValueError, OSError) as exc:
         result = CommandResult("error", {}, [str(exc)])
 
@@ -345,21 +356,10 @@ def run(argv: list, stdout=None) -> CommandResult:
         if not result.payload:
             return result
 
-    if args.json:
-        text = json.dumps(result.payload, separators=(",", ":"))
-    elif result.text is not None:
-        text = result.text
-    else:
-        text = _render_human(result.payload)
-
     stream.write(text + "\n")
     if not error:
         for note in result.diagnostics:
             stream.write(f"note: {note}\n")
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n" if result.out is None else result.out)
     return result
 
 

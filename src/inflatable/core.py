@@ -282,7 +282,7 @@ def count_occurrences(pi: PermLike, tau: PermLike) -> int:
 def density(pi: PermLike, tau: PermLike) -> Fraction:
     """Pattern density t(pi, tau) = occurrences / C(|tau|, |pi|), exact.
 
-    The count is read from the host's occurrence table (_occurrences), so
+    The count is read from the host's occurrence tables (_occurrences), so
     every pattern of one length on one host shares a single count.
 
     >>> density("12", "132")
@@ -294,66 +294,65 @@ def density(pi: PermLike, tau: PermLike) -> Fraction:
         raise ValueError(
             f"density undefined: pattern length {p.n} exceeds host length {t.n}"
         )
-    return Fraction(_occurrences(t, p.n).get(p, 0), comb(t.n, p.n))
+    return Fraction(_occurrences(t, p.n)[p.n].get(p, 0), comb(t.n, p.n))
 
 
 # a few hosts at once: enough for a check and a limit sum on the same host,
 # while a long host counted once is soon let go
 @lru_cache(maxsize=4)
 def _host_tables(tau: Perm) -> dict:
-    """One host's memo: length -> occurrence counts (_occurrences) and
-    ("limit", k) -> (profile, limit densities) (limits._limit_table)."""
+    """One host's memo: length -> occurrence counts, closed downward (_fill),
+    and ("limit", k) -> (profile, limit densities) (limits._limit_table)."""
     return {}
 
 
 def _occurrences(tau: Perm, s: int) -> dict:
-    """Occurrence counts of every length-s pattern in tau; do not mutate.
+    """tau's memo (_host_tables), filled with the counts of every length 1..s.
 
-    A pattern missing from the dict does not occur. _fill counts into the
-    host's memo, which keeps the last few hosts; a composed host's factors
-    are filled into dicts of their own, so they take no host's place here.
+    memo[j] maps each length-j pattern that occurs to its count; do not
+    change those. A caller reads it once, at its longest length: a hit
+    hashes the host once and tests one key. Factors of a composed host are
+    filled into dicts of their own, so they take no host's place here.
     """
     tables = _host_tables(tau)
-    _fill(tau, s, tables)
-    return tables[s]
+    if s not in tables:
+        _fill(tau, s, tables)
+    return tables
 
 
 def _fill(tau: Perm, s: int, tables: dict) -> None:
-    """Add tau's length-s occurrence counts to tables (length -> counts).
+    """Add tau's occurrence counts of every length 1..s to tables.
 
-    The one place that decides how a host is counted. At s >= 2 a host
+    The one place that decides how a host is counted, and the one fill
+    rule: a length is present only with every shorter one. At s >= 2 a host
     inflate(tau1, tau2) (_split_inflation) gets every length up to max(s, 3)
     at once: an occurrence of pi picks an occurrence of some rho in tau1
     and, in the i-th block it picks, one of some alpha_i in tau2, with
     pi = rho[alpha_1, ..., alpha_m]; so occ(pi) is the forward sum of
-    _inflation_sums over the factors' tables, filled here in turn into
-    fresh dicts. Any other host is counted directly: length 1 occurs |tau|
-    times, lengths 2 and 3 on hosts of length >= 3 come from one
-    count_length3_all call, and any other length is one pass over the
-    C(|tau|, s) index subsets that turns each distinct argsort into its
-    pattern once.
+    _inflation_sums over the factors' tables, each filled here through the
+    same length into a fresh dict. Any other host is counted directly, in
+    order: length 1 occurs |tau| times, lengths 2 and 3 on hosts of length
+    >= 3 come from one count_length3_all call, and each other length is one
+    pass over the C(|tau|, j) index subsets that turns each distinct
+    argsort into its pattern once.
     """
-    if s in tables:
-        return
     split = _split_inflation(tau) if s > 1 else None
     if split is not None:
         top = max(s, 3)
         factors = ({}, {})
         for f, counts in zip(split, factors):
-            # longest first: a factor that splits fills every shorter length with it
-            for j in range(top, 0, -1):
-                _fill(f, j, counts)
+            _fill(f, top, counts)
         tables.update({j: _inflation_sums(j, *factors) for j in range(1, top + 1)})
-    elif s == 1:
-        tables[1] = {Perm((1,)): tau.n}
-    elif s in (2, 3) and tau.n >= 3:
+        return
+    tables[1] = {Perm((1,)): tau.n}
+    if s > 1 and tau.n >= 3 and 3 not in tables:
         pc = count_length3_all(tau)
         tables[2] = {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}
         tables[3] = pc.counts
-    else:
-        r = range(s)
-        keys = Counter(tuple(sorted(r, key=sub.__getitem__)) for sub in combinations(tau, s))
-        tables[s] = {_from_argsort(key): c for key, c in keys.items()}
+    for j in range(2, s + 1):
+        if j not in tables:
+            keys = Counter(tuple(sorted(range(j), key=q.__getitem__)) for q in combinations(tau, j))
+            tables[j] = {_from_argsort(key): c for key, c in keys.items()}
 
 
 def _proper_divisors(n: int) -> list[int]:

@@ -140,7 +140,8 @@ def check_3_inflatable(tau: PermLike) -> InflatabilityReport:
         required = {_P12: Fraction(1, 2)}
     else:
         required = target_densities_3(n)
-    observed_counts = {p: _occurrences(t, p.n).get(p, 0) for p in required}
+    tables = _occurrences(t, min(n, 3))
+    observed_counts = {p: tables[p.n].get(p, 0) for p in required}
     observed = {p: Fraction(c, comb(n, p.n)) for p, c in observed_counts.items()}
     admissible = n == 1 or (n >= 3 and target_counts_3(n) is not None)
     verdict = admissible and all(observed[p] == required[p] for p in required)

@@ -18,13 +18,13 @@ sigma[alpha_1, ..., alpha_m], so one pass over every sigma, every block
 size composition and every choice of inner patterns (core._inflation_sums)
 adds each term to the pattern it builds, and gives every length-k limit
 on a host at once. The table is kept per (host, k, profile object) in
-core's memo, next to the host's occurrence counts, which are computed once
-per host and shared by every pattern summed on it. So the first pattern
-asked for on a host pays for the whole table, about 10 ms for k = 6 on a
-9-long host (2-vCPU Xeon VM, Python 3.11), and every later length-6
-pattern there is a lookup. A fresh profile object per call rebuilds the
-table, and takes the place of the last one. Everything here is exact
-rational arithmetic.
+core's memo, next to the host's occurrence counts of every length up to
+k, which one core._occurrences call fills and every pattern summed on the
+host shares. So the first pattern asked for on a host pays for the whole
+table, about 10 ms for k = 6 on a 9-long host (2-vCPU Xeon VM, Python
+3.11), and every later length-6 pattern there is a lookup. A fresh
+profile object per call rebuilds the table, and takes the place of the
+last one. Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Mapping, Union
 from .core import (
     Perm,
     PermLike,
-    _host_tables,
     _inflation_sums,
     _occurrences,
     all_patterns,
@@ -175,21 +174,21 @@ def limit_density_inflation(
 def _limit_table(t: Perm, k: int, profile: DensityProfile) -> dict:
     """Every length-k limit on host t under profile, kept with t's occurrence tables.
 
-    One forward sum (core._inflation_sums) over the host's counts occ(rho)
-    and the inner weights w(alpha) = s(alpha) / |alpha|! gives every
-    pattern's sum at once. The weights are scaled to integers: B is the
-    lcm of den(s(alpha)) * |alpha|! over every alpha, and the length-j
-    weights are multiplied by B^j, which multiplies every term of a
-    length-k pattern by the same B^k. The host keeps one table per k, for
-    the last profile object it was asked with, so a run of fresh profiles
-    on one host holds one table, not one per profile.
+    One core._occurrences call reads t's memo, filled through length k.
+    One forward sum (core._inflation_sums) over that memo's counts occ(rho)
+    (it reads only the length keys) and the inner weights
+    w(alpha) = s(alpha) / |alpha|! gives every pattern's sum at once. The
+    weights are scaled to integers: B is the lcm of den(s(alpha)) * |alpha|!
+    over every alpha, and the length-j weights are multiplied by B^j, which
+    multiplies every term of a length-k pattern by the same B^k. The host
+    keeps one table per k, for the last profile object it was asked with,
+    so a run of fresh profiles on one host holds one table, not one per
+    profile.
     """
-    tables = _host_tables(t)
+    tables = _occurrences(t, k)
     held = tables.get(("limit", k))
     if held is not None and held[0] is profile:
         return held[1]
-    # longest first: a composed host fills every shorter length with it
-    outer = {m: _occurrences(t, m) for m in range(k, 0, -1)}
     weights = {j: {a: profile[a] for a in all_patterns(j)} for j in range(1, k + 1)}
     scale = lcm(*(f.denominator * factorial(j) for j, ws in weights.items() for f in ws.values()))
     inner = {
@@ -199,7 +198,7 @@ def _limit_table(t: Perm, k: int, profile: DensityProfile) -> dict:
     denominator = t.n**k * scale**k
     table = {
         pi: Fraction(factorial(k) * total, denominator)
-        for pi, total in _inflation_sums(k, outer, inner).items()
+        for pi, total in _inflation_sums(k, tables, inner).items()
     }
     tables[("limit", k)] = (profile, table)
     return table

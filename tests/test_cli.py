@@ -375,6 +375,35 @@ def test_out_file_for_plain_command(tmp_path):
         assert line in out.splitlines()
 
 
+def test_a_failed_out_write_is_an_error(tmp_path, capsys):
+    # a missing directory, and a directory in place of the file: one error
+    # line and exit 2, with nothing on stdout and no traceback
+    cases = (
+        (["rotate", "132"], tmp_path / "missing" / "x.txt"),
+        (["check", "1,2"], tmp_path),
+    )
+    for argv, target in cases:
+        argv = [*argv, "--out", str(target)]
+        result, out = invoke(argv)
+        assert result.exit_code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and err.count("\n") == 1
+        assert str(target) in err
+        proc = module_cli(argv)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: [Errno") and proc.stderr.count(b"\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_an_entry_past_ints_digit_cap_is_an_error(capsys):
+    cap = sys.get_int_max_str_digits()
+    if not cap:
+        pytest.skip("int() has no digit cap in this interpreter")
+    result, out = invoke(["check", "1," + "2" * (cap + 1)])
+    assert result.exit_code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: Exceeds the limit")
+
+
 def test_human_rendering_shapes():
     _, out = invoke(["density", "132", "--pattern", "12"])
     assert out == "density: 2/3\n"

@@ -96,21 +96,30 @@ def test_splitter_rejects_a_transposition_across_a_block_boundary():
 
 
 def test_composed_tables_match_count_occurrences():
-    # every pattern of length 1..5, on inflations whose factors may split
-    # again; the counts listed add up to all C(n, k) subsets, so every
+    # one call at length s fills every length 1..s, on inflations whose
+    # factors may split again, and on three-fold ones, one of whose factors
+    # does; the counts listed add up to all C(n, k) subsets, so every
     # pattern left out does not occur
     rng = random.Random(43)
-    for _ in range(12):
-        a = random_perm(rng, rng.randint(2, 4))
-        b = random_perm(rng, rng.randint(2, 4))
-        tau = inflate(a, b)
+    hosts = [
+        inflate(random_perm(rng, rng.randint(2, 4)), random_perm(rng, rng.randint(2, 4)))
+        for _ in range(12)
+    ]
+    for a, c in ((Perm("21"), Perm("132")), (Perm("12"), Perm("231"))):
+        hosts.append(inflate(inflate(a, random_perm(rng, 2)), c))
+        assert any(map(core._split_inflation, core._split_inflation(hosts[-1])))
+    for tau in hosts:
         assert core._split_inflation(tau) is not None
-        core._host_tables.cache_clear()
-        for k in range(1, 6):
-            table = core._occurrences(tau, k)
-            assert sum(table.values()) == comb(tau.n, k)
-            for pi, count in table.items():
-                assert count == count_occurrences(pi, tau), (tau, pi)
+        oracle = {}
+        for s in range(1, 6):
+            core._host_tables.cache_clear()
+            tables = core._occurrences(tau, s)
+            for k in range(1, s + 1):
+                assert sum(tables[k].values()) == comb(tau.n, k)
+                for pi, count in tables[k].items():
+                    if pi not in oracle:
+                        oracle[pi] = count_occurrences(pi, tau)
+                    assert count == oracle[pi], (tau, pi)
 
 
 def test_composed_tables_match_count_length3_all_at_4913():
@@ -159,6 +168,26 @@ def test_a_cold_composed_host_takes_one_memo_place():
     # a limit table is kept in its host's entry
     assert limit_density_uniform("123", host289) == limit_density_uniform("123", host289)
     assert core._host_tables.cache_info().currsize == 2
+
+
+def test_each_call_reads_its_host_once():
+    # a check reads all seven of its patterns, and a cold limit sum every
+    # length up to its own, from one memo lookup
+    def lookups():
+        info = core._host_tables.cache_info()
+        return info.hits + info.misses
+
+    host289 = inflate(*EXAMPLES_17)
+    core._host_tables.cache_clear()
+    for host in (EXAMPLES_17[0], host289, EXAMPLES_17[0]):
+        before = lookups()
+        assert check_3_inflatable(host).verdict
+        assert lookups() == before + 1
+    host = Perm("472951836")
+    for k in range(1, 7):
+        core._host_tables.cache_clear()
+        limit_density_uniform(Perm(range(1, k + 1)), host)
+        assert lookups() == 1
 
 
 def test_the_library_keeps_two_module_level_caches():

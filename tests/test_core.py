@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -57,6 +58,16 @@ def test_parse_rejects_garbage():
         Perm(())
     with pytest.raises(ValueError, match="must be integers"):
         Perm([1.0])
+
+
+def test_parse_keeps_ints_own_error_past_its_digit_cap():
+    # an entry of decimal digits that int() refuses for its length is not
+    # malformed: int()'s own message, naming the cap, goes through
+    cap = sys.get_int_max_str_digits()
+    if not cap:
+        pytest.skip("int() has no digit cap in this interpreter")
+    with pytest.raises(ValueError, match=rf"limit \({cap} digits\)"):
+        parse_permutation("1," + "2" * (cap + 1))
 
 
 def test_format_round_trip():
@@ -226,17 +237,20 @@ def test_density_examples():
 
 
 def test_occurrence_table_matches_count_occurrences():
-    # every pattern of length 1..5 on hosts of length 1..9, the hosts
-    # shorter than 3 and than the pattern included
+    # one call at length s fills every length 1..s: every pattern of length
+    # 1..5 on hosts of length 1..9, the hosts shorter than 3 and than s
+    # included, each counted from a cleared memo
     rng = random.Random(17)
     for n in range(1, 10):
         for _ in range(2):
             tau = random_perm(rng, n)
-            for k in range(1, 6):
-                table = core._occurrences(tau, k)
-                assert sum(table.values()) == comb(n, k)
-                for pi in all_patterns(k):
-                    assert table.get(pi, 0) == count_occurrences(pi, tau)
+            oracle = {k: {pi: count_occurrences(pi, tau) for pi in all_patterns(k)} for k in range(1, 6)}
+            for s in range(1, 6):
+                core._host_tables.cache_clear()
+                tables = core._occurrences(tau, s)
+                for k in range(1, s + 1):
+                    assert sum(tables[k].values()) == comb(n, k)
+                    assert {pi: tables[k].get(pi, 0) for pi in oracle[k]} == oracle[k]
 
 
 def test_check_and_density_share_one_count(monkeypatch):

@@ -31,6 +31,8 @@ def test_uniform_profile_contents():
     assert prof["12"] == Fraction(1, 2)
     assert prof["321"] == Fraction(1, 6)
     assert prof.covers(3) and not prof.covers(4)
+    assert "12" in prof and Perm("321") in prof and (1,) in prof
+    assert "1234" not in prof
 
 
 def test_profile_validation():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -466,6 +467,11 @@ def test_timeout_raises_with_partial_progress():
         with pytest.raises(SearchTimeout) as exc:
             search_3_inflatable(SearchConfig(n=n, central_only=central, timeout=0.5))
         assert 500 <= exc.value.elapsed_ms < 750
+
+
+def test_a_shard_past_its_deadline_stops_as_its_first_block_enters():
+    space = _space(17, True)
+    assert _scan_shard(17, _target_vector(17), space, 2, time.monotonic() - 1) == ([], 0, True)
 
 
 def test_long_lengths_widen_the_kernel_arrays_or_refuse():
