@@ -56,6 +56,10 @@ __all__ = [
 
 LIMIT_PATTERN_MAX = 6
 
+# the limit of a pattern no term reaches; Fractions are immutable, so every
+# such call returns this one
+_ZERO = Fraction(0)
+
 RationalLike = Union[Fraction, int, str]
 
 
@@ -168,7 +172,7 @@ def limit_density_inflation(
     if not profile.covers(k):
         missing = [s for s in range(1, k + 1) if s not in profile.lengths]
         raise ValueError(f"profile lacks lengths {missing} needed for |pi| = {k}")
-    return _limit_table(t, k, profile).get(p, Fraction(0))
+    return _limit_table(t, k, profile).get(p, _ZERO)
 
 
 def _limit_table(t: Perm, k: int, profile: DensityProfile) -> dict:

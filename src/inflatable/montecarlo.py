@@ -1,17 +1,26 @@
 """Monte Carlo estimation of limit densities, as an independent check.
 
 The exact limit formula predicts pattern densities of inflate(tau, lambda)
-for a uniformly random permutation lambda of length j. This module builds
-that experiment directly: sample lambda, inflate, measure the density,
-average. Estimates here are the only floating-point surface of the
+for a uniformly random permutation lambda of length j. This module runs
+that experiment: sample lambda, measure the pattern's density in the
+inflation, average. Estimates here are the only floating-point surface of the
 package; everything they are compared against stays exact.
 
-Exact mode counts each host with ``count_length3_all`` itself, never
-through ``density``, so the estimate stays independent of whatever path
-``density`` takes. Subset mode builds no host: the value at index x of
-inflate(tau, lambda) is j * (tau[x // j] - 1) + lambda[x % j], so it
-reads values off that formula as a numpy vector and classifies all of a
-sample's subsets at once.
+Neither mode builds the host. Exact mode counts it from the paper's
+finite formula: every occurrence of pi in inflate(tau, lambda) picks a
+block partition pi = sigma[alpha_1, ..., alpha_m], an occurrence of sigma
+in tau and one of each alpha_i in lambda, so
+occ(pi) = sum occ(sigma, tau) * prod occ(alpha_i, lambda). tau's counts
+are filled once per call and lambda's once per sample, each into a dict
+of its own (``core._fill``, so the host memo is left alone), and the sum
+runs over ``partitions.block_partitions(pi)``. That is neither ``density``
+nor the forward sum the limit formula uses (``core._inflation_sums``,
+which ``_fill`` reaches only for a lambda that splits itself), so the
+estimate stays independent of the code that computes the limit it checks.
+Subset mode: the value at index x of inflate(tau, lambda) is
+j * (tau[x // j] - 1) + lambda[x % j], so it reads values off that
+formula as a numpy vector and classifies all of a sample's subsets at
+once.
 
 Determinism: sample i uses its own ``random.Random(f"{seed}:{i}")``, which
 string-seeds through SHA-512, so runs are reproducible across platforms
@@ -25,21 +34,23 @@ subsets ``rng.sample(range(|tau| * j), |pi|)`` would, likewise in bulk
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, log, sqrt
+from math import ceil, comb, log, prod, sqrt
 from statistics import fmean, stdev
 import random
 import sys
 
-from .core import PermLike, _integer, as_perm, count_length3_all, count_occurrences, inflate
+from .core import Perm, PermLike, _fill, _integer, as_perm
+from .partitions import block_partitions
 
 __all__ = ["Estimate", "estimate_limit_density", "GENERATOR_ID", "EXACT_CELL_CAP"]
 
 GENERATOR_ID = "mt19937; per-sample seed sha512('{seed}:{index}'); Fisher-Yates shuffle"
 
-# exact per-sample counting runs the rank-count length-3 counter on the
-# |tau| * j long host; one sample of tau = 472951836 takes about 0.066 s at
-# 18,000 cells and 0.95-1.03 s at 99,999 (j = 11,111), 3 seeds each
-# (2-vCPU Xeon VM, Python 3.11.7)
+# exact per-sample counting fills the counts of the j long lambda (one
+# rank-count length-3 counter call) and sums over pi's block partitions, so
+# its cost follows j, not |tau| * j; one sample of tau = 472951836 takes
+# about 2.5 ms at j = 2,000 and 30-33 ms at j = 11,111 (99,999 cells), CPU
+# time, best of 3, 3 seeds at the larger j (2-vCPU Xeon VM, Python 3.11.7)
 EXACT_CELL_CAP = 100_000
 
 # subset mode draws and classifies at most this many subsets at a time, so
@@ -76,12 +87,13 @@ def estimate_limit_density(
 
     Each of the ``samples`` repetitions draws a uniform lambda of length j
     (Fisher-Yates on its own per-sample generator, the words of
-    ``Random.shuffle`` read in bulk), inflates tau by it, and
-    measures t(pi, .): exactly when subset_samples == 0 (requires
-    |pi| <= 3 and |tau| * j <= EXACT_CELL_CAP), otherwise by classifying
-    subset_samples uniform index subsets. Subset mode reads host values by
-    formula instead of building the host, and draws its subsets' words in
-    bulk from the same stream ``rng.sample`` would read.
+    ``Random.shuffle`` read in bulk) and measures t(pi, inflate(tau, lambda)):
+    exactly when subset_samples == 0 (requires |pi| <= 3 and
+    |tau| * j <= EXACT_CELL_CAP), otherwise by classifying subset_samples
+    uniform index subsets. Neither builds the host. Exact mode sums
+    occ(sigma, tau) * prod occ(alpha_i, lambda) over pi's block partitions;
+    subset mode reads host values by formula, and draws its subsets' words
+    in bulk from the same stream ``rng.sample`` would read.
 
     j, samples, subset_samples and seed must be integers (anything
     ``operator.index`` accepts); a bool raises ValueError.
@@ -108,6 +120,16 @@ def estimate_limit_density(
                 f"exact per-sample counting caps at |tau|*j = {EXACT_CELL_CAP}, "
                 f"got {big_n}; pass subset_samples > 0"
             )
+        outer: dict = {}
+        _fill(t, k, outer)
+        # (occ(sigma, tau), (alpha_1, ..., alpha_m)) for each block
+        # partition of pi whose sigma occurs in tau
+        terms = [
+            (w, bp.inner)
+            for bp in block_partitions(p)
+            if (w := outer[bp.outer.n].get(bp.outer))
+        ]
+        total = comb(big_n, k)
     else:
         import numpy as np
 
@@ -120,12 +142,11 @@ def estimate_limit_density(
         lam = list(range(1, j + 1))
         _shuffle(rng, lam)
         if subset_samples == 0:
-            g = inflate(t, lam)
-            # density()'s rules: the length-3 counter needs |pi| >= 2, |g| >= 3
-            if k >= 2 and big_n >= 3:
-                values.append(float(count_length3_all(g).density_of(p)))
-            else:
-                values.append(count_occurrences(p, g) / comb(big_n, k))
+            counts: dict = {}
+            _fill(tuple.__new__(Perm, lam), k, counts)
+            c = sum(w * prod(counts[len(a)].get(a, 0) for a in inner) for w, inner in terms)
+            # int / int rounds correctly, so this is float(Fraction(c, total))
+            values.append(c / total)
         else:
             host = block_base + np.tile(np.array(lam, dtype=np.int64), t.n)
             hit = 0

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import inflatable.core
 import inflatable.montecarlo as montecarlo
@@ -13,8 +15,10 @@ from inflatable import (
     GENERATOR_ID,
     Estimate,
     Perm,
+    all_patterns,
     count_occurrences,
     estimate_limit_density,
+    inflate,
     limit_density_uniform,
 )
 
@@ -217,23 +221,60 @@ def test_integer_arguments_are_checked():
     assert e == estimate_limit_density("132", "12", j=10, samples=2, seed=1)
 
 
-def test_exact_mode_counts_its_host_directly(monkeypatch):
+def test_exact_mode_counts_no_host_and_no_limit_sum(monkeypatch):
     # exact mode is the check of the limit formula that does not depend on
-    # it, so it must count with count_length3_all itself, whatever path
-    # density() takes
+    # it: it never builds the host, never goes through density(), and sums
+    # over block partitions, not the limit formula's forward sum; _fill
+    # counts tau once and then each sample's lambda
     def refuse(*args):
-        raise AssertionError("exact mode went through density()")
+        raise AssertionError("exact mode went through a refused path")
 
-    monkeypatch.setattr(inflatable.core, "density", refuse)
-    monkeypatch.setattr(montecarlo, "density", refuse, raising=False)
-    calls = []
-    counter = montecarlo.count_length3_all
+    for name in ("density", "inflate", "_inflation_sums"):
+        monkeypatch.setattr(inflatable.core, name, refuse)
+        monkeypatch.setattr(montecarlo, name, refuse, raising=False)
+    hosts = []
+    fill = inflatable.core._fill
 
-    def counted(host):
-        calls.append(len(host))
-        return counter(host)
+    def counted(tau, s, tables):
+        hosts.append(tau)
+        return fill(tau, s, tables)
 
-    monkeypatch.setattr(montecarlo, "count_length3_all", counted)
+    monkeypatch.setattr(inflatable.core, "_fill", counted)
+    monkeypatch.setattr(montecarlo, "_fill", counted)
     e = estimate_limit_density("132", "123", j=40, samples=10, seed=5)
-    assert calls == [120] * 10
+    lams = []
+    for i in range(10):
+        lam = list(range(1, 41))
+        montecarlo._shuffle(random.Random(f"5:{i}"), lam)
+        lams.append(Perm(lam))
+    assert hosts == [Perm("132"), *lams]
     assert (e.mean.hex(), e.stderr.hex()) == ("0x1.c631cd230c7c6p-3", "0x1.7347bf3104ab7p-8")
+
+
+# seeds whose one-sample lambda of length j splits (core._split_inflation),
+# so _fill counts it from its factors; at (8, 565) a factor splits again
+SPLIT_SEEDS = ((4, 7), (6, 50), (8, 305), (8, 565), (9, 32446), (10, 2728))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau=st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(Perm),
+    drawn=st.tuples(st.integers(1, 10), st.integers(0, 2**32)),
+)
+@example(tau=Perm("1"), drawn=SPLIT_SEEDS[0])
+@example(tau=Perm("3412"), drawn=SPLIT_SEEDS[1])
+@example(tau=Perm("21"), drawn=SPLIT_SEEDS[2])
+@example(tau=Perm("132"), drawn=SPLIT_SEEDS[3])
+@example(tau=Perm("231"), drawn=SPLIT_SEEDS[4])
+@example(tau=Perm("2413"), drawn=SPLIT_SEEDS[5])
+def test_one_sample_matches_its_built_host(tau, drawn):
+    j, seed = drawn
+    lam = list(range(1, j + 1))
+    montecarlo._shuffle(random.Random(f"{seed}:0"), lam)
+    if drawn in SPLIT_SEEDS:
+        assert inflatable.core._split_inflation(Perm(lam)) is not None
+    host = inflate(tau, lam)
+    for k in range(1, min(3, j) + 1):
+        for p in all_patterns(k):
+            e = estimate_limit_density(tau, p, j=j, samples=1, seed=seed)
+            assert e.mean == count_occurrences(p, host) / math.comb(host.n, k), (p, lam)
