@@ -19,16 +19,19 @@ Both search spaces go through one vectorized kernel (numpy). It extends a
 block of partial states by every admissible next value at once, tests
 each block of children on the count rule as it enters the next level,
 and descends into the survivors a block at a time, depth first, so the
-arrays it holds stay bounded. A block is stored position-major, one row
-per position and one column per state, so every sum over a state's
-positions is a few adds of contiguous vectors. The same kernel serves
-full scans (length 17, 10,321,920 centrally symmetric candidates, in
-about a third of a second on one core; see BENCH_search17.json) and
-scans cut by a result limit or a timeout: each shard is scanned whole
-and the run's sorted hits are cut at the limit. Only the count rule and
-the step depend on the space: unrestricted states grow by one value
-placed last, centrally symmetric ones by a complementary pair. The test
-suite checks both against brute-force filtering.
+arrays it holds stay bounded. The last three steps skip the rule: the
+counts are linear in five rank sums, so each completion of a state gets
+a key of its sums, and only key matches meet the rule, at the last level.
+A block is stored position-major, one row per position and one column
+per state, so every sum over a state's positions is a few adds of
+contiguous vectors. The same kernel serves full scans (length 17,
+10,321,920 centrally symmetric candidates, in about 0.15 s on one core;
+see BENCH_search17.json) and scans cut by a result limit or a timeout:
+each shard is scanned whole and the run's sorted hits are cut at the
+limit. Only the count rule and the step depend on the space:
+unrestricted states grow by one value placed last, centrally symmetric
+ones by a complementary pair. The test suite checks both against
+brute-force filtering.
 
 Shards are the choices of first value u. Complement (v -> n+1-v) maps
 shard u onto shard n+1-u and fixes the real targets, so only the shards
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import comb, factorial
 from typing import Callable, Iterator, Optional
 
@@ -77,6 +80,7 @@ _P12_IDX = 6
 _RMAP = (0, 2, 1, 4, 3, 5, _P12_IDX)
 
 _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
+_TAIL = 3  # last steps of a shard completed by five-sum key, not by the count rule
 
 
 class SearchTimeout(Exception):
@@ -339,17 +343,18 @@ def _central_counts(n: int, W: np.ndarray) -> np.ndarray:
 class _Space:
     """The facts about one search space that the block driver needs.
 
-    A candidate is built in `steps` steps of `per_step` values each; a state
-    after d steps has leaves[d] candidates under it. A step chooses one of
-    `values` not yet taken; taken(v) are the values a step placing v uses
-    up, and as_hit turns a state's stored values into the candidate's
-    value tuple. counts(W) is the space's exact count rule for the
-    position-major states W (W[j, s] is the value at position j of state
-    s), one column of 7 counts per state: the unplaced points follow the
-    prefix (prefix rule) or sit between the placed outer blocks (central
-    rule).
+    A candidate of length n is built in `steps` steps of `per_step` values
+    each; a state after d steps has leaves[d] candidates under it. A step
+    chooses one of `values` not yet taken; taken(v) are the values a step
+    placing v uses up (v may be an array), and as_hit turns a state's
+    stored values into the candidate's value tuple. counts(W) is the
+    space's exact count rule for the position-major states W (W[j, s] is
+    the value at position j of state s), one column of 7 counts per state:
+    the unplaced points follow the prefix (prefix rule) or sit between the
+    placed outer blocks (central rule).
     """
 
+    n: int
     steps: int
     per_step: int
     leaves: tuple
@@ -358,27 +363,38 @@ class _Space:
     counts: Callable
     as_hit: Callable
 
+    @cached_property
+    def tail(self) -> tuple:
+        """(d0, plan): a shard completes the states it keeps at depth
+        d0 = max(1, steps - _TAIL) by plan.matches (_fivesum.Tail)."""
+        from . import _fivesum
+
+        d0 = max(1, self.steps - _TAIL)
+        return d0, _fivesum.tail_plan(self.n, self.steps, self.per_step == 2, d0)
+
 
 def _space(n: int, central: bool) -> _Space:
     nn1 = n + 1
     if not central:
         return _Space(
+            n=n,
             steps=n,
             per_step=1,
             leaves=tuple(factorial(n - d) for d in range(n + 1)),
             values=tuple(range(1, nn1)),
-            taken=lambda v: {v},
+            taken=lambda v: (v,),
             counts=lambda W: _prefix_counts(n, W)[0],
             as_hit=lambda row: row,
         )
     m = n // 2
     mid = (nn1 // 2,) if n & 1 else ()
     return _Space(
+        n=n,
         steps=m,
         per_step=2,
         leaves=tuple((1 << (m - d)) * factorial(m - d) for d in range(m + 1)),
         values=tuple(u for u in range(1, nn1) if 2 * u != nn1),
-        taken=lambda v: {v, nn1 - v},
+        taken=lambda v: (v, nn1 - v),
         counts=partial(_central_counts, n),
         as_hit=lambda row: row + mid + tuple(nn1 - v for v in reversed(row)),
     )
@@ -418,8 +434,7 @@ def _scan_shard(
     enters, by the space's exact rule, and keeps only the states whose
     counts neither overshoot a target nor fall short of it by more than
     the slack the rule leaves open; each dropped state is credited with its
-    leaves. After the last step the slack is 0, so the kept states are the
-    hits. A child step marks the values of the kept states in one used
+    leaves. A child step marks the values the kept states use up in one
     mask, and appends each next value, as a new row, to the states that
     hold none of the values it uses up. Children queue up and are
     descended into, depth first, as soon as a full block of them is ready.
@@ -428,11 +443,18 @@ def _scan_shard(
     _PATH_CELLS values at any length. With a deadline, the kernel reads
     the clock as a block enters and before each child value, and stops as
     soon as the deadline has passed.
+
+    The states kept at depth d0 (space.tail) are completed in every way at
+    once, with no count rule: each completion's five-sum key (the prefix
+    points' terms plus the tail's, from one table) is compared with the
+    targets'. Keys wrap mod 2^64, so the matches enter the last level as
+    one block, where the count rule with slack 0 alone decides each hit.
     """
     import numpy as np
 
     vdtype = _value_dtype(n)
     T = np.array(tv, dtype=np.int32)[:, None]
+    d0, tail = space.tail
     hit_blocks: list[np.ndarray] = []
     scanned = 0
     timed_out = False
@@ -465,8 +487,17 @@ def _scan_shard(
             hit_blocks.append(W.T)
             scanned += kept
             return
+        Wl = W.astype(np.int64)
         used = np.zeros((n + 1, kept), dtype=bool)
-        used[W, np.arange(kept)] = True
+        used[0] = True  # so ~used holds the free values only
+        for taken in space.taken(Wl):
+            used[taken, np.arange(kept)] = True
+        if d == d0:
+            s, placed = tail.matches(tv, Wl, used)
+            scanned += kept * space.leaves[d] - len(s)
+            if len(s):
+                descend(np.concatenate([W[:, s], placed.astype(vdtype)]))
+            return
         size = _PATH_CELLS // (space.steps * (d + 1))
         queue: list[np.ndarray] = []
         queued = 0
@@ -474,7 +505,7 @@ def _scan_shard(
             if deadline is not None and time.monotonic() > deadline:
                 timed_out = True
                 return
-            Ws = W[:, ~used[list(space.taken(u))].any(axis=0)]
+            Ws = W[:, ~used[u]]
             queue.append(np.concatenate([Ws, np.full((1, Ws.shape[1]), u, vdtype)]))
             queued += Ws.shape[1]
             if queued >= size:
@@ -517,12 +548,12 @@ def _covered_through(space: _Space, hit: tuple) -> int:
     hit: each free value below the one chosen at step i stands for a whole
     subtree of leaves[i + 1] candidates.
     """
-    free = set(space.values) - space.taken(hit[0])
+    free = set(space.values).difference(space.taken(hit[0]))
     covered = 1
     for i in range(1, space.steps):
         v = hit[i]
         covered += sum(u < v for u in free) * space.leaves[i + 1]
-        free -= space.taken(v)
+        free.difference_update(space.taken(v))
     return covered
 
 
@@ -546,11 +577,13 @@ def _search_space(
     is the lexicographic rank of its last hit. Raises SearchTimeout when
     the deadline passes.
     """
-    # imports numpy, and raises ValueError, before the clock starts
+    # imports numpy, raises ValueError and builds the tail's table before
+    # the clock starts
     _value_dtype(n)
+    space = _space(n, central_only)
+    space.tail
     t0 = time.monotonic()
     deadline = t0 + timeout if timeout is not None else None
-    space = _space(n, central_only)
     scans: dict = {}  # (first value, targets) -> (hits, scanned, timed_out)
     hits: list = []
     scanned = 0

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from inflatable import (
     render_svg,
     rotate,
 )
+import inflatable.search
 from inflatable.cli import main, run
 from util import random_perm
 
@@ -311,7 +313,7 @@ def test_search_thread_env(monkeypatch, capsys):
     assert seen["cfg"] == SearchConfig(n=17, central_only=True)
 
 
-def test_search_timeout_maps_to_error(tmp_path):
+def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
     for space in (["--central"], []):
         result, _ = invoke([
             "search", "--n", "17", *space,
@@ -321,8 +323,20 @@ def test_search_timeout_maps_to_error(tmp_path):
         assert result.payload["space"] == ("central" if space else "full")
         assert result.payload["scanned"] > 0
         assert any("timed out" in d for d in result.diagnostics)
-    # the partial result is still printed and written; 0.15 s gets past the
-    # first hits (shard 2) but not to the end of the scan (about 0.35 s)
+    # the partial result is still printed and written: a fake clock stands
+    # still until a shard has returned hits and then passes the deadline,
+    # so the run stops after the first hits whatever the scan's speed
+    scan_shard = inflatable.search._scan_shard
+    found = []
+
+    def scan(*args):
+        out = scan_shard(*args)
+        found.extend(out[0])
+        return out
+
+    monkeypatch.setattr(inflatable.search, "_scan_shard", scan)
+    clock = SimpleNamespace(monotonic=lambda: 10.0 * bool(found))
+    monkeypatch.setattr(inflatable.search, "time", clock)
     target = tmp_path / "hits.txt"
     result, out = invoke([
         "search", "--n", "17", "--central", "--timeout", "0.15",
@@ -331,7 +345,9 @@ def test_search_timeout_maps_to_error(tmp_path):
     assert result.exit_code == 2
     payload = json.loads(out)
     assert payload == result.payload
+    assert payload["found"] > 0
     assert payload["found"] == len(target.read_text().splitlines())
+    monkeypatch.undo()
     # a timeout that is not > 0 is a usage error: no scan and no payload
     for timeout in ("nan", "0", "-1"):
         result, out = invoke(["search", "--n", "17", "--central", "--timeout", timeout, "--json"])

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inflatable import (
     PATTERNS_3,
@@ -24,6 +26,8 @@ from inflatable import (
     space_size,
 )
 import inflatable.search
+import inflatable._fivesum
+from inflatable._fivesum import five_sums_of_targets, key_terms
 from inflatable.search import (
     _complement_targets,
     _scan_shard,
@@ -283,26 +287,84 @@ def test_count_rules_at_the_int32_edge():
                 assert tuple(vector) == count_vector(Perm(space.as_hit(tuple(row))))
 
 
-def test_exact_test_prunes_the_final_level():
-    # one central n=12 shard: the rows entering the last level, where the
-    # test is an exact match; a prune on the slack alone lets 1367 rows
-    # into the level above it, and each of them has two children
+def test_final_level_counts_only_the_tail_candidates():
+    # one central n=12 shard: the count rule runs at depths 1..d0 and at
+    # the last level, on no block between them; the last level sees only
+    # the completions whose five-sum key matches the targets', and the key
+    # is one-to-one at this length, so those are exactly the shard's hits
     tau = Perm("5B37194C6A28")
     assert is_centrally_symmetric(tau)
     tv = count_vector(tau)
     space = _space(12, True)
-    rows = []
+    d0 = space.tail[0]
+    rows = Counter()
 
     def counts(W):
-        if W.shape[0] == space.steps:
-            rows.append(W.shape[1])
+        rows[W.shape[0]] += W.shape[1]
         return space.counts(W)
 
     counting = dataclasses.replace(space, counts=counts)
     hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
     assert tau in [Perm(h) for h in hits]
     assert scanned == space.leaves[1]
-    assert sum(rows) == 22 < 2 * 1367
+    assert d0 == 3 and set(rows) == {1, 2, 3, space.steps}
+    assert rows[space.steps] == len(hits) == 4
+
+
+def rank_sums(p) -> tuple:
+    """(S, Q, Si, Sv, P) of p summed directly: ranks count the smaller
+    values to the left, positions are 0-based."""
+    ranks = [sum(w < v for w in p[:i]) for i, v in enumerate(p)]
+    return (
+        sum(ranks),
+        sum(r * r for r in ranks),
+        sum(r * i for i, r in enumerate(ranks)),
+        sum(r * v for r, v in zip(ranks, p)),
+        sum(i * v for i, v in enumerate(p)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.integers(3, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_five_sums_invert_the_counts(values):
+    # the five sums read off the count vector equal the directly summed
+    # ones; for the centrally symmetric permutation built from the same left
+    # half, the left points' key terms with their mirrors, plus the
+    # center's, give its sums, one unit weight at a time
+    p = Perm(tuple(values))
+    assert five_sums_of_targets(p.n, count_vector(p)) == rank_sums(p)
+    n = p.n
+    space = _space(n, True)
+    left, taken = [], set()
+    for v in p:
+        if len(left) < space.steps and v in space.values and v not in taken:
+            left.append(v)
+            taken.update(space.taken(v))
+    c = Perm(space.as_hit(tuple(left)))
+    assert is_centrally_symmetric(c)
+    ranks = rank_sums(c)
+    i = np.arange(space.steps + n % 2, dtype=np.int64)  # the center last
+    v = np.array(c[: len(i)], dtype=np.int64)
+    r = np.array([sum(w < x for w in c[:k]) for k, x in enumerate(c[: len(i)])])
+    for j, want in enumerate(ranks):
+        unit = tuple(int(j == k) for k in range(5))
+        assert key_terms(unit, n, True, i, v, r).sum() == want
+
+
+def test_every_key_matching_leaves_the_results_unchanged(monkeypatch):
+    # with all key weights 0 every completion matches, so the count rule at
+    # the last level decides every one: the hits and scanned stay those of
+    # the real scan, on central n=12, unrestricted n=9 under random custom
+    # targets and the impossible target
+    rng = random.Random(27)
+    central = list(enumerate_centrally_symmetric(12))
+    cases = [(12, count_vector(rng.choice(central)), True)]
+    cases += [(9, count_vector(Perm(tuple(rng.sample(range(1, 10), 9)))), False)]
+    cases += [(6, (1, 0, 0, 0, 0, comb(6, 3) - 1, 0), True)]
+    want = [run_shards(n, tv, c) for n, tv, c in cases]
+    assert want[0][0] and want[1][0] and not want[2][0]
+    monkeypatch.setattr(inflatable._fivesum, "key_multipliers", lambda n: (0,) * 5)
+    assert [run_shards(n, tv, c) for n, tv, c in cases] == want
 
 
 def test_derived_shards_equal_their_own_scans():
@@ -481,8 +543,10 @@ def test_long_lengths_widen_the_kernel_arrays_or_refuse():
     assert _value_dtype(161) == np.uint8
     assert _value_dtype(288) == np.uint16
     for n in (161, 288):
-        with pytest.raises(SearchTimeout):
-            search_3_inflatable(SearchConfig(n=n, timeout=0.05))
+        for central in (True, False):
+            with pytest.raises(SearchTimeout) as exc:
+                search_3_inflatable(SearchConfig(n=n, central_only=central, timeout=0.05))
+            assert exc.value.elapsed_ms < 250
     # past n = 1626 the int32 working counts could overflow, in either space
     for central in (True, False):
         with pytest.raises(ValueError):
