@@ -7,10 +7,13 @@ linear in them and the map inverts, so a permutation has counts that some
 permutation has exactly when it has their sums. A key folds the five sums
 into one int64, a weighted sum mod 2^64 that adds up point by point.
 
-The search's last steps complete each state in every way at once and key
-each completion (Tail). Only a scan needs this module, so the search
-imports it on first use, as it does numpy, and importing the search
-compiles none of it.
+The search completes each state a few steps from the end in every way at
+once (Tail). A completion's tail key depends only on the state's set of
+left values, so the keys are made once per set, from the terms of each
+set's (value, position, rank) combinations, and joined with every state
+of the set. Only a scan needs this module, so the search imports it on
+first use, as it does numpy, and importing the search compiles none of
+it.
 """
 
 from __future__ import annotations
@@ -60,19 +63,24 @@ class Tail:
     A state's free values, ascending, are its rows: the low ones, the
     center (odd central states), the high ones, one layout for all states.
     Completion p places rows picks[:, p] at the free left positions in
-    turn; the center, if any, is its last slot. terms is the flat table of
-    key terms [slot, rank, value], slot t being the t-th free position or
-    the center. p's slot t is combos[:, slots[t, p]]: its row and its
-    offset in terms, which counts p's earlier picks below it into the rank.
+    turn; the center, if any, is its last slot. A combo (a column of
+    combos) is a row, a position and the count of earlier picks below the
+    row; p's slot t is combo slots[t, p].
+
+    The free values, the prefix values below each and so the tail keys of
+    every completion depend only on a state's set of left values, not on
+    their order. So the states are grouped by that set, each set's tail
+    keys are made once, and each state meets its set's keys in a join,
+    per_pass states at a time.
     """
 
     n: int
     central: bool
     mult: tuple
-    terms: np.ndarray
     picks: np.ndarray
     combos: np.ndarray
     slots: np.ndarray
+    per_pass: int
 
     def matches(self, tv: tuple, W, used) -> tuple:
         """(s, rows): the completions of the position-major int64 states W
@@ -82,51 +90,69 @@ class Tail:
         import numpy as np
 
         n, (d, kept) = self.n, W.shape
-        X = np.nonzero(~used.T)[1].reshape(kept, -1).T  # free values, ascending
-        below = sum(W[i] < X for i in range(d))  # prefix values below each
         ranks = np.array([(W[:j] < W[j]).sum(axis=0) for j in range(d)])
         prefix = key_terms(self.mult, n, self.central, np.arange(d)[:, None], W, ranks)
         target = np.array(self.mult) @ np.array(five_sums_of_targets(n, tv))
-        rows, starts = self.combos
-        G = self.terms.take((X + (n + 1) * below)[rows] + starts[:, None])
-        keys = G[self.slots[0]]
-        for t in self.slots[1:]:
-            keys += G[t]
-        p, s = np.divmod(np.flatnonzero(keys == target - prefix.sum(axis=0)), kept)
-        return s, X[self.picks[:, p], s]
+        goal = target - prefix.sum(axis=0)  # each state's tail key must meet it
+        # a left value set's exact id: one bitmask word per 63 values
+        word, bit = np.divmod(W, 63)
+        ids = np.array([((word == j) << bit).sum(axis=0) for j in range(n // 63 + 1)])
+        row, pos, below = self.combos
+        found = []
+        for a in range(0, kept, self.per_pass):
+            part = slice(a, a + self.per_pass)
+            order = np.lexsort(ids[:, part])
+            by_set = ids[:, part][:, order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (by_set[:, 1:] != by_set[:, :-1]).any(axis=0)
+            inv = np.empty_like(order)  # each state's set
+            inv[order] = np.cumsum(first) - 1
+            sets = a + order[first]  # one state of each set
+            X = np.nonzero(~used[:, sets].T)[1].reshape(len(sets), -1).T
+            under = sum(W[i, sets] < X for i in range(d))  # prefix values below
+            terms = key_terms(
+                self.mult, n, self.central, pos[:, None], X[row], under[row] + below[:, None]
+            )
+            # the low 16 bits of each key, summed from those of the terms,
+            # filter the join; the whole key then checks each candidate
+            low = terms.astype(np.int16)
+            keys = low[self.slots[0]]
+            for t in self.slots[1:]:
+                keys += low[t]
+            join = np.ascontiguousarray(keys.T)[inv] == goal[part, None].astype(np.int16)
+            s, p = np.divmod(np.flatnonzero(join), len(keys))
+            hit = terms[self.slots[:, p], inv[s]].sum(axis=0) == goal[part][s]
+            s, p = s[hit], p[hit]
+            found.append((a + s, X[self.picks[:, p], inv[s]]))
+        s, rows = zip(*found)
+        return np.concatenate(s), np.concatenate(rows, axis=1)
 
 
-def tail_plan(n: int, steps: int, central: bool, d0: int) -> Tail:
-    """The Tail of the length-n states with d0 of steps steps taken."""
+def tail_plan(n: int, steps: int, central: bool, d0: int, cells: int) -> Tail:
+    """The Tail of the length-n states with d0 of steps steps taken, whose
+    join compares at most about cells keys with goals per pass."""
     import numpy as np
 
     per_step = 2 if central else 1
     tail, w = steps - d0, n - per_step * d0  # steps left, free values
     center = (tail,) * (w - per_step * tail)
-    picks = [
+    picks = np.array([
         tuple(w - 1 - k if high else k for k, high in zip(order, flips)) + center
         for order in permutations(range(tail))
         for flips in product(range(per_step), repeat=tail)
-    ]
-    size = (steps + 1) * (n + 1)  # one slot's terms
-    slots = [
-        [(k, t * size + (n + 1) * sum(j < k for j in p[:t])) for t, k in enumerate(p)]
-        for p in picks
-    ]
-    combos = sorted(set().union(*slots))
-    index = [[combos.index(c) for c in row] for row in slots]
-    mult = key_multipliers(n)
-    i = np.arange(d0, d0 + len(picks[0]))[:, None]
-    v, r = np.arange(n + 1), np.arange(steps + 1)[:, None]
-    terms = np.empty((len(i), steps + 1, n + 1), dtype=np.int64)
-    for t in range(len(i)):  # a slot at a time: one slot's temporaries
-        terms[t] = key_terms(mult, n, central, i[t], v, r)
+    ]).reshape(-1, tail + len(center))
+    size = picks.shape[1]  # slots
+    # slot t of a pick is a combo: its row, t, and its earlier picks below it
+    earlier = (picks[:, None, :] < picks[:, :, None]) & np.tri(size, k=-1, dtype=bool)
+    code = (picks * size + np.arange(size)) * size + earlier.sum(axis=2)
+    codes, slots = np.unique(code.ravel(), return_inverse=True)
+    row, t, below = codes // size**2, codes // size % size, codes % size
     return Tail(
         n,
         central,
-        mult,
-        terms.ravel(),
-        np.array(picks).T[:tail],
-        np.array(combos).T,
-        np.array(index).T,
+        key_multipliers(n),
+        picks.T[:tail],
+        np.array([row, d0 + t, below]),
+        slots.reshape(picks.shape).T,
+        max(1, cells // len(picks)),
     )

@@ -19,13 +19,13 @@ Both search spaces go through one vectorized kernel (numpy). It extends a
 block of partial states by every admissible next value at once, tests
 each block of children on the count rule as it enters the next level,
 and descends into the survivors a block at a time, depth first, so the
-arrays it holds stay bounded. The last three steps skip the rule: the
+arrays it holds stay bounded. The last four steps skip the rule: the
 counts are linear in five rank sums, so each completion of a state gets
 a key of its sums, and only key matches meet the rule, at the last level.
 A block is stored position-major, one row per position and one column
 per state, so every sum over a state's positions is a few adds of
 contiguous vectors. The same kernel serves full scans (length 17,
-10,321,920 centrally symmetric candidates, in about 0.15 s on one core;
+10,321,920 centrally symmetric candidates, in about 0.05 s on one core;
 see BENCH_search17.json) and scans cut by a result limit or a timeout:
 each shard is scanned whole and the run's sorted hits are cut at the
 limit. Only the count rule and the step depend on the space:
@@ -80,7 +80,7 @@ _P12_IDX = 6
 _RMAP = (0, 2, 1, 4, 3, 5, _P12_IDX)
 
 _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
-_TAIL = 3  # last steps of a shard completed by five-sum key, not by the count rule
+_TAIL = 4  # last steps of a shard completed by five-sum key, not by the count rule
 
 
 class SearchTimeout(Exception):
@@ -370,7 +370,7 @@ class _Space:
         from . import _fivesum
 
         d0 = max(1, self.steps - _TAIL)
-        return d0, _fivesum.tail_plan(self.n, self.steps, self.per_step == 2, d0)
+        return d0, _fivesum.tail_plan(self.n, self.steps, self.per_step == 2, d0, _PATH_CELLS)
 
 
 def _space(n: int, central: bool) -> _Space:
@@ -445,10 +445,10 @@ def _scan_shard(
     soon as the deadline has passed.
 
     The states kept at depth d0 (space.tail) are completed in every way at
-    once, with no count rule: each completion's five-sum key (the prefix
-    points' terms plus the tail's, from one table) is compared with the
-    targets'. Keys wrap mod 2^64, so the matches enter the last level as
-    one block, where the count rule with slack 0 alone decides each hit.
+    once: each completion's five-sum key (the prefix points' terms plus the
+    tail's, made once per left value set) is compared with the targets'.
+    Keys wrap mod 2^64, so the matches enter the last level as one block,
+    where the count rule with slack 0 alone decides each hit.
     """
     import numpy as np
 
@@ -577,7 +577,7 @@ def _search_space(
     is the lexicographic rank of its last hit. Raises SearchTimeout when
     the deadline passes.
     """
-    # imports numpy, raises ValueError and builds the tail's table before
+    # imports numpy, raises ValueError and builds the tail's plan before
     # the clock starts
     _value_dtype(n)
     space = _space(n, central_only)

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -314,11 +315,18 @@ def test_search_thread_env(monkeypatch, capsys):
 
 
 def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
+    # the whole central n=17 scan can end inside 0.05 s, so on its leg a
+    # fake clock moves 1 ms at each read and the deadline passes mid-scan
+    ticks = count(0, 0.001)
     for space in (["--central"], []):
+        if space:
+            clock = SimpleNamespace(monotonic=lambda: next(ticks))
+            monkeypatch.setattr(inflatable.search, "time", clock)
         result, _ = invoke([
             "search", "--n", "17", *space,
             "--limit", "1000000000", "--timeout", "0.05",
         ])
+        monkeypatch.undo()
         assert result.exit_code == 2
         assert result.payload["space"] == ("central" if space else "full")
         assert result.payload["scanned"] > 0

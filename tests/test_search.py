@@ -5,9 +5,10 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import comb, factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ import inflatable.search
 import inflatable._fivesum
 from inflatable._fivesum import five_sums_of_targets, key_terms
 from inflatable.search import (
+    _TAIL,
     _complement_targets,
     _scan_shard,
     _search_space,
@@ -288,10 +290,11 @@ def test_count_rules_at_the_int32_edge():
 
 
 def test_final_level_counts_only_the_tail_candidates():
-    # one central n=12 shard: the count rule runs at depths 1..d0 and at
-    # the last level, on no block between them; the last level sees only
-    # the completions whose five-sum key matches the targets', and the key
-    # is one-to-one at this length, so those are exactly the shard's hits
+    # one central n=12 shard: the count rule runs at depths 1..d0, with
+    # d0 = steps - _TAIL, and at the last level, on no block between them;
+    # the last level sees only the completions whose five-sum key matches
+    # the targets', and the key is one-to-one at this length, so those are
+    # exactly the shard's hits
     tau = Perm("5B37194C6A28")
     assert is_centrally_symmetric(tau)
     tv = count_vector(tau)
@@ -307,7 +310,8 @@ def test_final_level_counts_only_the_tail_candidates():
     hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
     assert tau in [Perm(h) for h in hits]
     assert scanned == space.leaves[1]
-    assert d0 == 3 and set(rows) == {1, 2, 3, space.steps}
+    assert d0 == space.steps - _TAIL >= 1
+    assert set(rows) == {*range(1, d0 + 1), space.steps}
     assert rows[space.steps] == len(hits) == 4
 
 
@@ -349,6 +353,69 @@ def test_five_sums_invert_the_counts(values):
     for j, want in enumerate(ranks):
         unit = tuple(int(j == k) for k in range(5))
         assert key_terms(unit, n, True, i, v, r).sum() == want
+
+
+def tail_completions(space, row: tuple) -> list:
+    """Every way to take the remaining steps after the steps row."""
+    taken = {u for v in row for u in space.taken(v)}
+    free = [v for v in space.values if v not in taken]
+    ways = []
+    for rest in permutations(free, space.steps - len(row)):
+        uses = [u for v in rest for u in space.taken(v)]
+        if len(set(uses)) == len(uses):
+            ways.append(rest)
+    return ways
+
+
+def test_tail_join_equals_the_direct_five_sums():
+    # blocks of depth-d0 states, some sharing a left value set in different
+    # orders and some with sets of their own: the join returns exactly the
+    # completions whose directly summed five sums are the targets', under
+    # members' own counts and a random permutation's, in one pass, in
+    # passes of 3 states and with keys whose low 16 bits all agree. At
+    # central n=64 a set's id spans two words, and two sets differ in the
+    # second word only (63 against 64).
+    rng = random.Random(28)
+    for n, central in ((13, True), (17, True), (9, False), (64, True)):
+        space = _space(n, central)
+        d0, tail = space.tail
+        pool = [u for u in space.values if 2 * u < n + 1] if central else list(space.values)
+        rows = []
+        for _ in range(3 if n == 64 else 5):
+            picked = rng.sample(pool, d0)
+            values = [rng.choice(space.taken(u)) for u in picked] if central else picked
+            rows += [tuple(rng.sample(values, d0)) for _ in range(3)]
+        if n == 64:
+            base = rng.sample(range(3, 32), d0 - 1)
+            rows += [tuple(base) + (63,), tuple(base[::-1]) + (64,), (64,) + tuple(base)]
+        W = np.array(rows, dtype=np.int64).T
+        used = np.zeros((n + 1, len(rows)), dtype=bool)
+        used[0] = True
+        for taken in space.taken(W):
+            used[taken, np.arange(len(rows))] = True
+        ways = [tail_completions(space, row) for row in rows]
+        # weights times 2^16 (mod 2^64) leave every key's low 16 bits 0, so
+        # only the whole key tells the completions apart
+        plans = [tail, dataclasses.replace(tail, per_pass=3)]
+        wide = tuple(((m << 16) + (1 << 63)) % (1 << 64) - (1 << 63) for m in tail.mult)
+        plans.append(dataclasses.replace(tail, mult=wide))
+        sums = {
+            (s, rest): rank_sums(Perm(space.as_hit(rows[s] + rest)))
+            for s in range(len(rows))
+            for rest in ways[s]
+        }
+        # the first and the last state's own counts, and a random permutation's
+        members = [(s, rng.choice(ways[s])) for s in (0, len(rows) - 1)]
+        targets = [count_vector(Perm(space.as_hit(rows[s] + rest))) for s, rest in members]
+        members.append(None)
+        targets.append(count_vector(Perm(tuple(rng.sample(range(1, n + 1), n)))))
+        for member, tv in zip(members, targets):
+            want = sorted(k for k, v in sums.items() if v == five_sums_of_targets(n, tv))
+            assert member is None or member in want
+            for plan in plans:
+                s, placed = plan.matches(tv, W, used)
+                assert placed.shape == (space.steps - d0, len(s))
+                assert sorted(zip(s.tolist(), map(tuple, placed.T.tolist()))) == want
 
 
 def test_every_key_matching_leaves_the_results_unchanged(monkeypatch):
@@ -513,9 +580,14 @@ def test_progress_callback_streams_every_hit():
     assert indices == sorted(indices)
 
 
-def test_timeout_raises_with_partial_progress():
+def test_timeout_raises_with_partial_progress(monkeypatch):
     # the kernel reads the clock after each child value, with or without a
-    # limit, so it stops soon after the deadline, not a block later
+    # limit, so it stops soon after the deadline, not a block later. The
+    # whole central n=17 scan can end inside these timeouts, so a fake clock
+    # moves 1 ms at each read: the deadline passes mid-scan, after the same
+    # reads whatever the scan's speed
+    ticks = count(0, 0.001)
+    monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(SearchTimeout) as exc:
         search_3_inflatable(SearchConfig(n=17, limit=10**9, timeout=0.05))
     assert exc.value.scanned > 0
@@ -523,8 +595,10 @@ def test_timeout_raises_with_partial_progress():
     assert exc.value.elapsed_ms >= 0
     with pytest.raises(SearchTimeout):
         search_3_inflatable(SearchConfig(n=17, timeout=0.02))
-    # the whole central n=17 scan ends well inside 0.5 s, so the central
-    # leg runs at the next admissible length, 64, which cannot finish
+    monkeypatch.undo()
+    # real 0.5-s timeouts: the whole central n=17 scan ends well inside
+    # them, so the central leg runs at the next admissible length, 64,
+    # which cannot finish
     for n, central in ((64, True), (17, False)):
         with pytest.raises(SearchTimeout) as exc:
             search_3_inflatable(SearchConfig(n=n, central_only=central, timeout=0.5))
