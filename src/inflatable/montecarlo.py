@@ -20,7 +20,13 @@ estimate stays independent of the code that computes the limit it checks.
 Subset mode: the value at index x of inflate(tau, lambda) is
 j * (tau[x // j] - 1) + lambda[x % j], so it reads values off that
 formula as a numpy vector and classifies all of a sample's subsets at
-once.
+once: a compare-exchange network sorts each block's rows on its k index
+columns (``_sorted_columns``), and a row is a hit when its host values,
+read in pi's value order, rise. The perfbench workload ``montecarlo``
+runs 20 subset-mode samples of 5,000 subsets in about 0.036 s, against
+0.046 s with a row sort (``np.sort(idx, axis=1)``) per block
+(``stage2_s``, medians of 10 pairs on a 2-vCPU Intel Xeon VM with Python
+3.11.7, BENCH_montecarlo.json).
 
 Determinism: sample i uses its own ``random.Random(f"{seed}:{i}")``, which
 string-seeds through SHA-512, so runs are reproducible across platforms
@@ -133,7 +139,7 @@ def estimate_limit_density(
     else:
         import numpy as np
 
-        order = np.array(sorted(range(k), key=p.__getitem__))
+        order = sorted(range(k), key=p.__getitem__)
         # host value at index x is j * (tau[x // j] - 1) + lambda[x % j]
         block_base = j * (np.repeat(np.array(t, dtype=np.int64), j) - 1)
     values = []
@@ -151,9 +157,15 @@ def estimate_limit_density(
             host = block_base + np.tile(np.array(lam, dtype=np.int64), t.n)
             hit = 0
             for idx in _subset_draws(rng, big_n, k, subset_samples):
+                cols = _sorted_columns(idx)
                 # a subset is a hit when its values, read in pi's value order, rise
-                vals = host[np.sort(idx, axis=1)[:, order]]
-                hit += int(np.count_nonzero((vals[:, 1:] > vals[:, :-1]).all(axis=1)))
+                low = host[cols[order[0]]]
+                rise = np.ones(len(low), dtype=bool)
+                for o in order[1:]:
+                    high = host[cols[o]]
+                    rise &= high > low
+                    low = high
+                hit += int(np.count_nonzero(rise))
             values.append(hit / subset_samples)
     mean = fmean(values)
     err = stdev(values) / sqrt(samples) if samples >= 2 else float("nan")
@@ -186,6 +198,27 @@ def _shuffle(rng: random.Random, x: list) -> None:
                 if i < low:
                     shift += 1
                     low >>= 1
+
+
+def _sorted_columns(idx) -> list:
+    """The columns of idx with every row sorted: k vectors, the smallest entries first.
+
+    An odd-even transposition network sorts the k columns in k rounds of
+    np.minimum/np.maximum on adjacent columns, so every row is sorted at
+    once without a per-row sort. Each compare-exchange leaves two fresh
+    contiguous vectors. Its cost grows with k**2 and meets np.sort(idx,
+    axis=1) near k = 10; past that a pattern's density is at most about
+    1/10!, which a few thousand subsets per sample read as 0.
+    """
+    import numpy as np
+
+    k = idx.shape[1]
+    cols = list(idx.T)
+    for r in range(k):
+        for a in range(r & 1, k - 1, 2):
+            x, y = cols[a], cols[a + 1]
+            cols[a], cols[a + 1] = np.minimum(x, y), np.maximum(x, y)
+    return cols
 
 
 def _subset_draws(rng: random.Random, n: int, k: int, count: int):
@@ -221,7 +254,7 @@ def _subset_draws(rng: random.Random, n: int, k: int, count: int):
         m = (min(left, _DRAW_ROWS) * k << bits) // n * 21 // 20 + k
         raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
         words = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
-        cand = np.concatenate((cand, words[words < n]))
+        cand = np.concatenate((cand, np.compress(words < n, words)))
         dup = np.zeros(len(cand), dtype=bool)
         for d in range(1, k):
             dup[d:] |= cand[d:] == cand[:-d]

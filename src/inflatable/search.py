@@ -54,7 +54,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import comb, factorial
+from itertools import accumulate
+from math import comb
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from .core import PATTERNS_3, Perm, _integer
@@ -373,6 +375,17 @@ class _Space:
         return d0, _fivesum.tail_plan(self.n, self.steps, self.per_step == 2, d0, _PATH_CELLS)
 
 
+def _leaves(steps: int, per_step: int) -> tuple:
+    """leaves[d] for d = 0..steps: the candidates under a state after d steps.
+
+    A step taken with i steps left, itself included, has per_step * i
+    choices, so leaves[d] is the product of per_step * i for i = 1..steps - d:
+    one running product, read from its end. That is (n - d)! unrestricted
+    and 2**(m - d) * (m - d)! centrally symmetric (m = n // 2).
+    """
+    return tuple(accumulate(range(per_step, per_step * steps + 1, per_step), mul, initial=1))[::-1]
+
+
 def _space(n: int, central: bool) -> _Space:
     nn1 = n + 1
     if not central:
@@ -380,7 +393,7 @@ def _space(n: int, central: bool) -> _Space:
             n=n,
             steps=n,
             per_step=1,
-            leaves=tuple(factorial(n - d) for d in range(n + 1)),
+            leaves=_leaves(n, 1),
             values=tuple(range(1, nn1)),
             taken=lambda v: (v,),
             counts=lambda W: _prefix_counts(n, W)[0],
@@ -392,7 +405,7 @@ def _space(n: int, central: bool) -> _Space:
         n=n,
         steps=m,
         per_step=2,
-        leaves=tuple((1 << (m - d)) * factorial(m - d) for d in range(m + 1)),
+        leaves=_leaves(m, 2),
         values=tuple(u for u in range(1, nn1) if 2 * u != nn1),
         taken=lambda v: (v, nn1 - v),
         counts=partial(_central_counts, n),
@@ -601,7 +614,9 @@ def _search_space(
             if not timed_out:
                 shard_scanned = _covered_through(space, shard_hits[-1])
         scanned += shard_scanned
-        batch = [Perm(h) for h in shard_hits]
+        # the kernel places each value 1..n once and the count rule with
+        # slack 0 decides each hit, so a hit is a permutation as built
+        batch = [tuple.__new__(Perm, h) for h in shard_hits]
         hits.extend(batch)
         if progress is not None and batch:
             progress(i, batch)

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -156,6 +158,10 @@ def test_estimates_are_bit_for_bit_pinned():
         ("472951836", "132", 2000, 50, 5000, 0): ("0x1.6d4e4c942d491p-3", "0x1.a1a3cba0a7e95p-11"),
         ("1", "21", 12, 40, 30, 3): ("0x1.f17e4b17e4b18p-2", "0x1.5d325af1d7e10p-6"),
         ("21", "654321", 60, 4, 2000, 6): ("0x1.4395810624dd3p-6", "0x1.7127ca687fd7cp-8"),
+        # patterns of length 7 and 8, recorded while each subset was still
+        # sorted by np.sort(idx, axis=1)
+        ("4231576", "4231576", 15, 4, 2000, 3): ("0x1.4bc6a7ef9db22p-6", "0x1.0e363bd1ea4e4p-10"),
+        ("35172846", "35172846", 20, 4, 2000, 8): ("0x1.47ae147ae147bp-9", "0x1.ac1450e627b21p-13"),
     }
     for (tau, pi, j, samples, subset, seed), (mean, err) in pinned.items():
         e = estimate_limit_density(
@@ -204,6 +210,40 @@ def test_subset_draws_match_random_sample():
     for n in (18000, 21):
         got, want = _sample_rows("blocks", n, 3, montecarlo._DRAW_ROWS + 5)
         assert got == want, n
+
+
+def test_sorted_columns_equal_the_row_sort():
+    # the compare-exchange network against np.sort on seeded blocks, with
+    # repeated values (a small range) and without
+    gen = np.random.default_rng(29)
+    for k in range(1, 13):
+        for high in (4, 2**40):
+            idx = gen.integers(0, high, size=(300, k))
+            got = montecarlo._sorted_columns(idx)
+            assert len(got) == k
+            assert (np.array(got) == np.sort(idx, axis=1).T).all(), (k, high)
+
+
+def test_subset_mode_leaves_numpy_random_unimported():
+    # the subset draws replay Python's MT19937 and never need numpy.random,
+    # whose import would add about 2 MB to the estimator's peak memory;
+    # numpy 1.x imports it with numpy itself, numpy 2.x does not
+    def loaded(code: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{code}\nprint('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    estimate = loaded(
+        "from inflatable import estimate_limit_density\n"
+        "estimate_limit_density('472951836', '132', j=2000, samples=2, subset_samples=500, seed=7)"
+    )
+    bare = loaded("import numpy")
+    assert estimate == bare
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert estimate == "False"
 
 
 def test_integer_arguments_are_checked():

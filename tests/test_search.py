@@ -20,6 +20,7 @@ from inflatable import (
     Perm,
     SearchConfig,
     SearchTimeout,
+    check_3_inflatable,
     count_length3_all,
     enumerate_centrally_symmetric,
     is_centrally_symmetric,
@@ -70,6 +71,14 @@ def run_shards(n: int, tv: tuple, central: bool) -> tuple:
     return sorted(hits), scanned
 
 
+def assert_hits_are_permutations(hits: list, n: int, tv: tuple) -> None:
+    # the search builds its hits without Perm's validation, so check what
+    # that would: each hit is a Perm of exactly the values 1..n, at the targets
+    for h in hits:
+        assert type(h) is Perm and sorted(h) == list(range(1, n + 1)), h
+        assert count_vector(h) == tv, h
+
+
 def test_space_size():
     assert space_size(17, True) == 2**8 * factorial(8) == 10_321_920
     assert space_size(4, True) == 8
@@ -78,6 +87,15 @@ def test_space_size():
     assert space_size(1, True) == 1
     with pytest.raises(ValueError):
         space_size(0, True)
+
+
+def test_leaf_counts_are_the_factorial_formulas():
+    for n in range(1, 41):
+        m = n // 2
+        assert _space(n, False).leaves == tuple(factorial(n - d) for d in range(n + 1)), n
+        assert _space(n, True).leaves == tuple(
+            2 ** (m - d) * factorial(m - d) for d in range(m + 1)
+        ), n
 
 
 def test_enumerate_centrally_symmetric_small():
@@ -163,7 +181,9 @@ def test_engines_agree_with_brute_force_central():
             assert hits == brute
             assert scanned == space_size(n, True)
             # the same through the search, whose upper shards are derived
-            assert _search_space(n, tv, True, None, None) == (brute, scanned)
+            got = _search_space(n, tv, True, None, None)
+            assert got == (brute, scanned)
+            assert_hits_are_permutations(got[0], n, tv)
             # central targets have equal 231/312 entries, so the hit set
             # is closed under taking inverses
             assert {inv_perm(h) for h in hits} == set(hits)
@@ -179,7 +199,9 @@ def test_engine_agrees_with_brute_force_full():
             hits, scanned = run_shards(n, tv, False)
             assert hits == brute
             assert scanned == factorial(n)
-            assert _search_space(n, tv, False, None, None) == (brute, scanned)
+            got = _search_space(n, tv, False, None, None)
+            assert got == (brute, scanned)
+            assert_hits_are_permutations(got[0], n, tv)
 
 
 def test_impossible_target_scans_everything_finds_nothing():
@@ -656,6 +678,8 @@ def test_full_length17_central_scan():
     assert scanned == space_size(17, True) == 10_321_920
     assert hits == sorted(hits)
     assert G17 in hits
+    assert_hits_are_permutations(hits, 17, _target_vector(17))
+    assert all(check_3_inflatable(h).verdict for h in hits)
     e17 = Perm("E534BGA9HC2D1687F")
     assert not is_centrally_symmetric(e17) and e17 not in hits
     W = np.array(e17, dtype=np.uint8)[:, None]
