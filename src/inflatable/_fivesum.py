@@ -18,10 +18,11 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 from math import comb
 from operator import mul
+
+from .core import _record
 
 
 def five_sums_of_targets(n: int, tv: tuple) -> tuple:
@@ -55,7 +56,7 @@ def key_terms(mult: tuple, n: int, central: bool, i, v, r):
     return key(i, v, r) + (2 * i != n - 1) * key(n - 1 - i, n + 1 - v, n - v - i + r)
 
 
-@dataclass(frozen=True)
+@_record
 class Tail:
     """The completion by key of search states with all but a few steps
     taken, a step placing one value (or, central, a value and its mirror).

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from math import isnan
 from typing import Callable, Optional
 
@@ -25,6 +24,7 @@ from .core import (
     PATTERNS_3,
     Perm,
     _occurrences,
+    _record,
     density,
     format_permutation,
     generalized_inflate,
@@ -45,7 +45,7 @@ from . import limits, montecarlo, partitions, plotting, search
 __all__ = ["CommandResult", "run", "main"]
 
 
-@dataclass
+@_record(frozen=False)
 class CommandResult:
     """Outcome of one CLI invocation.
 
@@ -58,8 +58,9 @@ class CommandResult:
     """
 
     status: str
-    payload: dict = field(default_factory=dict)
-    diagnostics: list = field(default_factory=list)
+    # each result gets its own copy of these two (see core._record)
+    payload: dict = {}
+    diagnostics: list = []
     text: Optional[str] = None
     out: Optional[str] = None
 

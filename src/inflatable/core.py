@@ -11,15 +11,13 @@ style has no length cap ("3,1,2").
 
 from __future__ import annotations
 
-import string
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, isqrt
-from operator import index, mul, sub
+from operator import attrgetter, index, mul, sub
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -42,10 +40,76 @@ __all__ = [
     "PATTERNS_3",
 ]
 
-_COMPACT_SYMBOLS = "123456789" + string.ascii_uppercase
+_COMPACT_SYMBOLS = "123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _COMPACT_VALUE = {ch: i + 1 for i, ch in enumerate(_COMPACT_SYMBOLS)}
 
 COMPACT_MAX = 35
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning to or deleting a field of a frozen record."""
+
+
+def _record(cls=None, *, frozen=True):
+    """Make cls a record of its annotated fields, as the standard library's
+    ``@dataclass`` would, without its import, which pulls inspect, ast and
+    dis into every start.
+
+    The class gets an ``__init__`` taking the fields in order, with the
+    class defaults as defaults (a dict or list default is copied for each
+    record), a ``Name(field=value, ...)`` repr, ``__eq__`` over the field
+    tuple for records of the same class, and ``__match_args__``. A frozen
+    record also hashes by its field tuple and raises FrozenInstanceError
+    on any assignment or deletion; a mutable one is unhashable.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+    fresh = [f for f, d in defaults.items() if isinstance(d, (dict, list))]
+    for f in fresh:
+        delattr(cls, f)
+    # __init__ is compiled for each class, so that building a record (one
+    # per Monte Carlo exact-mode sample) binds its arguments as any call does
+    store = "_set(self, {0!r}, {1})" if frozen else "self.{0} = {1}"
+    body = [
+        store.format(f, f"{f}.copy() if {f} is _d[{f!r}] else {f}" if f in fresh else f)
+        for f in names
+    ]
+    params = "".join(f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in names)
+    code = f"def __init__(self{params}):\n    " + "\n    ".join(body)
+    scope = {"_d": defaults, "_set": object.__setattr__}
+    exec(code, scope)
+    fields = attrgetter(*names)
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in names)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    methods = [scope["__init__"], __repr__, __eq__]
+    if frozen:
+        methods += [__hash__, __setattr__, __delattr__]
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if not frozen:
+        cls.__hash__ = None
+    cls.__match_args__ = names
+    return cls
 
 
 def _validate_values(values: tuple) -> None:
@@ -444,7 +508,7 @@ PATTERNS_3 = (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class PatternCounts3:
     """All six length-3 pattern counts of one permutation, plus pair counts.
 

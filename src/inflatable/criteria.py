@@ -16,7 +16,6 @@ and the tests pin that the rule has period 144.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Optional
@@ -26,6 +25,7 @@ from .core import (
     Perm,
     PermLike,
     _occurrences,
+    _record,
     as_perm,
     density,
     format_permutation,
@@ -106,7 +106,7 @@ def is_2_inflatable(tau: PermLike) -> bool:
     return density(_P12, t) == Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@_record
 class InflatabilityReport:
     """Outcome of the length-3 inflatability test for one permutation.
 

@@ -39,13 +39,12 @@ subsets ``rng.sample(range(|tau| * j), |pi|)`` would, likewise in bulk
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, comb, log, prod, sqrt
 from statistics import fmean, stdev
 import random
 import sys
 
-from .core import Perm, PermLike, _fill, _integer, as_perm
+from .core import Perm, PermLike, _fill, _integer, _record, as_perm
 from .partitions import block_partitions
 
 __all__ = ["Estimate", "estimate_limit_density", "GENERATOR_ID", "EXACT_CELL_CAP"]
@@ -64,7 +63,7 @@ EXACT_CELL_CAP = 100_000
 _DRAW_ROWS = 1 << 14
 
 
-@dataclass(frozen=True)
+@_record
 class Estimate:
     """A Monte Carlo density estimate with its sampling uncertainty.
 

@@ -9,16 +9,14 @@ the limit-density formula sums over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Perm, PermLike, _pattern, as_perm, generalized_inflate
+from .core import Perm, PermLike, _pattern, _record, as_perm, generalized_inflate
 
 __all__ = ["BlockPartition", "block_partitions", "BLOCK_PARTITION_MAX"]
 
 BLOCK_PARTITION_MAX = 10
 
 
-@dataclass(frozen=True)
+@_record
 class BlockPartition:
     """One way to cut pi into interval blocks.
 

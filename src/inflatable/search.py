@@ -52,14 +52,13 @@ work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 from math import comb
 from operator import mul
 from typing import Callable, Iterator, Optional
 
-from .core import PATTERNS_3, Perm, _integer
+from .core import PATTERNS_3, Perm, _integer, _record
 from .criteria import admissible_residues, target_counts_3
 
 __all__ = [
@@ -102,7 +101,7 @@ class SearchTimeout(Exception):
         )
 
 
-@dataclass(frozen=True)
+@_record
 class SearchConfig:
     """Parameters of one search run.
 
@@ -123,7 +122,7 @@ class SearchConfig:
     timeout: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@_record
 class SearchResult:
     """Search outcome; iterates as the triple (hits, scanned, found).
 
@@ -341,7 +340,7 @@ def _central_counts(n: int, W: np.ndarray) -> np.ndarray:
     return F
 
 
-@dataclass(frozen=True)
+@_record
 class _Space:
     """The facts about one search space that the block driver needs.
 

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -41,6 +40,12 @@ from inflatable.search import (
 )
 
 G17 = Perm("G54ABC319HF678ED2")
+
+
+def replaced(record, **changes):
+    """A copy of a search record with the given fields changed."""
+    fields = {f: getattr(record, f) for f in record.__match_args__}
+    return type(record)(**{**fields, **changes})
 
 
 def count_vector(tau) -> tuple:
@@ -328,7 +333,7 @@ def test_final_level_counts_only_the_tail_candidates():
         rows[W.shape[0]] += W.shape[1]
         return space.counts(W)
 
-    counting = dataclasses.replace(space, counts=counts)
+    counting = replaced(space, counts=counts)
     hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
     assert tau in [Perm(h) for h in hits]
     assert scanned == space.leaves[1]
@@ -418,9 +423,9 @@ def test_tail_join_equals_the_direct_five_sums():
         ways = [tail_completions(space, row) for row in rows]
         # weights times 2^16 (mod 2^64) leave every key's low 16 bits 0, so
         # only the whole key tells the completions apart
-        plans = [tail, dataclasses.replace(tail, per_pass=3)]
+        plans = [tail, replaced(tail, per_pass=3)]
         wide = tuple(((m << 16) + (1 << 63)) % (1 << 64) - (1 << 63) for m in tail.mult)
-        plans.append(dataclasses.replace(tail, mult=wide))
+        plans.append(replaced(tail, mult=wide))
         sums = {
             (s, rest): rank_sums(Perm(space.as_hit(rows[s] + rest)))
             for s in range(len(rows))

@@ -1,7 +1,9 @@
 """Start-up: ``import inflatable`` runs core and criteria only.
 
 The other five submodules are registered at import and run on first use.
-Each test runs in a fresh process, where nothing has touched them yet.
+No start loads ``dataclasses``, ``inspect`` or ``string``: the records
+are built by ``core._record``. Each test runs in a fresh process, where
+nothing has touched them yet.
 """
 
 import subprocess
@@ -76,3 +78,21 @@ def test_a_wrapper_seen_at_first_touch_is_not_kept():
         "print(seen is original, inflatable.limit_density_uniform is inflatable.limits.limit_density_uniform is original)\n"
     )
     assert out == ["True True"]
+
+
+def test_no_start_loads_dataclasses_inspect_or_string():
+    # the modules a bare interpreter does not already hold
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    ).stdout.split()
+    watched = [m for m in ("dataclasses", "inspect", "string") if m not in bare]
+    out = fresh(
+        f"def loaded():\n    return [m for m in {watched!r} if m in sys.modules]\n"
+        "print(loaded())\n"
+        f"from inflatable import cli; cli.run(['check', {G!r}], stdout=io.StringIO())\n"
+        "print(loaded())\n"
+        "inflatable.SearchConfig, inflatable.estimate_limit_density, inflatable.block_partitions\n"
+        "print(loaded())\n"
+    )
+    assert out == ["[]"] * 3

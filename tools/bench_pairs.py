@@ -20,16 +20,17 @@ the package from its own checkout's ``src``. The workloads:
 - ``composed``: one ``python3 tools/bench_composed.py`` process, the
   change's script on both sides, so both run the same operations; the
   seconds of each operation.
-- ``startup``: three processes, each timed in seconds.
-  ``setup_cached_s`` is perfbench's setup probe for ``exact`` (import the
-  package and build the workload's inputs, calibrated as ``setup_s`` is)
-  with bytecode cached. ``check_process_s`` is the wall time of a whole
-  ``python3 -m inflatable check G54ABC319HF678ED2`` process with
-  ``PYTHONDONTWRITEBYTECODE=1``, so that it compiles every package source
-  it imports. ``check_process_cached_s`` is the same with bytecode cached.
-  Cached bytecode lives under a temporary ``PYTHONPYCACHEPREFIX``, written
-  by one run of each kind per side before the pairs, so neither checkout
-  may hold caches under ``src``.
+- ``startup``: four processes, each timed in seconds.
+  ``setup_cached_s`` and ``search17_setup_cached_s`` are perfbench's setup
+  probe for ``exact`` and for ``search17``, which also runs ``search``
+  (import the package and build the workload's inputs, calibrated as
+  ``setup_s`` is), with bytecode cached. ``check_process_s`` is the wall
+  time of a whole ``python3 -m inflatable check G54ABC319HF678ED2``
+  process with ``PYTHONDONTWRITEBYTECODE=1``, so that it compiles every
+  package source it imports. ``check_process_cached_s`` is the same with
+  bytecode cached. Cached bytecode lives under a temporary
+  ``PYTHONPYCACHEPREFIX``, written by one run of each kind per side
+  before the pairs, so neither checkout may hold caches under ``src``.
 
 ``composed`` and ``startup`` have fixed inputs; their seeds only name the
 pairs. Each metric is summarised by both sides' medians and quartiles
@@ -57,8 +58,12 @@ ROOT = Path(__file__).resolve().parent.parent
 ORDER = "odd pairs run the parent first, even pairs the change first; one run at a time"
 MACHINE_KEYS = ("nproc", "cpu", "python", "numpy")
 COMPOSED = "tools/bench_composed.py"
-PROBE = ["python3", "perfbench/run.py", "--setup-probe", "--workload", "exact",
-         "--seed", "1", "--seconds", "0"]
+# startup's cached setup probes, by metric
+PROBES = {
+    name: ["python3", "perfbench/run.py", "--setup-probe", "--workload", workload,
+           "--seed", "1", "--seconds", "0"]
+    for name, workload in (("setup_cached_s", "exact"), ("search17_setup_cached_s", "search17"))
+}
 CHECK = ["python3", "-m", "inflatable", "check", "G54ABC319HF678ED2"]
 
 
@@ -96,17 +101,17 @@ def workload_measure(workload: str, seconds: float, sides: dict, cache: str) -> 
         for checkout in sides.values():
             if any((checkout / "src").rglob("__pycache__")):
                 raise SystemExit(f"error: {checkout / 'src'} holds bytecode caches")
-            run(PROBE, checkout, **cached)
-            run(CHECK, checkout, **cached)
+            for cmd in (*PROBES.values(), CHECK):
+                run(cmd, checkout, **cached)
 
         def startup(checkout, seed):
-            return {
-                "setup_cached_s": float(run(PROBE, checkout, **cached)[0].split()[-1]),
-                "check_process_s": run(CHECK, checkout, **uncached)[1],
-                "check_process_cached_s": run(CHECK, checkout, **cached)[1],
-            }
+            out = {name: float(run(cmd, checkout, **cached)[0].split()[-1])
+                   for name, cmd in PROBES.items()}
+            out["check_process_s"] = run(CHECK, checkout, **uncached)[1]
+            out["check_process_cached_s"] = run(CHECK, checkout, **cached)[1]
+            return out
 
-        return " ; ".join(" ".join(cmd) for cmd in (PROBE, CHECK)), startup
+        return " ; ".join(" ".join(cmd) for cmd in (*PROBES.values(), CHECK)), startup
 
     def perfbench(checkout, seed):
         lines = run(command(workload, seed, seconds), checkout)[0].strip().splitlines()
