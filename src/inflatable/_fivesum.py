@@ -11,7 +11,9 @@ The search completes each state a few steps from the end in every way at
 once (Tail). A completion's tail key depends only on the state's set of
 left values, so the keys are made once per set, from the terms of each
 set's (value, position, rank) combinations, and joined with every state
-of the set. Only a scan needs this module, so the search imports it on
+of the set. The join compares the keys' low 16 bits, made from terms in
+int16 arithmetic, and the whole int64 key then checks each candidate it
+leaves. Only a scan needs this module, so the search imports it on
 first use, as it does numpy, and importing the search compiles none of
 it.
 """
@@ -47,8 +49,9 @@ def key_multipliers(n: int) -> tuple:
 
 def key_terms(mult: tuple, n: int, central: bool, i, v, r):
     """Key terms of points at positions i with values v and ranks r (int64
-    arrays, wrapping), plus, when central, those of their mirror points
-    (n+1-v at n-1-i, with rank n-v-i+r; the center is its own)."""
+    arrays, wrapping; or int16 arrays and weights, for the terms' low 16
+    bits), plus, when central, those of their mirror points (n+1-v at
+    n-1-i, with rank n-v-i+r; the center is its own)."""
     m_s, m_q, m_si, m_sv, m_p = mult
     key = lambda i, v, r: r * (m_s + m_q * r + m_si * i + m_sv * v) + m_p * i * v
     if not central:
@@ -72,7 +75,8 @@ class Tail:
     every completion depend only on a state's set of left values, not on
     their order. So the states are grouped by that set, each set's tail
     keys are made once, and each state meets its set's keys in a join,
-    per_pass states at a time.
+    per_pass states at a time. The join compares the keys' low 16 bits;
+    the whole key checks each state and completion it pairs.
     """
 
     n: int
@@ -98,7 +102,13 @@ class Tail:
         # a left value set's exact id: one bitmask word per 63 values
         word, bit = np.divmod(W, 63)
         ids = np.array([((word == j) << bit).sum(axis=0) for j in range(n // 63 + 1)])
+        # the low 16 bits of each key filter the join: + and * wrap alike in
+        # int16 and int64, and values, positions and ranks (at most 1626)
+        # fit int16, so the terms are made in int16 from the weights mod 2^16
+        low_mult = tuple(np.array(self.mult).astype(np.int16))
+        low_goal = goal.astype(np.int16)
         row, pos, below = self.combos
+        pos16, below16 = self.combos[1:].astype(np.int16)
         found = []
         for a in range(0, kept, self.per_pass):
             part = slice(a, a + self.per_pass)
@@ -111,18 +121,21 @@ class Tail:
             sets = a + order[first]  # one state of each set
             X = np.nonzero(~used[:, sets].T)[1].reshape(len(sets), -1).T
             under = sum(W[i, sets] < X for i in range(d))  # prefix values below
-            terms = key_terms(
-                self.mult, n, self.central, pos[:, None], X[row], under[row] + below[:, None]
+            low = key_terms(
+                low_mult, n, self.central, pos16[:, None],
+                X.astype(np.int16)[row], under.astype(np.int16)[row] + below16[:, None],
             )
-            # the low 16 bits of each key, summed from those of the terms,
-            # filter the join; the whole key then checks each candidate
-            low = terms.astype(np.int16)
             keys = low[self.slots[0]]
             for t in self.slots[1:]:
                 keys += low[t]
-            join = np.ascontiguousarray(keys.T)[inv] == goal[part, None].astype(np.int16)
+            join = np.ascontiguousarray(keys.T)[inv] == low_goal[part, None]
             s, p = np.divmod(np.flatnonzero(join), len(keys))
-            hit = terms[self.slots[:, p], inv[s]].sum(axis=0) == goal[part][s]
+            # the whole key checks each candidate, from its own combos' terms
+            c, at = self.slots[:, p], inv[s]
+            whole = key_terms(
+                self.mult, n, self.central, pos[c], X[row[c], at], under[row[c], at] + below[c]
+            )
+            hit = whole.sum(axis=0) == goal[part][s]
             s, p = s[hit], p[hit]
             found.append((a + s, X[self.picks[:, p], inv[s]]))
         s, rows = zip(*found)
@@ -136,12 +149,12 @@ def tail_plan(n: int, steps: int, central: bool, d0: int, cells: int) -> Tail:
 
     per_step = 2 if central else 1
     tail, w = steps - d0, n - per_step * d0  # steps left, free values
-    center = (tail,) * (w - per_step * tail)
-    picks = np.array([
-        tuple(w - 1 - k if high else k for k, high in zip(order, flips)) + center
-        for order in permutations(range(tail))
-        for flips in product(range(per_step), repeat=tail)
-    ]).reshape(-1, tail + len(center))
+    # each order of the steps' low rows, each flipped to its high row or not
+    orders = np.array(list(permutations(range(tail))), dtype=np.int64)[:, None]
+    flips = np.array(list(product(range(per_step), repeat=tail)), dtype=bool)
+    picks = np.where(flips, w - 1 - orders, orders).reshape(len(orders) * len(flips), tail)
+    # the center, if any, fills the last slot
+    picks = np.concatenate([picks, np.full((len(picks), w - per_step * tail), tail)], axis=1)
     size = picks.shape[1]  # slots
     # slot t of a pick is a combo: its row, t, and its earlier picks below it
     earlier = (picks[:, None, :] < picks[:, :, None]) & np.tri(size, k=-1, dtype=bool)

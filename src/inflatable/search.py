@@ -19,13 +19,16 @@ Both search spaces go through one vectorized kernel (numpy). It extends a
 block of partial states by every admissible next value at once, tests
 each block of children on the count rule as it enters the next level,
 and descends into the survivors a block at a time, depth first, so the
-arrays it holds stay bounded. The last four steps skip the rule: the
-counts are linear in five rank sums, so each completion of a state gets
-a key of its sums, and only key matches meet the rule, at the last level.
+arrays it holds stay bounded. Near the root the rule covers too few
+triples and pairs to drop any state (each target lies between what it
+covers and what it leaves open), so those levels go uncounted. The last
+four steps skip the rule: the counts are linear in five rank sums, so
+each completion of a state gets a key of its sums, and only key matches
+meet the rule, at the last level.
 A block is stored position-major, one row per position and one column
 per state, so every sum over a state's positions is a few adds of
 contiguous vectors. The same kernel serves full scans (length 17,
-10,321,920 centrally symmetric candidates, in about 0.05 s on one core;
+10,321,920 centrally symmetric candidates, in about 0.04 s on one core;
 see BENCH_search17.json) and scans cut by a result limit or a timeout:
 each shard is scanned whole and the run's sorted hits are cut at the
 limit. Only the count rule and the step depend on the space:
@@ -215,7 +218,7 @@ def _pair_stats(M: np.ndarray) -> tuple:
 
     d = M.shape[0]
     lt = M[:, None, :] < M[None, :, :]
-    lt[np.tril_indices(d)] = False  # keep the pairs i < j
+    lt &= ~np.tri(d, dtype=bool)[:, :, None]  # keep the pairs i < j
     asc_before = lt.sum(axis=0, dtype=np.int16)
     asc_after = lt.sum(axis=1, dtype=np.int16)
     idx = np.arange(d, dtype=np.int16)[:, None]
@@ -364,6 +367,18 @@ class _Space:
     counts: Callable
     as_hit: Callable
 
+    def slack(self, d: int) -> tuple:
+        """What the count rule leaves open after d steps, per count: the
+        triples of two or three unplaced points or of the center and one,
+        and the pairs of two unplaced points or of the center and one. The
+        rule covers the rest, C(n, 3) or C(n, 2) less the slack."""
+        n = self.n
+        k = self.per_step * (self.steps - d)  # unplaced values
+        D = self.per_step * d  # placed values, the center left out
+        placed = n - k
+        triples = comb(n, 3) - comb(placed, 3) - comb(D, 2) * k
+        return (triples,) * 6 + (comb(n, 2) - comb(placed, 2) - D * k,)
+
     @cached_property
     def tail(self) -> tuple:
         """(d0, plan): a shard completes the states it keeps at depth
@@ -408,8 +423,18 @@ def _space(n: int, central: bool) -> _Space:
         values=tuple(u for u in range(1, nn1) if 2 * u != nn1),
         taken=lambda v: (v, nn1 - v),
         counts=partial(_central_counts, n),
-        as_hit=lambda row: row + mid + tuple(nn1 - v for v in reversed(row)),
+        as_hit=lambda row: row + mid + tuple(map(nn1.__sub__, reversed(row))),
     )
+
+
+def _rule_prunes(n: int, tv: tuple, slack: tuple) -> bool:
+    """Whether the count rule, leaving slack open, can drop a state under
+    the targets tv. A state's counts lie between 0 and what the rule
+    covers, so where every target lies between that covered total and the
+    slack, every state's counts are at most the targets and within the
+    slack of them, and no state fails."""
+    full = (comb(n, 3),) * 6 + (comb(n, 2),)
+    return any(not f - s <= t <= s for t, f, s in zip(tv, full, slack))
 
 
 def _value_dtype(n: int) -> np.dtype:
@@ -446,10 +471,12 @@ def _scan_shard(
     enters, by the space's exact rule, and keeps only the states whose
     counts neither overshoot a target nor fall short of it by more than
     the slack the rule leaves open; each dropped state is credited with its
-    leaves. A child step marks the values the kept states use up in one
-    mask, and appends each next value, as a new row, to the states that
-    hold none of the values it uses up. Children queue up and are
-    descended into, depth first, as soon as a full block of them is ready.
+    leaves. At the depths where no state can fail the rule (_rule_prunes),
+    a block enters whole and uncounted. A child step marks the values the
+    kept states use up in one mask, and appends each next value, as a new
+    row, to the states that hold none of the values it uses up. Children
+    queue up and are descended into, depth first, as soon as a full block
+    of them is ready.
     A block with d steps taken has at most _PATH_CELLS / (steps * d)
     states, so the blocks held along one descent path hold at most
     _PATH_CELLS values at any length. With a deadline, the kernel reads
@@ -466,6 +493,14 @@ def _scan_shard(
 
     vdtype = _value_dtype(n)
     T = np.array(tv, dtype=np.int32)[:, None]
+    # the slack of each depth where the count rule can drop a state; the
+    # last level, where the slack is 0 and the rule decides each hit,
+    # always counts
+    slack = {}
+    for d in range(1, space.steps + 1):
+        s = space.slack(d)
+        if d == space.steps or _rule_prunes(n, tv, s):
+            slack[d] = np.array(s, dtype=np.int32)[:, None]
     d0, tail = space.tail
     hit_blocks: list[np.ndarray] = []
     scanned = 0
@@ -477,24 +512,13 @@ def _scan_shard(
             timed_out = True
             return
         d, N = W.shape
-        k = space.per_step * (space.steps - d)  # unplaced values
-        D = space.per_step * d  # placed values, the center left out
-        placed = n - k
-        # what the rule leaves open: triples of two or three unplaced
-        # points or of the center and one, pairs of two unplaced points
-        # or of the center and one
-        slack = np.array(
-            [comb(n, 3) - comb(placed, 3) - comb(D, 2) * k] * 6
-            + [comb(n, 2) - comb(placed, 2) - D * k],
-            dtype=np.int32,
-        )[:, None]
-        C = space.counts(W)
-        keep = ((C <= T) & (C + slack >= T)).all(axis=0)
-        kept = int(keep.sum())
+        if d in slack:  # elsewhere every state meets the rule
+            C = space.counts(W)
+            W = W[:, ((C <= T) & (C + slack[d] >= T)).all(axis=0)]
+        kept = W.shape[1]
         scanned += (N - kept) * space.leaves[d]
         if not kept:
             return
-        W = W[:, keep]
         if d == space.steps:
             hit_blocks.append(W.T)
             scanned += kept
@@ -606,7 +630,7 @@ def _search_space(
             scans[first_u, job_tv] = _scan_shard(n, job_tv, space, first_u, deadline)
         shard_hits, shard_scanned, timed_out = scans[first_u, job_tv]
         if first_u != u:
-            shard_hits = sorted(tuple(n + 1 - v for v in h) for h in shard_hits)
+            shard_hits = sorted(tuple(map((n + 1).__sub__, h)) for h in shard_hits)
         room = None if limit is None else limit - len(hits)
         if room is not None and len(shard_hits) >= room:
             shard_hits = shard_hits[:room]

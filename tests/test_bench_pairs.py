@@ -70,12 +70,15 @@ MACHINE = {"nproc": 2, "cpu": "cpu", "python": "3.11.7", "numpy": "2.4.6", "comm
 
 def test_row_writer_creates_the_file_then_appends(bench_pairs, tmp_path):
     out = tmp_path / "BENCH_startup.json"
+    # a row run with the file's command carries none; one run with another
+    # command carries its own
     bench_pairs.write_row(out, "startup", "cmd", MACHINE, {"change": "a"})
     bench_pairs.write_row(out, "startup", "other cmd", MACHINE, {"change": "b"})
+    bench_pairs.write_row(out, "startup", "cmd", MACHINE, {"change": "c"})
     machine = {k: MACHINE[k] for k in ("nproc", "cpu", "python", "numpy")}
     assert json.loads(out.read_text()) == {
         "workload": "startup", "command": "cmd", "machine": machine,
-        "rows": [{"change": "a"}, {"change": "b"}],
+        "rows": [{"change": "a"}, {"change": "b", "command": "other cmd"}, {"change": "c"}],
     }
 
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import combinations, count, permutations
+from itertools import combinations, count, permutations, product
 from math import comb, factorial
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,10 +28,11 @@ from inflatable import (
 )
 import inflatable.search
 import inflatable._fivesum
-from inflatable._fivesum import five_sums_of_targets, key_terms
+from inflatable._fivesum import five_sums_of_targets, key_terms, tail_plan
 from inflatable.search import (
     _TAIL,
     _complement_targets,
+    _rule_prunes,
     _scan_shard,
     _search_space,
     _space,
@@ -74,6 +75,18 @@ def run_shards(n: int, tv: tuple, central: bool) -> tuple:
         hits += [Perm(x) for x in h]
         scanned += s
     return sorted(hits), scanned
+
+
+def random_rows(rng: random.Random, space, d: int, count: int) -> list:
+    """count random states of space with d steps taken, as value tuples."""
+    n, rows = space.n, []
+    for _ in range(count):
+        if space.per_step == 2:
+            firsts = rng.sample(range(1, n // 2 + 1), d)
+            rows.append(tuple(rng.choice((u, n + 1 - u)) for u in firsts))
+        else:
+            rows.append(tuple(rng.sample(range(1, n + 1), d)))
+    return rows
 
 
 def assert_hits_are_permutations(hits: list, n: int, tv: tuple) -> None:
@@ -277,13 +290,7 @@ def test_count_rules_equal_enumeration():
         for central in (True, False):
             space = _space(n, central)
             for d in range(space.steps + 1):
-                rows = []
-                for _ in range(8):
-                    if central:
-                        firsts = rng.sample(range(1, n // 2 + 1), d)
-                        rows.append(tuple(rng.choice((u, n + 1 - u)) for u in firsts))
-                    else:
-                        rows.append(tuple(rng.sample(range(1, n + 1), d)))
+                rows = random_rows(rng, space, d, 8)
                 # position-major, as the kernel stores blocks: W[j, s]
                 W = np.array(rows, dtype=np.uint8).reshape(len(rows), d).T
                 got = space.counts(W)
@@ -316,12 +323,40 @@ def test_count_rules_at_the_int32_edge():
                 assert tuple(vector) == count_vector(Perm(space.as_hit(tuple(row))))
 
 
+def test_levels_the_rule_cannot_prune_keep_every_state():
+    # at every depth where _rule_prunes says the count rule drops no state,
+    # random states and the increasing and decreasing ones all meet the
+    # rule, in both spaces, at the admissible lengths up to 64 and under
+    # custom targets; the last level is never skipped, and at n=17 the real
+    # targets skip the first two central depths and four unrestricted ones
+    rng = random.Random(31)
+    cases = [(n, _target_vector(n)) for n in (17, 64)]
+    for n in (9, 12, 17, 40):
+        cases.append((n, count_vector(Perm(tuple(rng.sample(range(1, n + 1), n))))))
+    cases += [(6, (1, 0, 0, 0, 0, comb(6, 3) - 1, 0)), (20, count_vector(Perm(tuple(range(1, 21)))))]
+    skipped = {}
+    for n, tv in cases:
+        T = np.array(tv)[:, None]
+        for central in (True, False):
+            space = _space(n, central)
+            skip = [d for d in range(1, space.steps + 1) if not _rule_prunes(n, tv, space.slack(d))]
+            skipped[n, central, tv] = skip
+            assert space.steps not in skip
+            for d in skip:
+                rows = random_rows(rng, space, d, 40)
+                rows += [tuple(range(1, d + 1)), tuple(range(n, n - d, -1))]
+                C = space.counts(np.array(rows, dtype=_value_dtype(n)).T)
+                assert ((C <= T) & (C + np.array(space.slack(d))[:, None] >= T)).all()
+    assert skipped[17, True, _target_vector(17)] == [1, 2]
+    assert skipped[17, False, _target_vector(17)] == [1, 2, 3, 4]
+
+
 def test_final_level_counts_only_the_tail_candidates():
-    # one central n=12 shard: the count rule runs at depths 1..d0, with
-    # d0 = steps - _TAIL, and at the last level, on no block between them;
-    # the last level sees only the completions whose five-sum key matches
-    # the targets', and the key is one-to-one at this length, so those are
-    # exactly the shard's hits
+    # one central n=12 shard: the count rule runs at the depths up to d0,
+    # d0 = steps - _TAIL, where it can drop a state, and at the last level,
+    # on no block between them; the last level sees only the completions
+    # whose five-sum key matches the targets', and the key is one-to-one at
+    # this length, so those are exactly the shard's hits
     tau = Perm("5B37194C6A28")
     assert is_centrally_symmetric(tau)
     tv = count_vector(tau)
@@ -338,7 +373,8 @@ def test_final_level_counts_only_the_tail_candidates():
     assert tau in [Perm(h) for h in hits]
     assert scanned == space.leaves[1]
     assert d0 == space.steps - _TAIL >= 1
-    assert set(rows) == {*range(1, d0 + 1), space.steps}
+    prunes = {d for d in range(1, d0 + 1) if _rule_prunes(12, tv, space.slack(d))}
+    assert set(rows) == prunes | {space.steps} and prunes != {*range(1, d0 + 1)}
     assert rows[space.steps] == len(hits) == 4
 
 
@@ -445,20 +481,72 @@ def test_tail_join_equals_the_direct_five_sums():
                 assert sorted(zip(s.tolist(), map(tuple, placed.T.tolist()))) == want
 
 
-def test_every_key_matching_leaves_the_results_unchanged(monkeypatch):
-    # with all key weights 0 every completion matches, so the count rule at
-    # the last level decides every one: the hits and scanned stay those of
-    # the real scan, on central n=12, unrestricted n=9 under random custom
-    # targets and the impossible target
+def custom_scans() -> tuple:
+    """(cases, results): central n=12 and unrestricted n=9 under random
+    custom targets, and central n=6 under the impossible target, as (n, tv,
+    central), and run_shards of each."""
     rng = random.Random(27)
     central = list(enumerate_centrally_symmetric(12))
     cases = [(12, count_vector(rng.choice(central)), True)]
     cases += [(9, count_vector(Perm(tuple(rng.sample(range(1, 10), 9)))), False)]
     cases += [(6, (1, 0, 0, 0, 0, comb(6, 3) - 1, 0), True)]
-    want = [run_shards(n, tv, c) for n, tv, c in cases]
-    assert want[0][0] and want[1][0] and not want[2][0]
+    results = [run_shards(n, tv, c) for n, tv, c in cases]
+    assert results[0][0] and results[1][0] and not results[2][0]
+    return cases, results
+
+
+def test_every_key_matching_leaves_the_results_unchanged(monkeypatch):
+    # with all key weights 0 every completion matches, so the count rule at
+    # the last level decides every one: the hits and scanned stay those of
+    # the real scan, on central n=12, unrestricted n=9 under random custom
+    # targets and the impossible target
+    cases, want = custom_scans()
     monkeypatch.setattr(inflatable._fivesum, "key_multipliers", lambda n: (0,) * 5)
     assert [run_shards(n, tv, c) for n, tv, c in cases] == want
+
+
+def test_counting_at_every_level_leaves_the_results_unchanged(monkeypatch):
+    # the custom-target scans skip the count rule at their first depths;
+    # counting at every level, the hits and scanned stay those of the real
+    # scan
+    cases, want = custom_scans()
+    for n, tv, c in cases[:2]:
+        assert not _rule_prunes(n, tv, _space(n, c).slack(1))
+    monkeypatch.setattr(inflatable.search, "_rule_prunes", lambda n, tv, slack: True)
+    assert [run_shards(n, tv, c) for n, tv, c in cases] == want
+
+
+def plan_oracle(n: int, steps: int, central: bool, d0: int) -> tuple:
+    """tail_plan's (picks, combos, slots), built pick by pick in Python."""
+    per_step = 2 if central else 1
+    tail, w = steps - d0, n - per_step * d0
+    center = (tail,) * (w - per_step * tail)
+    picks = [
+        tuple(w - 1 - k if high else k for k, high in zip(order, flips)) + center
+        for order in permutations(range(tail))
+        for flips in product(range(per_step), repeat=tail)
+    ]
+    # slot t of a pick is a combo: its row, its position and its earlier picks below it
+    combo = lambda pick, t: (pick[t], d0 + t, sum(x < pick[t] for x in pick[:t]))
+    combos = sorted({combo(pick, t) for pick in picks for t in range(len(pick))})
+    index = {c: i for i, c in enumerate(combos)}
+    slots = [[index[combo(pick, t)] for pick in picks] for t in range(len(picks[0]))]
+    return [pick[:tail] for pick in picks], combos, slots
+
+
+def test_tail_plan_equals_the_pick_by_pick_oracle():
+    # tail lengths 0 to 5, one or two values a step, and odd and even free
+    # value counts: central lengths 2 * steps and 2 * steps + 1, and
+    # unrestricted lengths of either parity
+    for tail in range(6):
+        cases = [(2 * tail + 4, True, 2), (2 * tail + 5, True, 2), (tail + 2, False, 2)]
+        for n, central, d0 in cases + [(tail + 1, False, 1)]:
+            steps = n // 2 if central else n
+            plan = tail_plan(n, steps, central, d0, 1 << 10)
+            picks, combos, slots = plan_oracle(n, steps, central, d0)
+            assert plan.picks.T.tolist() == [list(p) for p in picks]
+            assert plan.combos.T.tolist() == [list(c) for c in combos]
+            assert plan.slots.tolist() == slots
 
 
 def test_derived_shards_equal_their_own_scans():

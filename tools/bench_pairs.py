@@ -38,7 +38,8 @@ pairs. Each metric is summarised by both sides' medians and quartiles
 digits, and ``change_wins``, the number of pairs in which the change read
 better; ties count for neither side. The row is appended to ``--out``,
 which is created with the workload, command and machine (perfbench's
-``machine()``) when it does not exist yet.
+``machine()``) when it does not exist yet; a later row whose command or
+machine differs from the file's carries its own.
 """
 
 from __future__ import annotations
@@ -175,12 +176,15 @@ def machine(checkout: Path) -> dict:
 
 def write_row(out: Path, workload: str, cmd: str, machine: dict, row: dict) -> None:
     """Append row to ``out``, creating it with the workload, command and
-    machine; a row run on another machine than the file's carries its own."""
+    machine; a row run with another command or on another machine than the
+    file's carries its own."""
     machine = {k: machine[k] for k in MACHINE_KEYS}
     if out.exists():
         doc = json.loads(out.read_text())
         if doc.get("workload") != workload:
             raise SystemExit(f"error: {out} holds workload {doc.get('workload')!r}, not {workload!r}")
+        if doc["command"] != cmd:
+            row = {**row, "command": cmd}
         if doc["machine"] != machine:
             row = {**row, "machine": machine}
     else:
