@@ -1,21 +1,22 @@
-"""The five rank sums of a permutation, and the key the search matches them by.
+"""The five rank sums of a permutation, and the key the search filters them by.
 
 With 0-based positions i, values v_i and ranks r_i (the smaller values left
 of position i), the sums S, Q, Si, Sv and P add up r_i, r_i^2, r_i*i,
 r_i*v_i and i*v_i. The length-3 counts and the ascending pair count are
-linear in them and the map inverts, so a permutation has counts that some
-permutation has exactly when it has their sums. A key folds the five sums
-into one int64, a weighted sum mod 2^64 that adds up point by point.
+linear in them and the map inverts (core.five_sums_of_targets), so a
+permutation has counts that some permutation has exactly when it has their
+sums. A key folds the five sums into one int16, a weighted sum mod 2^16
+that adds up point by point: a permutation with the targets' counts has
+the targets' key, but the key of another can equal it too.
 
 The search completes each state a few steps from the end in every way at
 once (Tail). A completion's tail key depends only on the state's set of
 left values, so the keys are made once per set, from the terms of each
 set's (value, position, rank) combinations, and joined with every state
-of the set. The join compares the keys' low 16 bits, made from terms in
-int16 arithmetic, and the whole int64 key then checks each candidate it
-leaves. Only a scan needs this module, so the search imports it on
-first use, as it does numpy, and importing the search compiles none of
-it.
+of the set. The join is a filter: the search's count rule decides each
+completion it passes. Only a scan needs this module, so the search imports
+it on first use, as it does numpy, and importing the search compiles none
+of it.
 """
 
 from __future__ import annotations
@@ -24,34 +25,29 @@ from itertools import accumulate, permutations, product
 from math import comb
 from operator import mul
 
-from .core import _record
+from .core import _record, five_sums_of_targets
 
 
-def five_sums_of_targets(n: int, tv: tuple) -> tuple:
-    """(S, Q, Si, Sv, P) of every length-n permutation with the count
-    vector tv (the six length-3 counts, then the ascending pairs)."""
-    c123, c132, c213, c231, c312, c321, s = tv
-    i1 = comb(n, 2)
-    i2 = i1 * (2 * n - 1) // 3  # the sum of i^2
-    q = 2 * (c123 + c213) + s
-    h = (i2 - i1 + s + q) // 2
-    return s, q, h - c231 - c321, h + s - c312 - c321, c132 - i2 + n * i1 + (q + s) // 2
+def _int16(x: int) -> int:
+    """x mod 2^16, in the signed 16-bit range."""
+    return (x + (1 << 15)) % (1 << 16) - (1 << 15)
 
 
 def key_multipliers(n: int) -> tuple:
-    """The int64 weights of (S, Q, Si, Sv, P) in a key: mixed radix, as
-    S <= I1 = C(n, 2), Q, Si <= I2 = sum i^2 and Sv <= n*I1, so mod 2^64 the
-    key is one-to-one on permutations' sums up to n = 33."""
+    """The weights of (S, Q, Si, Sv, P) in a key, mod 2^16 in the signed
+    16-bit range: mixed radix, as S <= I1 = C(n, 2), Q, Si <= I2 = sum i^2
+    and Sv <= n*I1. Kept in that range, each weight meets an int16 array
+    as int16 under numpy 1.x's value-based casting and numpy 2's rules."""
     i1, i2 = comb(n, 2), comb(n, 2) * (2 * n - 1) // 3
-    weights = accumulate((1, i1 + 1, i2 + 1, i2 + 1, n * i1 + 1), mul)
-    return tuple((w + (1 << 63)) % (1 << 64) - (1 << 63) for w in weights)
+    return tuple(map(_int16, accumulate((1, i1 + 1, i2 + 1, i2 + 1, n * i1 + 1), mul)))
 
 
 def key_terms(mult: tuple, n: int, central: bool, i, v, r):
-    """Key terms of points at positions i with values v and ranks r (int64
-    arrays, wrapping; or int16 arrays and weights, for the terms' low 16
-    bits), plus, when central, those of their mirror points (n+1-v at
-    n-1-i, with rank n-v-i+r; the center is its own)."""
+    """Key terms of points at positions i with values v and ranks r (int16
+    arrays, whose + and * wrap mod 2^16), plus, when central, those of
+    their mirror points (n+1-v at n-1-i, with rank n-v-i+r; the center is
+    its own). Values, positions and ranks are at most 1626 (the search's
+    longest length), so they fit int16."""
     m_s, m_q, m_si, m_sv, m_p = mult
     key = lambda i, v, r: r * (m_s + m_q * r + m_si * i + m_sv * v) + m_p * i * v
     if not central:
@@ -75,8 +71,8 @@ class Tail:
     every completion depend only on a state's set of left values, not on
     their order. So the states are grouped by that set, each set's tail
     keys are made once, and each state meets its set's keys in a join,
-    per_pass states at a time. The join compares the keys' low 16 bits;
-    the whole key checks each state and completion it pairs.
+    per_pass states at a time. The join is a filter: the search's count
+    rule decides each state and completion it pairs.
     """
 
     n: int
@@ -90,25 +86,21 @@ class Tail:
     def matches(self, tv: tuple, W, used) -> tuple:
         """(s, rows): the completions of the position-major int64 states W
         whose key equals that of the counts tv, as their states' columns s
-        and the values they place, one row per step. used[v, s] marks the
-        values state s uses up, and 0."""
+        and the values they place, one row per step. They include every
+        completion with the counts tv. used[v, s] marks the values state s
+        uses up, and 0."""
         import numpy as np
 
         n, (d, kept) = self.n, W.shape
-        ranks = np.array([(W[:j] < W[j]).sum(axis=0) for j in range(d)])
-        prefix = key_terms(self.mult, n, self.central, np.arange(d)[:, None], W, ranks)
-        target = np.array(self.mult) @ np.array(five_sums_of_targets(n, tv))
-        goal = target - prefix.sum(axis=0)  # each state's tail key must meet it
+        place = np.arange(d, dtype=np.int16)[:, None]
+        ranks = np.array([(W[:j] < W[j]).sum(axis=0) for j in range(d)], dtype=np.int16)
+        prefix = key_terms(self.mult, n, self.central, place, W.astype(np.int16), ranks)
+        target = _int16(sum(map(mul, self.mult, five_sums_of_targets(n, tv))))
+        goal = target - prefix.sum(axis=0, dtype=np.int16)  # each state's tail key must meet it
         # a left value set's exact id: one bitmask word per 63 values
         word, bit = np.divmod(W, 63)
         ids = np.array([((word == j) << bit).sum(axis=0) for j in range(n // 63 + 1)])
-        # the low 16 bits of each key filter the join: + and * wrap alike in
-        # int16 and int64, and values, positions and ranks (at most 1626)
-        # fit int16, so the terms are made in int16 from the weights mod 2^16
-        low_mult = tuple(np.array(self.mult).astype(np.int16))
-        low_goal = goal.astype(np.int16)
         row, pos, below = self.combos
-        pos16, below16 = self.combos[1:].astype(np.int16)
         found = []
         for a in range(0, kept, self.per_pass):
             part = slice(a, a + self.per_pass)
@@ -121,22 +113,15 @@ class Tail:
             sets = a + order[first]  # one state of each set
             X = np.nonzero(~used[:, sets].T)[1].reshape(len(sets), -1).T
             under = sum(W[i, sets] < X for i in range(d))  # prefix values below
-            low = key_terms(
-                low_mult, n, self.central, pos16[:, None],
-                X.astype(np.int16)[row], under.astype(np.int16)[row] + below16[:, None],
+            terms = key_terms(
+                self.mult, n, self.central, pos[:, None],
+                X.astype(np.int16)[row], under.astype(np.int16)[row] + below[:, None],
             )
-            keys = low[self.slots[0]]
+            keys = terms[self.slots[0]]
             for t in self.slots[1:]:
-                keys += low[t]
-            join = np.ascontiguousarray(keys.T)[inv] == low_goal[part, None]
+                keys += terms[t]
+            join = np.ascontiguousarray(keys.T)[inv] == goal[part, None]
             s, p = np.divmod(np.flatnonzero(join), len(keys))
-            # the whole key checks each candidate, from its own combos' terms
-            c, at = self.slots[:, p], inv[s]
-            whole = key_terms(
-                self.mult, n, self.central, pos[c], X[row[c], at], under[row[c], at] + below[c]
-            )
-            hit = whole.sum(axis=0) == goal[part][s]
-            s, p = s[hit], p[hit]
             found.append((a + s, X[self.picks[:, p], inv[s]]))
         s, rows = zip(*found)
         return np.concatenate(s), np.concatenate(rows, axis=1)
@@ -166,7 +151,7 @@ def tail_plan(n: int, steps: int, central: bool, d0: int, cells: int) -> Tail:
         central,
         key_multipliers(n),
         picks.T[:tail],
-        np.array([row, d0 + t, below]),
+        np.array([row, d0 + t, below], dtype=np.int16),
         slots.reshape(picks.shape).T,
         max(1, cells // len(picks)),
     )

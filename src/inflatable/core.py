@@ -586,6 +586,18 @@ def count_length3_all(tau: PermLike) -> PatternCounts3:
     return PatternCounts3(n=n, counts=counts, inv12=S, inv21=I1 - S)
 
 
+def five_sums_of_targets(n: int, tv: tuple) -> tuple:
+    """(S, Q, Si, Sv, P) of every length-n permutation with the count
+    vector tv (the six length-3 counts, then the ascending pairs): the
+    closed forms of count_length3_all, inverted."""
+    c123, c132, c213, c231, c312, c321, s = tv
+    i1 = comb(n, 2)
+    i2 = i1 * (2 * n - 1) // 3  # the sum of i^2
+    q = 2 * (c123 + c213) + s
+    h = (i2 - i1 + s + q) // 2
+    return s, q, h - c231 - c321, h + s - c312 - c321, c132 - i2 + n * i1 + (q + s) // 2
+
+
 def all_patterns(k: int) -> list[Perm]:
     """All permutations of length k in lexicographic order."""
     if k < 1:

@@ -486,8 +486,8 @@ def _scan_shard(
     The states kept at depth d0 (space.tail) are completed in every way at
     once: each completion's five-sum key (the prefix points' terms plus the
     tail's, made once per left value set) is compared with the targets'.
-    Keys wrap mod 2^64, so the matches enter the last level as one block,
-    where the count rule with slack 0 alone decides each hit.
+    The key is a 16-bit filter: its matches enter the last level as one
+    block, where the count rule with slack 0 decides every one of them.
     """
     import numpy as np
 

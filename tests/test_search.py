@@ -28,7 +28,7 @@ from inflatable import (
 )
 import inflatable.search
 import inflatable._fivesum
-from inflatable._fivesum import five_sums_of_targets, key_terms, tail_plan
+from inflatable._fivesum import five_sums_of_targets, key_multipliers, key_terms, tail_plan
 from inflatable.search import (
     _TAIL,
     _complement_targets,
@@ -355,18 +355,24 @@ def test_final_level_counts_only_the_tail_candidates():
     # one central n=12 shard: the count rule runs at the depths up to d0,
     # d0 = steps - _TAIL, where it can drop a state, and at the last level,
     # on no block between them; the last level sees only the completions
-    # whose five-sum key matches the targets', and the key is one-to-one at
-    # this length, so those are exactly the shard's hits
+    # whose five-sum key matches the targets': at least the shard's hits,
+    # and fewer than the completions of the states kept at d0
     tau = Perm("5B37194C6A28")
     assert is_centrally_symmetric(tau)
     tv = count_vector(tau)
+    T = np.array(tv)[:, None]
     space = _space(12, True)
     d0 = space.tail[0]
     rows = Counter()
+    kept = 0
 
     def counts(W):
+        nonlocal kept
         rows[W.shape[0]] += W.shape[1]
-        return space.counts(W)
+        C = space.counts(W)
+        if W.shape[0] == d0:
+            kept += ((C <= T) & (C + np.array(space.slack(d0))[:, None] >= T)).all(axis=0).sum()
+        return C
 
     counting = replaced(space, counts=counts)
     hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
@@ -375,7 +381,29 @@ def test_final_level_counts_only_the_tail_candidates():
     assert d0 == space.steps - _TAIL >= 1
     prunes = {d for d in range(1, d0 + 1) if _rule_prunes(12, tv, space.slack(d))}
     assert set(rows) == prunes | {space.steps} and prunes != {*range(1, d0 + 1)}
-    assert rows[space.steps] == len(hits) == 4
+    assert len(hits) == 4 <= rows[space.steps] < kept * space.leaves[d0]
+
+
+def test_the_last_level_count_rule_decides_each_key_match():
+    # the tail key is 16 bits wide, so it only filters: in the central n=12
+    # shard of 5, under the counts of 5B37194C6A28, the join also hands the
+    # last level 5C7A4B293618, whose key equals the targets' mod 2^16 while
+    # its counts do not, and the count rule there drops it
+    tv = count_vector(Perm("5B37194C6A28"))
+    assert tv == (34, 43, 43, 38, 38, 24, 35)
+    collision = Perm("5C7A4B293618")
+    assert count_vector(collision) == (12, 28, 28, 46, 46, 60, 24)
+    space = _space(12, True)
+    last = []
+
+    def counts(W):
+        if W.shape[0] == space.steps:
+            last.extend(Perm(space.as_hit(tuple(s))) for s in W.T.tolist())
+        return space.counts(W)
+
+    hits, _, _ = _scan_shard(12, tv, replaced(space, counts=counts), collision[0], None)
+    assert collision in last
+    assert collision not in [Perm(h) for h in hits]
 
 
 def rank_sums(p) -> tuple:
@@ -389,6 +417,15 @@ def rank_sums(p) -> tuple:
         sum(r * v for r, v in zip(ranks, p)),
         sum(i * v for i, v in enumerate(p)),
     )
+
+
+def test_five_sums_invert_the_counts_of_every_short_permutation():
+    # core's inverse of count_length3_all's closed forms, on every
+    # permutation of length 3 to 7
+    for n in range(3, 8):
+        for values in permutations(range(1, n + 1)):
+            p = Perm(values)
+            assert five_sums_of_targets(n, count_vector(p)) == rank_sums(p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -433,9 +470,10 @@ def tail_completions(space, row: tuple) -> list:
 def test_tail_join_equals_the_direct_five_sums():
     # blocks of depth-d0 states, some sharing a left value set in different
     # orders and some with sets of their own: the join returns exactly the
-    # completions whose directly summed five sums are the targets', under
+    # completions whose directly summed five sums have the targets' key mod
+    # 2^16, among them every completion with the targets' sums, under
     # members' own counts and a random permutation's, in one pass, in
-    # passes of 3 states and with keys whose low 16 bits all agree. At
+    # passes of 3 states, and under weights of S alone and all 0. At
     # central n=64 a set's id spans two words, and two sets differ in the
     # second word only (63 against 64).
     rng = random.Random(28)
@@ -457,11 +495,12 @@ def test_tail_join_equals_the_direct_five_sums():
         for taken in space.taken(W):
             used[taken, np.arange(len(rows))] = True
         ways = [tail_completions(space, row) for row in rows]
-        # weights times 2^16 (mod 2^64) leave every key's low 16 bits 0, so
-        # only the whole key tells the completions apart
+        assert tail.mult == key_multipliers(n)
+        key = lambda sums, mult: sum(m * x for m, x in zip(mult, sums)) % (1 << 16)
+        # a key of S alone passes completions with other sums; with all
+        # weights 0 every completion matches
         plans = [tail, replaced(tail, per_pass=3)]
-        wide = tuple(((m << 16) + (1 << 63)) % (1 << 64) - (1 << 63) for m in tail.mult)
-        plans.append(replaced(tail, mult=wide))
+        plans += [replaced(tail, mult=m) for m in ((1, 0, 0, 0, 0), (0,) * 5)]
         sums = {
             (s, rest): rank_sums(Perm(space.as_hit(rows[s] + rest)))
             for s in range(len(rows))
@@ -473,9 +512,13 @@ def test_tail_join_equals_the_direct_five_sums():
         members.append(None)
         targets.append(count_vector(Perm(tuple(rng.sample(range(1, n + 1), n)))))
         for member, tv in zip(members, targets):
-            want = sorted(k for k, v in sums.items() if v == five_sums_of_targets(n, tv))
-            assert member is None or member in want
+            goal = five_sums_of_targets(n, tv)
+            exact = {k for k, v in sums.items() if v == goal}
+            assert member is None or member in exact
             for plan in plans:
+                goal_key = key(goal, plan.mult)
+                want = sorted(k for k, v in sums.items() if key(v, plan.mult) == goal_key)
+                assert exact <= set(want)
                 s, placed = plan.matches(tv, W, used)
                 assert placed.shape == (space.steps - d0, len(s))
                 assert sorted(zip(s.tolist(), map(tuple, placed.T.tolist()))) == want
