@@ -84,22 +84,25 @@ class Tail:
     per_pass: int
 
     def matches(self, tv: tuple, W, used) -> tuple:
-        """(s, rows): the completions of the position-major int64 states W
+        """(s, rows): the completions of the position-major int16 states W
         whose key equals that of the counts tv, as their states' columns s
-        and the values they place, one row per step. They include every
-        completion with the counts tv. used[v, s] marks the values state s
-        uses up, and 0."""
+        and the int16 values they place, one row per step. They include
+        every completion with the counts tv. used[v, s] marks the values
+        state s uses up, and 0. The keys wrap mod 2^16 in int16 only, so a
+        W of another dtype raises TypeError."""
         import numpy as np
 
+        if W.dtype != np.int16:
+            raise TypeError(f"states must be int16, not {W.dtype}")
         n, (d, kept) = self.n, W.shape
         place = np.arange(d, dtype=np.int16)[:, None]
         ranks = np.array([(W[:j] < W[j]).sum(axis=0) for j in range(d)], dtype=np.int16)
-        prefix = key_terms(self.mult, n, self.central, place, W.astype(np.int16), ranks)
+        prefix = key_terms(self.mult, n, self.central, place, W, ranks)
         target = _int16(sum(map(mul, self.mult, five_sums_of_targets(n, tv))))
         goal = target - prefix.sum(axis=0, dtype=np.int16)  # each state's tail key must meet it
-        # a left value set's exact id: one bitmask word per 63 values
+        # a left value set's exact id: one int64 bitmask word per 63 values
         word, bit = np.divmod(W, 63)
-        ids = np.array([((word == j) << bit).sum(axis=0) for j in range(n // 63 + 1)])
+        ids = np.array([((word == j).astype(np.int64) << bit).sum(0) for j in range(n // 63 + 1)])
         row, pos, below = self.combos
         found = []
         for a in range(0, kept, self.per_pass):
@@ -111,11 +114,11 @@ class Tail:
             inv = np.empty_like(order)  # each state's set
             inv[order] = np.cumsum(first) - 1
             sets = a + order[first]  # one state of each set
-            X = np.nonzero(~used[:, sets].T)[1].reshape(len(sets), -1).T
+            X = np.nonzero(~used[:, sets].T)[1].astype(np.int16).reshape(len(sets), -1).T
             under = sum(W[i, sets] < X for i in range(d))  # prefix values below
             terms = key_terms(
                 self.mult, n, self.central, pos[:, None],
-                X.astype(np.int16)[row], under.astype(np.int16)[row] + below[:, None],
+                X[row], under.astype(np.int16)[row] + below[:, None],
             )
             keys = terms[self.slots[0]]
             for t in self.slots[1:]:

@@ -212,7 +212,7 @@ def _pair_stats(M: np.ndarray) -> tuple:
     Returns (asc_before, asc_after, desc_before, desc_after, asc_total)
     where asc_before[j, s] counts i < j with M[i, s] < M[j, s], etc. The
     per-position counts are int16 (each is below d <= n, so the int16
-    reductions are exact; see _value_dtype) and asc_total is int32.
+    reductions are exact; see _check_length) and asc_total is int32.
     """
     import numpy as np
 
@@ -437,15 +437,14 @@ def _rule_prunes(n: int, tv: tuple, slack: tuple) -> bool:
     return any(not f - s <= t <= s for t, f, s in zip(tv, full, slack))
 
 
-def _value_dtype(n: int) -> np.dtype:
-    """Dtype of the search kernel's stored values: the smallest unsigned
-    type that holds n.
+def _check_length(n: int) -> None:
+    """Refuse lengths whose counts could overflow the search kernel's int32.
 
-    The count rules keep per-position counts in int16 (int32 where they
-    meet uint16 values) and sum over positions in int32. Every per-position
-    count (pairs before or after a position, values below or above it, A
-    and r) is at most n - 1 <= 1625, so the int16 reductions and
-    differences are exact. A state's counts,
+    The kernel stores values as int16 (n <= 1626 fits it), the count rules
+    keep per-position counts in int16 and sum over positions in int32.
+    Every per-position count (pairs before or after a position, values
+    below or above it, A and r) is at most n - 1 <= 1625, so the int16
+    reductions and differences are exact. A state's counts,
     and its counts plus the slack left for the rest, stay at most C(n, 3)
     per pattern, and no term of a rule reaches 3 * C(n, 3): a column sum
     of squares x**2, with x at position i at most d - 1 - i, is at most
@@ -457,7 +456,6 @@ def _value_dtype(n: int) -> np.dtype:
 
     if 3 * comb(n, 3) > np.iinfo(np.int32).max:
         raise ValueError(f"length {n} is too long for the search kernel's int32 counts")
-    return np.min_scalar_type(n)
 
 
 def _scan_shard(
@@ -467,11 +465,11 @@ def _scan_shard(
 
     Returns (hits, scanned, timed_out) with hits as sorted value tuples.
     A block of N states with d steps taken is stored position-major, as a
-    (d, N) array with one column per state. Each block is counted as it
-    enters, by the space's exact rule, and keeps only the states whose
-    counts neither overshoot a target nor fall short of it by more than
-    the slack the rule leaves open; each dropped state is credited with its
-    leaves. At the depths where no state can fail the rule (_rule_prunes),
+    (d, N) int16 array with one column per state (_check_length). Each
+    block is counted as it enters, by the space's exact rule, and keeps
+    only the states whose counts neither overshoot a target nor fall short
+    of it by more than the slack the rule leaves open; each dropped state
+    is credited with its leaves. At the depths where no state can fail the rule (_rule_prunes),
     a block enters whole and uncounted. A child step marks the values the
     kept states use up in one mask, and appends each next value, as a new
     row, to the states that hold none of the values it uses up. Children
@@ -491,7 +489,6 @@ def _scan_shard(
     """
     import numpy as np
 
-    vdtype = _value_dtype(n)
     T = np.array(tv, dtype=np.int32)[:, None]
     # the slack of each depth where the count rule can drop a state; the
     # last level, where the slack is 0 and the rule decides each hit,
@@ -523,16 +520,15 @@ def _scan_shard(
             hit_blocks.append(W.T)
             scanned += kept
             return
-        Wl = W.astype(np.int64)
         used = np.zeros((n + 1, kept), dtype=bool)
         used[0] = True  # so ~used holds the free values only
-        for taken in space.taken(Wl):
+        for taken in space.taken(W):
             used[taken, np.arange(kept)] = True
         if d == d0:
-            s, placed = tail.matches(tv, Wl, used)
+            s, placed = tail.matches(tv, W, used)
             scanned += kept * space.leaves[d] - len(s)
             if len(s):
-                descend(np.concatenate([W[:, s], placed.astype(vdtype)]))
+                descend(np.concatenate([W[:, s], placed]))
             return
         size = _PATH_CELLS // (space.steps * (d + 1))
         queue: list[np.ndarray] = []
@@ -542,7 +538,7 @@ def _scan_shard(
                 timed_out = True
                 return
             Ws = W[:, ~used[u]]
-            queue.append(np.concatenate([Ws, np.full((1, Ws.shape[1]), u, vdtype)]))
+            queue.append(np.concatenate([Ws, np.full((1, Ws.shape[1]), u, np.int16)]))
             queued += Ws.shape[1]
             if queued >= size:
                 Wq = np.concatenate(queue, axis=1)
@@ -556,7 +552,7 @@ def _scan_shard(
         if queued:
             descend(np.concatenate(queue, axis=1))
 
-    descend(np.full((1, 1), first_u, dtype=vdtype))
+    descend(np.full((1, 1), first_u, dtype=np.int16))
     hits = sorted(
         space.as_hit(tuple(row)) for block in hit_blocks for row in block.tolist()
     )
@@ -615,7 +611,7 @@ def _search_space(
     """
     # imports numpy, raises ValueError and builds the tail's plan before
     # the clock starts
-    _value_dtype(n)
+    _check_length(n)
     space = _space(n, central_only)
     space.tail
     t0 = time.monotonic()

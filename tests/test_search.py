@@ -31,13 +31,13 @@ import inflatable._fivesum
 from inflatable._fivesum import five_sums_of_targets, key_multipliers, key_terms, tail_plan
 from inflatable.search import (
     _TAIL,
+    _check_length,
     _complement_targets,
     _rule_prunes,
     _scan_shard,
     _search_space,
     _space,
     _target_vector,
-    _value_dtype,
 )
 
 G17 = Perm("G54ABC319HF678ED2")
@@ -292,7 +292,7 @@ def test_count_rules_equal_enumeration():
             for d in range(space.steps + 1):
                 rows = random_rows(rng, space, d, 8)
                 # position-major, as the kernel stores blocks: W[j, s]
-                W = np.array(rows, dtype=np.uint8).reshape(len(rows), d).T
+                W = np.array(rows, dtype=np.int16).reshape(len(rows), d).T
                 got = space.counts(W)
                 assert got.shape == (7, len(rows))
                 for row, vector in zip(rows, got.T.tolist()):
@@ -301,7 +301,7 @@ def test_count_rules_equal_enumeration():
 
 def test_count_rules_at_the_int32_edge():
     # the longest lengths the kernel accepts, past what enumeration
-    # reaches: values stored as uint16, and the rules' largest squares and
+    # reaches: values stored as int16, and the rules' largest squares and
     # products. A full-depth state is a whole permutation, so each rule
     # gives its six counts and ascending pairs exactly.
     rng = random.Random(1626)
@@ -316,8 +316,7 @@ def test_count_rules_at_the_int32_edge():
                 shuffled = rng.sample(range(1, n + 1), n)
             # one random state, the increasing one and the decreasing one
             rows = [shuffled, list(range(1, m + 1)), list(range(n, n - m, -1))]
-            W = np.array(rows, dtype=_value_dtype(n)).T
-            assert W.dtype == np.uint16
+            W = np.array(rows, dtype=np.int16).T
             got = space.counts(W)
             for row, vector in zip(rows, got.T.tolist()):
                 assert tuple(vector) == count_vector(Perm(space.as_hit(tuple(row))))
@@ -345,7 +344,7 @@ def test_levels_the_rule_cannot_prune_keep_every_state():
             for d in skip:
                 rows = random_rows(rng, space, d, 40)
                 rows += [tuple(range(1, d + 1)), tuple(range(n, n - d, -1))]
-                C = space.counts(np.array(rows, dtype=_value_dtype(n)).T)
+                C = space.counts(np.array(rows, dtype=np.int16).T)
                 assert ((C <= T) & (C + np.array(space.slack(d))[:, None] >= T)).all()
     assert skipped[17, True, _target_vector(17)] == [1, 2]
     assert skipped[17, False, _target_vector(17)] == [1, 2, 3, 4]
@@ -475,7 +474,8 @@ def test_tail_join_equals_the_direct_five_sums():
     # members' own counts and a random permutation's, in one pass, in
     # passes of 3 states, and under weights of S alone and all 0. At
     # central n=64 a set's id spans two words, and two sets differ in the
-    # second word only (63 against 64).
+    # second word only (63 against 64). At n=17 and n=64 two sets differ
+    # only in values of bit 16 or higher, which a 16-bit id would merge.
     rng = random.Random(28)
     for n, central in ((13, True), (17, True), (9, False), (64, True)):
         space = _space(n, central)
@@ -489,7 +489,12 @@ def test_tail_join_equals_the_direct_five_sums():
         if n == 64:
             base = rng.sample(range(3, 32), d0 - 1)
             rows += [tuple(base) + (63,), tuple(base[::-1]) + (64,), (64,) + tuple(base)]
-        W = np.array(rows, dtype=np.int64).T
+        # two sets that differ only in bits 16 and up of their first id word
+        if n == 17:
+            rows += [(16, 3, 12, 7), (17, 3, 12, 7)]
+        if n == 64:
+            rows += [(30,) + tuple(range(3, 30)), (31,) + tuple(range(3, 30))]
+        W = np.array(rows, dtype=np.int16).T
         used = np.zeros((n + 1, len(rows)), dtype=bool)
         used[0] = True
         for taken in space.taken(W):
@@ -557,6 +562,47 @@ def test_counting_at_every_level_leaves_the_results_unchanged(monkeypatch):
         assert not _rule_prunes(n, tv, _space(n, c).slack(1))
     monkeypatch.setattr(inflatable.search, "_rule_prunes", lambda n, tv, slack: True)
     assert [run_shards(n, tv, c) for n, tv, c in cases] == want
+
+
+def test_a_tiny_block_budget_leaves_the_results_unchanged(monkeypatch):
+    # with a block budget of 64 values, blocks of a state or a few are cut
+    # full at every level and the tail joins one state per pass; with 4096,
+    # blocks of a few hundred. The budget holds steps * d0 values, so every
+    # block holds a state. The full and the limit-3 central n=17 scans and
+    # the custom-target scans keep the default budget's hits and scanned.
+    cases, _ = custom_scans()
+
+    def scans() -> list:
+        full = search_3_inflatable(SearchConfig(n=17))
+        cut = search_3_inflatable(SearchConfig(n=17, limit=3))
+        return [(full.hits, full.scanned), (cut.hits, cut.scanned)] + [
+            run_shards(n, tv, c) for n, tv, c in cases
+        ]
+
+    default = scans()
+    for cells in (64, 4096):
+        monkeypatch.setattr(inflatable.search, "_PATH_CELLS", cells)
+        for n, _, central in [(17, None, True)] + cases:
+            space = _space(n, central)
+            assert space.steps * space.tail[0] <= cells
+        assert (_space(17, True).tail[1].per_pass == 1) == (cells == 64)
+        assert scans() == default
+
+
+def test_tail_matches_refuses_states_of_another_dtype():
+    # the key terms wrap mod 2^16 only in int16 arithmetic
+    space = _space(17, True)
+    d0, tail = space.tail
+    W = np.array([[16, 3, 12, 7]], dtype=np.int16).T
+    used = np.zeros((18, 1), dtype=bool)
+    used[0] = True
+    for taken in space.taken(W):
+        used[taken, 0] = True
+    assert W.shape[0] == d0
+    tail.matches(_target_vector(17), W, used)
+    for dtype in (np.uint8, np.uint16, np.int32, np.int64):
+        with pytest.raises(TypeError):
+            tail.matches(_target_vector(17), W.astype(dtype), used)
 
 
 def plan_oracle(n: int, steps: int, central: bool, d0: int) -> tuple:
@@ -768,18 +814,34 @@ def test_a_shard_past_its_deadline_stops_as_its_first_block_enters():
     assert _scan_shard(17, _target_vector(17), space, 2, time.monotonic() - 1) == ([], 0, True)
 
 
-def test_long_lengths_widen_the_kernel_arrays_or_refuse():
-    # values pass uint8 at n=288; a short timed run at n=161 and n=288
-    # must stop with SearchTimeout, not wrap a value or a count
-    assert _value_dtype(17) == np.uint8
-    assert _value_dtype(161) == np.uint8
-    assert _value_dtype(288) == np.uint16
+def test_long_lengths_keep_int16_kernel_values_or_refuse(monkeypatch):
+    # the kernel's blocks hold int16 values at every length it accepts: in
+    # a limited run at n=17 and in short timed runs at n=161 and n=288,
+    # which must stop with SearchTimeout, not wrap a value or a count
+    dtypes = {}
+
+    def spied_space(n, central):
+        space = _space(n, central)
+
+        def taken(v):
+            if isinstance(v, np.ndarray):
+                dtypes.setdefault(n, set()).add(v.dtype)
+            return space.taken(v)
+
+        return replaced(space, taken=taken)
+
+    monkeypatch.setattr(inflatable.search, "_space", spied_space)
+    search_3_inflatable(SearchConfig(n=17, limit=1))
     for n in (161, 288):
         for central in (True, False):
             with pytest.raises(SearchTimeout) as exc:
                 search_3_inflatable(SearchConfig(n=n, central_only=central, timeout=0.05))
             assert exc.value.elapsed_ms < 250
+    assert dtypes == {n: {np.dtype(np.int16)} for n in (17, 161, 288)}
     # past n = 1626 the int32 working counts could overflow, in either space
+    _check_length(1626)
+    with pytest.raises(ValueError):
+        _check_length(1627)
     for central in (True, False):
         with pytest.raises(ValueError):
             search_3_inflatable(
@@ -818,7 +880,7 @@ def test_full_length17_central_scan():
     assert all(check_3_inflatable(h).verdict for h in hits)
     e17 = Perm("E534BGA9HC2D1687F")
     assert not is_centrally_symmetric(e17) and e17 not in hits
-    W = np.array(e17, dtype=np.uint8)[:, None]
+    W = np.array(e17, dtype=np.int16)[:, None]
     got = _space(17, False).counts(W)
     assert tuple(got[:, 0].tolist()) == _target_vector(17) == count_vector(e17)
 
