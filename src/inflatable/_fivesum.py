@@ -100,9 +100,7 @@ class Tail:
         prefix = key_terms(self.mult, n, self.central, place, W, ranks)
         target = _int16(sum(map(mul, self.mult, five_sums_of_targets(n, tv))))
         goal = target - prefix.sum(axis=0, dtype=np.int16)  # each state's tail key must meet it
-        # a left value set's exact id: one int64 bitmask word per 63 values
-        word, bit = np.divmod(W, 63)
-        ids = np.array([((word == j).astype(np.int64) << bit).sum(0) for j in range(n // 63 + 1)])
+        ids = np.sort(W, axis=0)  # a left value set's id: its values, ascending
         row, pos, below = self.combos
         found = []
         for a in range(0, kept, self.per_pass):

@@ -342,7 +342,7 @@ def run(argv: list, stdout=None) -> CommandResult:
             text = result.text
         else:
             text = _render_human(result.payload)
-        # written before printing: a failed write leaves stdout empty
+        # written before the result is printed, so a failed write prints none of it
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n" if result.out is None else result.out)

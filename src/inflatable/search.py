@@ -15,20 +15,21 @@ placed values, in O(d^2) per state; the triples and pairs with more
 unplaced points, and those of the center with one, are the slack. Once
 every step is placed the slack is 0 and the test is an exact match.
 
-Both search spaces go through one vectorized kernel (numpy). It extends a
-block of partial states by every admissible next value at once, tests
-each block of children on the count rule as it enters the next level,
-and descends into the survivors a block at a time, depth first, so the
-arrays it holds stay bounded. Near the root the rule covers too few
-triples and pairs to drop any state (each target lies between what it
-covers and what it leaves open), so those levels go uncounted. The last
-four steps skip the rule: the counts are linear in five rank sums, so
-each completion of a state gets a key of its sums, and only key matches
-meet the rule, at the last level.
-A block is stored position-major, one row per position and one column
-per state, so every sum over a state's positions is a few adds of
-contiguous vectors. The same kernel serves full scans (length 17,
-10,321,920 centrally symmetric candidates, in about 0.04 s on one core;
+Both search spaces go through one vectorized kernel (numpy). It lists
+the children of a chunk of partial states, each state with every
+admissible next value, in one pass, tests each block of children on the
+count rule as it enters the next level, and descends into the survivors
+a block at a time, depth first, so the arrays it holds stay bounded.
+Near the root the rule covers too few triples and pairs to drop any
+state (each target lies between what it covers and what it leaves
+open), so those levels go uncounted. The last four steps skip the rule:
+the counts are linear in five rank sums, so each completion of a state
+gets a key of its sums, and only key matches meet the rule, at the last
+level.
+A block is stored position-major (C-contiguous), one row per position
+and one column per state, so every sum over a state's positions is a few
+adds of contiguous vectors. The same kernel serves full scans (length 17,
+10,321,920 centrally symmetric candidates, in about 0.03 s on one core;
 see BENCH_search17.json) and scans cut by a result limit or a timeout:
 each shard is scanned whole and the run's sorted hits are cut at the
 limit. Only the count rule and the step depend on the space:
@@ -465,21 +466,25 @@ def _scan_shard(
 
     Returns (hits, scanned, timed_out) with hits as sorted value tuples.
     A block of N states with d steps taken is stored position-major, as a
-    (d, N) int16 array with one column per state (_check_length). Each
-    block is counted as it enters, by the space's exact rule, and keeps
+    C-contiguous (d, N) int16 array, one column per state (_check_length).
+    Each block is counted as it enters, by the space's exact rule, and keeps
     only the states whose counts neither overshoot a target nor fall short
     of it by more than the slack the rule leaves open; each dropped state
-    is credited with its leaves. At the depths where no state can fail the rule (_rule_prunes),
-    a block enters whole and uncounted. A child step marks the values the
-    kept states use up in one mask, and appends each next value, as a new
-    row, to the states that hold none of the values it uses up. Children
-    queue up and are descended into, depth first, as soon as a full block
-    of them is ready.
-    A block with d steps taken has at most _PATH_CELLS / (steps * d)
-    states, so the blocks held along one descent path hold at most
-    _PATH_CELLS values at any length. With a deadline, the kernel reads
-    the clock as a block enters and before each child value, and stops as
-    soon as the deadline has passed.
+    is credited with its leaves. At the depths where no state can fail the
+    rule (_rule_prunes), a block enters whole and uncounted. A child step
+    marks the values the kept states use up in one mask, and lists the
+    children of a chunk of kept states in one pass, value-major, as the
+    (next value, state) pairs whose value uses up none of the state's.
+    Their blocks, the states' columns with the value as a new row, are
+    descended into, depth first, as soon as each is built.
+    Below the last level, a block with d steps taken has at most
+    _PATH_CELLS / (steps * d) states, and a chunk's index arrays list at
+    most as many children (at least one state's), so the blocks and index
+    arrays held along one descent path hold O(_PATH_CELLS) values at any
+    length. The last level's block holds one tail pass's key matches,
+    which the budget does not bound. With a deadline, the kernel reads the
+    clock once as each block enters, and stops as soon as the deadline has
+    passed.
 
     The states kept at depth d0 (space.tail) are completed in every way at
     once: each completion's five-sum key (the prefix points' terms plus the
@@ -499,6 +504,7 @@ def _scan_shard(
         if d == space.steps or _rule_prunes(n, tv, s):
             slack[d] = np.array(s, dtype=np.int32)[:, None]
     d0, tail = space.tail
+    values = np.array(space.values, dtype=np.int16)
     hit_blocks: list[np.ndarray] = []
     scanned = 0
     timed_out = False
@@ -511,7 +517,7 @@ def _scan_shard(
         d, N = W.shape
         if d in slack:  # elsewhere every state meets the rule
             C = space.counts(W)
-            W = W[:, ((C <= T) & (C + slack[d] >= T)).all(axis=0)]
+            W = W.compress(((C <= T) & (C + slack[d] >= T)).all(axis=0), axis=1)
         kept = W.shape[1]
         scanned += (N - kept) * space.leaves[d]
         if not kept:
@@ -528,29 +534,18 @@ def _scan_shard(
             s, placed = tail.matches(tv, W, used)
             scanned += kept * space.leaves[d] - len(s)
             if len(s):
-                descend(np.concatenate([W[:, s], placed]))
+                descend(np.concatenate([W.take(s, axis=1), placed]))
             return
         size = _PATH_CELLS // (space.steps * (d + 1))
-        queue: list[np.ndarray] = []
-        queued = 0
-        for u in space.values:
-            if deadline is not None and time.monotonic() > deadline:
-                timed_out = True
-                return
-            Ws = W[:, ~used[u]]
-            queue.append(np.concatenate([Ws, np.full((1, Ws.shape[1]), u, np.int16)]))
-            queued += Ws.shape[1]
-            if queued >= size:
-                Wq = np.concatenate(queue, axis=1)
-                cut = queued - queued % size
-                for start in range(0, cut, size):
-                    descend(Wq[:, start:start + size])
-                    if timed_out:
-                        return
-                queue = [Wq[:, cut:]]
-                queued -= cut
-        if queued:
-            descend(np.concatenate(queue, axis=1))
+        chunk = max(1, size // len(values))
+        for a in range(0, kept, chunk):
+            # the chunk's children, value-major: values[u] placed after state a + s
+            u, s = np.nonzero(~used[values, a:a + chunk])
+            for b in range(0, len(s), size):
+                part = slice(b, b + size)
+                descend(np.concatenate([W.take(a + s[part], axis=1), values[None, u[part]]]))
+                if timed_out:
+                    return
 
     descend(np.full((1, 1), first_u, dtype=np.int16))
     hits = sorted(

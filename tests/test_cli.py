@@ -315,8 +315,9 @@ def test_search_thread_env(monkeypatch, capsys):
 
 
 def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
-    # the whole central n=17 scan can end inside 0.05 s, so on its leg a
-    # fake clock moves 1 ms at each read and the deadline passes mid-scan
+    # the whole central n=17 scan can end inside 0.02 s, so on its leg a
+    # fake clock moves 1 ms at each read (the scan reads it about 44
+    # times, once as each block enters) and the deadline passes mid-scan
     ticks = count(0, 0.001)
     for space in (["--central"], []):
         if space:
@@ -324,7 +325,7 @@ def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
             monkeypatch.setattr(inflatable.search, "time", clock)
         result, _ = invoke([
             "search", "--n", "17", *space,
-            "--limit", "1000000000", "--timeout", "0.05",
+            "--limit", "1000000000", "--timeout", "0.02",
         ])
         monkeypatch.undo()
         assert result.exit_code == 2
@@ -401,20 +402,28 @@ def test_out_file_for_plain_command(tmp_path):
 
 def test_a_failed_out_write_is_an_error(tmp_path, capsys):
     # a missing directory, and a directory in place of the file: one error
-    # line and exit 2, with nothing on stdout and no traceback
+    # line and exit 2, with no result on stdout and no traceback. The file
+    # is written after the command runs, so search --emit-all has streamed
+    # its hits by then, and they stay on stdout.
+    streamed = "hit subtree=1 2B8FD6H49E1C53A7G\nhit subtree=1 2BDCF8419HEA3657G\n"
     cases = (
-        (["rotate", "132"], tmp_path / "missing" / "x.txt"),
-        (["check", "1,2"], tmp_path),
+        (["rotate", "132"], tmp_path / "missing" / "x.txt", ""),
+        (["check", "1,2"], tmp_path, ""),
+        (
+            ["search", "--n", "17", "--central", "--limit", "2", "--emit-all"],
+            tmp_path / "missing" / "x.txt",
+            streamed,
+        ),
     )
-    for argv, target in cases:
+    for argv, target, stdout in cases:
         argv = [*argv, "--out", str(target)]
         result, out = invoke(argv)
-        assert result.exit_code == 2 and out == ""
+        assert result.exit_code == 2 and out == stdout
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno") and err.count("\n") == 1
         assert str(target) in err
         proc = module_cli(argv)
-        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.returncode == 2 and proc.stdout == stdout.encode()
         assert proc.stderr.startswith(b"error: [Errno") and proc.stderr.count(b"\n") == 1
     assert not (tmp_path / "missing").exists()
 

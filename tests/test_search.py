@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations, count, permutations, product
 from math import comb, factorial
@@ -472,10 +473,9 @@ def test_tail_join_equals_the_direct_five_sums():
     # completions whose directly summed five sums have the targets' key mod
     # 2^16, among them every completion with the targets' sums, under
     # members' own counts and a random permutation's, in one pass, in
-    # passes of 3 states, and under weights of S alone and all 0. At
-    # central n=64 a set's id spans two words, and two sets differ in the
-    # second word only (63 against 64). At n=17 and n=64 two sets differ
-    # only in values of bit 16 or higher, which a 16-bit id would merge.
+    # passes of 3 states, and under weights of S alone and all 0. Some
+    # pairs of sets differ in their largest value only: 63 against 64 at
+    # central n=64, 16 against 17 at n=17 and 30 against 31 at n=64.
     rng = random.Random(28)
     for n, central in ((13, True), (17, True), (9, False), (64, True)):
         space = _space(n, central)
@@ -489,7 +489,7 @@ def test_tail_join_equals_the_direct_five_sums():
         if n == 64:
             base = rng.sample(range(3, 32), d0 - 1)
             rows += [tuple(base) + (63,), tuple(base[::-1]) + (64,), (64,) + tuple(base)]
-        # two sets that differ only in bits 16 and up of their first id word
+        # two sets that differ in their largest value only
         if n == 17:
             rows += [(16, 3, 12, 7), (17, 3, 12, 7)]
         if n == 64:
@@ -587,6 +587,39 @@ def test_a_tiny_block_budget_leaves_the_results_unchanged(monkeypatch):
             assert space.steps * space.tail[0] <= cells
         assert (_space(17, True).tail[1].per_pass == 1) == (cells == 64)
         assert scans() == default
+
+
+def test_blocks_are_position_major_int16_within_the_budget(monkeypatch):
+    # with the count rule at every level, every block that enters a level
+    # and every block the tail joins is a C-contiguous (position-major)
+    # int16 array, and a block with d steps taken below the last level
+    # holds at most max(1, _PATH_CELLS // (steps * d)) states, on the full
+    # central n=17 scan at the default budget and at 64 and 4096. The last
+    # level's block holds one tail pass's matches, which the budget does
+    # not bound.
+    blocks = []
+
+    def spied_space(n, central):
+        space = _space(n, central)
+        return replaced(space, counts=lambda W: blocks.append(W) or space.counts(W))
+
+    matches = inflatable._fivesum.Tail.matches
+
+    def spied_matches(self, tv, W, used):
+        blocks.append(W)
+        return matches(self, tv, W, used)
+
+    monkeypatch.setattr(inflatable.search, "_rule_prunes", lambda n, tv, slack: True)
+    monkeypatch.setattr(inflatable.search, "_space", spied_space)
+    monkeypatch.setattr(inflatable._fivesum.Tail, "matches", spied_matches)
+    steps = _space(17, True).steps
+    for cells in (inflatable.search._PATH_CELLS, 64, 4096):
+        monkeypatch.setattr(inflatable.search, "_PATH_CELLS", cells)
+        blocks.clear()
+        assert search_3_inflatable(SearchConfig(n=17)).found == 750
+        assert all(W.dtype == np.int16 and W.flags.c_contiguous for W in blocks)
+        below = [W.shape for W in blocks if W.shape[0] < steps]
+        assert all(N <= max(1, cells // (steps * d)) for d, N in below)
 
 
 def test_tail_matches_refuses_states_of_another_dtype():
@@ -785,20 +818,21 @@ def test_progress_callback_streams_every_hit():
 
 
 def test_timeout_raises_with_partial_progress(monkeypatch):
-    # the kernel reads the clock after each child value, with or without a
-    # limit, so it stops soon after the deadline, not a block later. The
-    # whole central n=17 scan can end inside these timeouts, so a fake clock
-    # moves 1 ms at each read: the deadline passes mid-scan, after the same
-    # reads whatever the scan's speed
+    # the kernel reads the clock as each block enters, with or without a
+    # limit, so it stops at the first block after the deadline. The whole
+    # central n=17 scan can end inside these timeouts, so a fake clock
+    # moves 1 ms at each read: the whole scan reads it about 44 times, and
+    # the deadline passes mid-scan, after the same reads whatever the
+    # scan's speed
     ticks = count(0, 0.001)
     monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(SearchTimeout) as exc:
-        search_3_inflatable(SearchConfig(n=17, limit=10**9, timeout=0.05))
+        search_3_inflatable(SearchConfig(n=17, limit=10**9, timeout=0.02))
     assert exc.value.scanned > 0
     assert isinstance(exc.value.hits, list)
     assert exc.value.elapsed_ms >= 0
     with pytest.raises(SearchTimeout):
-        search_3_inflatable(SearchConfig(n=17, timeout=0.02))
+        search_3_inflatable(SearchConfig(n=17, timeout=0.01))
     monkeypatch.undo()
     # real 0.5-s timeouts: the whole central n=17 scan ends well inside
     # them, so the central leg runs at the next admissible length, 64,
@@ -847,6 +881,22 @@ def test_long_lengths_keep_int16_kernel_values_or_refuse(monkeypatch):
             search_3_inflatable(
                 SearchConfig(n=1728, central_only=central, timeout=0.05)
             )
+
+
+def test_a_long_timed_scan_keeps_its_memory_bounded():
+    # the blocks along one descent path hold at most _PATH_CELLS values and
+    # a child step indexes one chunk of a block's states at a time, so a
+    # 0.3-s timed central n=288 scan peaks at about 25 MiB traced. Indexing
+    # every child of a whole block at once peaked above 200 MiB.
+    search_3_inflatable(SearchConfig(n=17, limit=1))  # numpy's imports stay untraced
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchTimeout):
+            search_3_inflatable(SearchConfig(n=288, timeout=0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20, peak
 
 
 def test_known_hit_shard_length17():
