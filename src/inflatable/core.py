@@ -112,10 +112,21 @@ def _record(cls=None, *, frozen=True):
     return cls
 
 
-def _validate_values(values: tuple) -> None:
+def _validate_values(values: Sequence) -> Sequence:
+    """values, as exact ints, if they are 1..n in some order; else ValueError."""
     n = len(values)
     if n == 0:
         raise ValueError("permutation must be non-empty")
+    # the type pass runs at C speed, and exact ints need no per-value check;
+    # any failure runs the full loop below, for its first error
+    if set(map(type, values)) == {int}:
+        seen = [False] * (n + 1)
+        for v in values:
+            if not 0 < v <= n or seen[v]:
+                break
+            seen[v] = True
+        else:
+            return values
     seen = [False] * (n + 1)
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
@@ -125,6 +136,9 @@ def _validate_values(values: tuple) -> None:
         if seen[v]:
             raise ValueError(f"duplicate value {v}")
         seen[v] = True
+    # an int subclass is held as the int it equals, so that every Perm
+    # formats, hashes and computes as plain ints do
+    return tuple(map(index, values))
 
 
 def _integer(name: str, value) -> int:
@@ -138,7 +152,8 @@ class Perm(tuple):
     """A permutation of {1, ..., n} in one-line notation.
 
     Behaves as a tuple of ints. Construction validates that the values are
-    exactly 1..n. Strings are parsed in either text style:
+    exactly 1..n, and holds an int subclass's values as plain ints. Strings
+    are parsed in either text style:
 
     >>> Perm("312") == Perm((3, 1, 2)) == Perm("3,1,2")
     True
@@ -149,9 +164,7 @@ class Perm(tuple):
     def __new__(cls, values: Union[str, Iterable[int]]) -> "Perm":
         if isinstance(values, str):
             return parse_permutation(values)
-        vals = tuple(values)
-        _validate_values(vals)
-        return super().__new__(cls, vals)
+        return super().__new__(cls, _validate_values(tuple(values)))
 
     @property
     def n(self) -> int:
@@ -180,6 +193,14 @@ def parse_permutation(text: str) -> Perm:
     Comma style is used when the string contains a comma; otherwise every
     character must be a compact symbol. Mixed styles are rejected.
 
+    A comma-style entry is what int() reads, less its "+" sign and "_"
+    separators: an optional "-" and decimal digits, Unicode ones included,
+    with whitespace around them. A JSON read of the whole text sits in front
+    of that grammar. It keeps its result only when every entry is an int,
+    which JSON gives only for "-?(0|[1-9][0-9]*)" entries with space, tab,
+    LF or CR around them, each the value int() reads; any other text is read
+    entry by entry, so every error is int()'s or names the bad entry.
+
     >>> parse_permutation("G54ABC319HF678ED2").n
     17
     """
@@ -187,19 +208,26 @@ def parse_permutation(text: str) -> Perm:
     if not s:
         raise ValueError("empty permutation text")
     if "," in s:
-        parts = s.split(",")
+        import json
+
         try:
-            # int() also takes a "+" sign and "_" separators; an entry does not
-            if "+" in s or "_" in s:
-                raise ValueError
-            values = tuple(map(int, parts))
-        except ValueError:
-            # an entry is an optional "-" and decimal digits
-            entries = map(str.strip, parts)
-            bad = next((p for p in entries if not p.removeprefix("-").isdecimal()), None)
-            if bad is None:
-                raise  # int()'s own cap on the digits of one entry
-            raise ValueError(f"malformed comma-style entry {bad!r} in {text!r}") from None
+            values = json.loads(f"[{s}]")
+        except (ValueError, RecursionError):
+            values = ()
+        if set(map(type, values)) != {int}:
+            parts = s.split(",")
+            try:
+                # int() also takes a "+" sign and "_" separators; an entry does not
+                if "+" in s or "_" in s:
+                    raise ValueError
+                values = tuple(map(int, parts))
+            except ValueError:
+                # an entry is an optional "-" and decimal digits
+                entries = map(str.strip, parts)
+                bad = next((p for p in entries if not p.removeprefix("-").isdecimal()), None)
+                if bad is None:
+                    raise  # int()'s own cap on the digits of one entry
+                raise ValueError(f"malformed comma-style entry {bad!r} in {text!r}") from None
     else:
         try:
             values = tuple(map(_COMPACT_VALUE.__getitem__, s))
@@ -207,8 +235,7 @@ def parse_permutation(text: str) -> Perm:
             raise ValueError(
                 f"invalid character {exc.args[0]!r} in compact permutation {text!r}"
             ) from None
-    _validate_values(values)
-    return tuple.__new__(Perm, values)
+    return tuple.__new__(Perm, _validate_values(values))
 
 
 def format_permutation(p: PermLike, style: str = "auto") -> str:
@@ -225,7 +252,9 @@ def format_permutation(p: PermLike, style: str = "auto") -> str:
             raise ValueError(f"compact style caps at length {COMPACT_MAX}, got {q.n}")
         return "".join(_COMPACT_SYMBOLS[v - 1] for v in q)
     if style == "comma":
-        return ",".join(str(v) for v in q)
+        import json
+
+        return json.dumps(q, separators=(",", ":"))[1:-1]
     raise ValueError(f"unknown style {style!r}")
 
 
@@ -370,6 +399,17 @@ def _host_tables(tau: Perm) -> dict:
     return {}
 
 
+# every module-level memo of the package that has run: limits registers its
+# own as it runs, so clearing them imports no module
+_MEMOS = [_host_tables]
+
+
+def _clear_memos() -> None:
+    """Empty every module-level memo, so that the next call counts afresh."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
 def _occurrences(tau: Perm, s: int) -> dict:
     """tau's memo (_host_tables), filled with the counts of every length 1..s.
 
@@ -382,6 +422,10 @@ def _occurrences(tau: Perm, s: int) -> dict:
     if s not in tables:
         _fill(tau, s, tables)
     return tables
+
+
+# every table _fill makes is keyed by these; built once, not validated per fill
+_P1, _P12, _P21 = Perm((1,)), Perm((1, 2)), Perm((2, 1))
 
 
 def _fill(tau: Perm, s: int, tables: dict) -> None:
@@ -408,10 +452,10 @@ def _fill(tau: Perm, s: int, tables: dict) -> None:
             _fill(f, top, counts)
         tables.update({j: _inflation_sums(j, *factors) for j in range(1, top + 1)})
         return
-    tables[1] = {Perm((1,)): tau.n}
+    tables[1] = {_P1: tau.n}
     if s > 1 and tau.n >= 3 and 3 not in tables:
         pc = count_length3_all(tau)
-        tables[2] = {Perm((1, 2)): pc.inv12, Perm((2, 1)): pc.inv21}
+        tables[2] = {_P12: pc.inv12, _P21: pc.inv21}
         tables[3] = pc.counts
     for j in range(2, s + 1):
         if j not in tables:

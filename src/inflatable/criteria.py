@@ -24,6 +24,7 @@ from .core import (
     PATTERNS_3,
     Perm,
     PermLike,
+    _P12,
     _occurrences,
     _record,
     as_perm,
@@ -42,8 +43,6 @@ __all__ = [
     "residue_multiplication_table",
     "compose_inflatables",
 ]
-
-_P12 = Perm((1, 2))
 
 _MONOTONE = (Perm((1, 2, 3)), Perm((3, 2, 1)))
 

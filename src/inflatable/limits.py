@@ -38,6 +38,7 @@ from typing import Mapping, Union
 from .core import (
     Perm,
     PermLike,
+    _MEMOS,
     _inflation_sums,
     _occurrences,
     all_patterns,
@@ -147,6 +148,9 @@ def uniform_profile(max_len: int) -> DensityProfile:
         for p in all_patterns(k):
             entries[p] = w
     return DensityProfile(entries)
+
+
+_MEMOS.append(uniform_profile)
 
 
 def limit_density_inflation(

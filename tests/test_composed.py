@@ -1,16 +1,19 @@
 """The uniform-inflation splitter and the composed-host count path of core._occurrences."""
 
+import importlib
 import importlib.util
 import io
 import json
+import pkgutil
 import random
-import sys
 from math import comb
 from pathlib import Path
+from types import ModuleType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import inflatable
 from inflatable import (
     PATTERNS_3,
     Perm,
@@ -21,7 +24,7 @@ from inflatable import (
     limit_density_uniform,
     pattern_of,
 )
-from inflatable import cli, core, limits
+from inflatable import cli, core
 from util import random_perm, record_count3_calls
 
 EXAMPLES_17 = (Perm("G54ABC319HF678ED2"), Perm("E534BGA9HC2D1687F"))
@@ -190,14 +193,29 @@ def test_each_call_reads_its_host_once():
         assert lookups() == 1
 
 
-def test_the_library_keeps_two_module_level_caches():
-    # a new memo would need clearing wherever these two are cleared
-    modules = [m for name, m in sys.modules.items() if name.startswith("inflatable.")]
-    assert core in modules and limits in modules
-    cached = {
-        f"{mod.__name__}.{name}"
-        for mod in modules
-        for name, obj in vars(mod).items()
-        if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
-    }
-    assert cached == {"inflatable.core._host_tables", "inflatable.limits.uniform_profile"}
+def test_clear_memos_empties_every_module_level_cache():
+    # every module of the package runs, and its memos are filled; a new
+    # memo that core._clear_memos does not reach fails here
+    modules = []
+    for info in pkgutil.iter_modules(inflatable.__path__):
+        module = importlib.import_module(f"inflatable.{info.name}")
+        vars(module)  # runs a lazy module
+        modules.append(module)
+    assert all(type(m) is ModuleType for m in modules)
+    host = inflate(*EXAMPLES_17)
+    assert check_3_inflatable(host).verdict
+    assert limit_density_uniform("123", host) == limit_density_uniform("123", EXAMPLES_17[0])
+
+    def sizes():
+        return {
+            f"{mod.__name__}.{name}": obj.cache_info().currsize
+            for mod in modules
+            for name, obj in vars(mod).items()
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
+        }
+
+    filled = sizes()
+    assert filled["inflatable.core._host_tables"] > 0
+    assert filled["inflatable.limits.uniform_profile"] > 0
+    core._clear_memos()
+    assert sizes() == dict.fromkeys(filled, 0)

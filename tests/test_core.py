@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -82,6 +82,176 @@ def test_format_round_trip():
                 format_permutation(p, "compact")
     with pytest.raises(ValueError, match="unknown style"):
         format_permutation("12", style="x")
+
+
+class Loud(int):
+    """An int that prints as something else."""
+
+    def __str__(self):
+        return f"loud {int(self)}"
+
+    __repr__ = __str__
+
+
+def old_validate(values) -> None:
+    """Validation by one per-value loop, with no type pass in front: the
+    reference for the outcome and first error of core._validate_values."""
+    n = len(values)
+    if n == 0:
+        raise ValueError("permutation must be non-empty")
+    seen = [False] * (n + 1)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"permutation entries must be integers, got {v!r}")
+        if not 1 <= v <= n:
+            raise ValueError(f"value {v} out of range 1..{n}")
+        if seen[v]:
+            raise ValueError(f"duplicate value {v}")
+        seen[v] = True
+
+
+def old_parse(text: str) -> Perm:
+    """The entry-by-entry parser, with no JSON read in front: the reference
+    for every text parse_permutation accepts and every error it raises."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty permutation text")
+    if "," in s:
+        parts = s.split(",")
+        try:
+            if "+" in s or "_" in s:
+                raise ValueError
+            values = tuple(map(int, parts))
+        except ValueError:
+            entries = map(str.strip, parts)
+            bad = next((p for p in entries if not p.removeprefix("-").isdecimal()), None)
+            if bad is None:
+                raise
+            raise ValueError(f"malformed comma-style entry {bad!r} in {text!r}") from None
+    else:
+        try:
+            values = tuple(map(core._COMPACT_VALUE.__getitem__, s))
+        except KeyError as exc:
+            raise ValueError(
+                f"invalid character {exc.args[0]!r} in compact permutation {text!r}"
+            ) from None
+    old_validate(values)
+    return tuple.__new__(Perm, values)
+
+
+def outcome(call, arg):
+    """("ok", result) or the exception's type and message."""
+    try:
+        return "ok", call(arg)
+    except Exception as exc:  # the outcome under test
+        return type(exc), str(exc)
+
+
+FUZZ_TOKENS = (
+    *"0123456789", ",", " ", "\t", "\n", "\r", "\x0b", "-", "+", "_", ".", "e",
+    "[", "]", "{", '"', "true", "٢",
+)
+
+
+def fuzz_texts(rng: random.Random, count: int) -> list:
+    """count texts: a third random token strings, a third permutations
+    (some with a wrong value) written with random signs, zeros, whitespace
+    and JSON values of other types, a third those with one to three tokens
+    put in or replaced."""
+    pads = ("",) * 30 + (" ", "\t", "\n", "\r", "\x0b")
+    forms = ("{}.0", "{}e0", "[{}]", '"{}"', "true", "{}.", "-{}", "0{}", "{}_0", "+{}")
+    texts = []
+    for i in range(count):
+        if i % 3 == 0:
+            texts.append("".join(rng.choices(FUZZ_TOKENS, k=rng.randint(1, 12))))
+            continue
+        n = rng.randint(2, 12)
+        values = rng.sample(range(1, n + 1), n)
+        if rng.random() < 0.2:
+            values[rng.randrange(n)] = rng.choice((0, -1, n + 1, values[0]))
+        entries = [
+            rng.choice(pads)
+            + (rng.choice(forms) if rng.random() < 0.02 else "{}").format(v)
+            + rng.choice(pads)
+            for v in values
+        ]
+        text = ",".join(entries)
+        if i % 3 == 2:
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(chars) + 1)
+                chars[at:at + rng.randint(0, 1)] = [rng.choice(FUZZ_TOKENS)]
+            text = "".join(chars)
+        texts.append(text)
+    return texts
+
+
+def test_comma_parser_matches_the_entry_by_entry_oracle():
+    cap = sys.get_int_max_str_digits() or 4300
+    deep = "[" * 100_000
+    explicit = [
+        "01,2", "1,02", "00,1", "-0,1", "1,-0", "0,1", "-1,1", "2,1", " 2 ,\t1\n",
+        "\x0b2,1", "2\x0b,1", "٢,1", "1,٢", "2,+1", "2,1_0", "1.0,2", "1e0,2",
+        "true,1", "[1],2", "[1,2]", "{},1", '"1",2', "NaN,1", "Infinity,1", "null,1",
+        "1,,2", ",1", "1,", "1 2,3", "-,1", "1," + "1" * (cap + 1),
+        deep + "1,2" + "]" * 100_000, deep + ",",
+    ]
+    texts = explicit + fuzz_texts(random.Random(35), 3000)
+    parsed = 0
+    for text in texts:
+        expected = outcome(old_parse, text)
+        got = outcome(parse_permutation, text)
+        assert got == expected, text
+        if got[0] == "ok":
+            parsed += 1
+            assert type(got[1]) is Perm and {type(v) for v in got[1]} == {int}
+    # the deep nesting is malformed, not a RecursionError
+    assert outcome(parse_permutation, deep + ",")[0] is ValueError
+    # both parsers' paths are walked: JSON's and the entry-by-entry one
+    assert 600 < parsed < len(texts) - 600
+
+
+def test_validation_matches_the_per_value_loop():
+    pool = (0, 1, 2, 3, -1, True, False, 1.0, 2.5, Loud(1), Loud(2), "1", None)
+    inputs = [()] + [v for k in (1, 2, 3) for v in product(pool, repeat=k)]
+    accepted = 0
+    for values in inputs:
+        expected = outcome(old_validate, values)
+        got = outcome(core._validate_values, values)
+        if expected == ("ok", None):
+            accepted += 1
+            assert got[0] == "ok" and got[1] == values, values
+            assert {type(v) for v in got[1]} == {int}
+        else:
+            assert got == expected, values
+    assert accepted > 10
+
+
+def assert_comma_round_trip(p: Perm) -> None:
+    text = format_permutation(p, "comma")
+    assert text == ",".join(map(str, p))
+    assert parse_permutation(text) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.integers(1, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_comma_text_is_each_value_joined(values):
+    assert_comma_round_trip(Perm(values))
+
+
+def test_comma_text_round_trips_a_17_4_composition():
+    e1, e2 = Perm("G54ABC319HF678ED2"), Perm("E534BGA9HC2D1687F")
+    host = inflate(inflate(e1, e2), inflate(e2, e1))
+    assert host.n == 83_521
+    assert_comma_round_trip(host)
+
+
+def test_a_perm_holds_an_int_subclass_as_plain_ints():
+    # so its text is the ints' own, whatever the subclass prints
+    p = Perm((Loud(2), Loud(3), Loud(1)))
+    assert p == (2, 3, 1) and {type(v) for v in p} == {int}
+    assert format_permutation(p, "comma") == "2,3,1"
+    assert str(p) == "231"
 
 
 def test_format_compact_symbols():

@@ -35,6 +35,8 @@ def test_checking_runs_no_lazy_module():
     for call in (
         f"inflatable.check_3_inflatable({G!r})",
         f"from inflatable import cli; cli.run(['check', {G!r}], stdout=io.StringIO())",
+        # clearing the memos runs no lazy module either
+        f"inflatable.check_3_inflatable({G!r}); inflatable.core._clear_memos()",
     ):
         out = fresh(
             f"{call}\n"

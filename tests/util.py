@@ -64,7 +64,7 @@ def random_perm(rng: random.Random, n: int) -> Perm:
 
 
 def record_count3_calls(monkeypatch) -> list:
-    """Empty core's occurrence memo and list each host count_length3_all counts from now on."""
+    """Empty the library's memos and list each host count_length3_all counts from now on."""
     calls = []
     counter = core.count_length3_all
 
@@ -73,5 +73,5 @@ def record_count3_calls(monkeypatch) -> list:
         return counter(host)
 
     monkeypatch.setattr(core, "count_length3_all", counted)
-    core._host_tables.cache_clear()
+    core._clear_memos()
     return calls

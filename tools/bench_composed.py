@@ -10,14 +10,13 @@ prints one JSON object: the calibrated seconds of each operation, timed by
 ``perfbench/pace.py``'s ``Pace.time`` (its wall time less the reference
 chunks run inside it, scaled to the pace where one chunk takes
 ``REF_NOMINAL_S``), so the host's speed phases mostly cancel. Before each
-operation the library's memos (``core._host_tables``,
-``limits.uniform_profile``) are cleared outside the timed region, so it
-times the counting and not a lookup, except ``limit_wide_warm``, which
-repeats ``limit_wide_cold`` with the memos as it left them. A full garbage
-collection runs before every operation, also outside the timed region:
-otherwise the one the allocations trip lands in whichever short operation
-comes next and adds about 15 ms (a pass over the long hosts the script
-holds) to an operation of 3-5 ms. The operations:
+operation the library's memos are cleared (``core._clear_memos``) outside
+the timed region, so it times the counting and not a lookup, except
+``limit_wide_warm``, which repeats ``limit_wide_cold`` with the memos as
+it left them. A full garbage collection runs before every operation, also
+outside the timed region: otherwise the one the allocations trip lands in
+whichever short operation comes next and adds about 15 ms (a pass over the
+long hosts the script holds) to an operation of 3-5 ms. The operations:
 
 - ``check_17_5_*``: CLI ``check --json`` on the 1,419,857-long composition
   of the two length-17 examples, whole (``cli``) and in three parts: parse
@@ -82,11 +81,10 @@ def measure() -> dict:
     seconds per operation."""
     import inflatable
     import inflatable.cli
-    from inflatable import core, limits
+    from inflatable import core
 
-    def clear():
-        core._host_tables.cache_clear()
-        limits.uniform_profile.cache_clear()
+    # read here, so that the lazy limits module runs before any timed op
+    limit_density_uniform = inflatable.limit_density_uniform
 
     def cli_check(text):
         buf = io.StringIO()
@@ -112,13 +110,13 @@ def measure() -> dict:
 
     def limit_289(pattern):
         return (
-            lambda: inflatable.limit_density_uniform(pattern, host289),
+            lambda: limit_density_uniform(pattern, host289),
             lambda limit: limit == LIMITS_289[pattern],
             f"the limit of {pattern} moved from its pinned value",
         )
 
     limit_wide = (
-        lambda: sum(inflatable.limit_density_uniform(p, tau9) for p in patterns6),
+        lambda: sum(limit_density_uniform(p, tau9) for p in patterns6),
         lambda total: total == 1,
         "the length-6 limits do not sum to 1",
     )
@@ -156,7 +154,7 @@ def measure() -> dict:
     seconds = {}
     for op, (call, ok, problem) in ops.items():
         if op != "limit_wide_warm":
-            clear()
+            core._clear_memos()
         gc.collect()
         answer, _, seconds[op] = pace.time(call)
         if not ok(answer):

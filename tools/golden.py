@@ -38,7 +38,7 @@ from pathlib import Path
 from unittest import mock
 
 import inflatable
-from inflatable import cli, core, format_permutation, inflate, limits
+from inflatable import cli, core, format_permutation, inflate
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.json"
@@ -188,8 +188,7 @@ def mask(text: str) -> str:
 
 def record(argv: list) -> dict:
     """Run one case through ``cli.run`` and return what the corpus stores."""
-    core._host_tables.cache_clear()
-    limits.uniform_profile.cache_clear()
+    core._clear_memos()
     with tempfile.TemporaryDirectory() as tmp:
         values = {"out": os.path.join(tmp, "out.txt")}
         for name, text in FILES.items():
