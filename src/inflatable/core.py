@@ -114,19 +114,31 @@ def _record(cls=None, *, frozen=True):
 
 def _validate_values(values: Sequence) -> Sequence:
     """values, as exact ints, if they are 1..n in some order; else ValueError."""
-    n = len(values)
-    if n == 0:
+    if not values:
         raise ValueError("permutation must be non-empty")
-    # the type pass runs at C speed, and exact ints need no per-value check;
-    # any failure runs the full loop below, for its first error
+    # the type pass runs at C speed, and exact ints need no per-value check
     if set(map(type, values)) == {int}:
-        seen = [False] * (n + 1)
-        for v in values:
-            if not 0 < v <= n or seen[v]:
-                break
-            seen[v] = True
-        else:
-            return values
+        return _validate_ints(values)
+    return _validate_each(values)
+
+
+def _validate_ints(values: Sequence[int]) -> Sequence[int]:
+    """values, non-empty and all exact ints, if they are 1..n in some order.
+
+    Any failure runs _validate_each, for its first error.
+    """
+    n = len(values)
+    seen = [False] * (n + 1)
+    for v in values:
+        if not 0 < v <= n or seen[v]:
+            return _validate_each(values)
+        seen[v] = True
+    return values
+
+
+def _validate_each(values: Sequence) -> Sequence:
+    """The full check, entry by entry: the first error, or values as plain ints."""
+    n = len(values)
     seen = [False] * (n + 1)
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
@@ -235,7 +247,8 @@ def parse_permutation(text: str) -> Perm:
             raise ValueError(
                 f"invalid character {exc.args[0]!r} in compact permutation {text!r}"
             ) from None
-    return tuple.__new__(Perm, _validate_values(values))
+    # every branch above yields a non-empty run of exact ints
+    return tuple.__new__(Perm, _validate_ints(values))
 
 
 def format_permutation(p: PermLike, style: str = "auto") -> str:

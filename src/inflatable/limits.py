@@ -22,9 +22,15 @@ core's memo, next to the host's occurrence counts of every length up to
 k, which one core._occurrences call fills and every pattern summed on the
 host shares. So the first pattern asked for on a host pays for the whole
 table, about 10 ms for k = 6 on a 9-long host (2-vCPU Xeon VM, Python
-3.11), and every later length-6 pattern there is a lookup. A fresh
-profile object per call rebuilds the table, and takes the place of the
-last one. Everything here is exact rational arithmetic.
+3.11), and every later length-6 pattern there is a lookup. A warm
+limit_density_uniform call reads its pattern and host once, checks the
+cap once and does that lookup: about 0.8 us in-process, against 1.9 us
+when it went on through limit_density_inflation's second read, cap
+check and coverage test (best of 9 timeit repeats, same machine). That
+took the exact bench workload's stage2_s from 5.11 to 3.46 ms (medians
+of 10 pairs, BENCH_exact.json). A fresh profile object per call rebuilds
+the table, and takes the place of the last one. Everything here is exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ class DensityProfile:
         return as_perm(pattern) in self._table
 
     def covers(self, max_len: int) -> bool:
-        return all(k in self.lengths for k in range(1, max_len + 1))
+        return self.lengths.issuperset(range(1, max_len + 1))
 
     @classmethod
     def from_json(cls, text: str) -> "DensityProfile":
@@ -219,9 +225,11 @@ def limit_density_uniform(pi: PermLike, tau: PermLike) -> Fraction:
     Fraction(29, 162)
     """
     p = as_perm(pi)
-    if p.n > LIMIT_PATTERN_MAX:
-        raise ValueError(f"pattern length caps at {LIMIT_PATTERN_MAX}, got {p.n}")
-    return limit_density_inflation(p, tau, uniform_profile(p.n))
+    k = p.n
+    if k > LIMIT_PATTERN_MAX:
+        raise ValueError(f"pattern length caps at {LIMIT_PATTERN_MAX}, got {k}")
+    # uniform_profile(k) holds every length 1..k, so it covers |pi|
+    return _limit_table(as_perm(tau), k, uniform_profile(k)).get(p, _ZERO)
 
 
 def abc_coefficients(n: int) -> tuple[Fraction, Fraction, Fraction]:

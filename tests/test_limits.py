@@ -160,10 +160,20 @@ def test_profile_coverage_errors():
     prof = uniform_profile(2)
     with pytest.raises(ValueError, match="lacks"):
         limit_density_inflation("123", "132", prof)
+    # a profile whose lengths have a gap covers only the lengths below it
+    gap = DensityProfile({"1": 1, **{p: Fraction(1, 6) for p in PATTERNS_3}})
+    assert gap.covers(1) and not gap.covers(2) and not gap.covers(3)
+    with pytest.raises(ValueError, match=r"lacks lengths \[2\] needed for \|pi\| = 3"):
+        limit_density_inflation("123", "132", gap)
     with pytest.raises(ValueError, match="caps"):
         limit_density_uniform("1234567", "1234567")
-    # limit_density_uniform checks the cap before it builds a profile, so
-    # limit_density_inflation's own check is reached only directly
+    # limit_density_uniform checks the cap before it parses the host or
+    # builds a profile, so limit_density_inflation's own check is reached
+    # only directly
+    with pytest.raises(ValueError, match="caps at 6, got 7"):
+        limit_density_uniform("1234567", "bad")
+    with pytest.raises(ValueError, match="invalid character 'b'"):
+        limit_density_uniform("123", "bad")
     with pytest.raises(ValueError, match="caps at 6, got 7"):
         limit_density_inflation("1234567", "12", prof)
 
@@ -270,6 +280,20 @@ def test_limit_table_matches_reference_and_sums_to_one(tau, k, rng):
     assert sum(table.values()) == 1
     for pi in all_patterns(k):
         assert table.get(pi, 0) == reference_limit(pi, tau, profile), pi
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=perms(1, 9), pi=perms(1, 6))
+@example(tau=Perm("1"), pi=Perm("2413"))
+@example(tau=Perm("21"), pi=Perm("132546"))
+@example(tau=inflate("231", "21"), pi=Perm("3142"))
+def test_uniform_limit_matches_per_partition_reference(tau, pi):
+    # limit_density_uniform reads the host's table itself, so it is checked
+    # against the reference on its own, from cold memos and then warm
+    expected = reference_limit(pi, tau, uniform_profile(pi.n))
+    core._clear_memos()
+    assert limit_density_uniform(pi, tau) == expected
+    assert limit_density_uniform(pi, tau) == expected
 
 
 def test_one_limit_table_per_host_length_and_profile(monkeypatch):
