@@ -227,19 +227,13 @@ def parse_permutation(text: str) -> Perm:
         except (ValueError, RecursionError):
             values = ()
         if set(map(type, values)) != {int}:
-            parts = s.split(",")
-            try:
-                # int() also takes a "+" sign and "_" separators; an entry does not
-                if "+" in s or "_" in s:
-                    raise ValueError
-                values = tuple(map(int, parts))
-            except ValueError:
-                # an entry is an optional "-" and decimal digits
-                entries = map(str.strip, parts)
-                bad = next((p for p in entries if not p.removeprefix("-").isdecimal()), None)
-                if bad is None:
-                    raise  # int()'s own cap on the digits of one entry
-                raise ValueError(f"malformed comma-style entry {bad!r} in {text!r}") from None
+            # an entry is an optional "-" and decimal digits; int() raises
+            # only its own cap on the digits of one entry
+            entries = [p.strip() for p in s.split(",")]
+            bad = next((p for p in entries if not p.removeprefix("-").isdecimal()), None)
+            if bad is not None:
+                raise ValueError(f"malformed comma-style entry {bad!r} in {text!r}")
+            values = tuple(map(int, entries))
     else:
         try:
             values = tuple(map(_COMPACT_VALUE.__getitem__, s))

@@ -24,13 +24,11 @@ host shares. So the first pattern asked for on a host pays for the whole
 table, about 10 ms for k = 6 on a 9-long host (2-vCPU Xeon VM, Python
 3.11), and every later length-6 pattern there is a lookup. A warm
 limit_density_uniform call reads its pattern and host once, checks the
-cap once and does that lookup: about 0.8 us in-process, against 1.9 us
-when it went on through limit_density_inflation's second read, cap
-check and coverage test (best of 9 timeit repeats, same machine). That
-took the exact bench workload's stage2_s from 5.11 to 3.46 ms (medians
-of 10 pairs, BENCH_exact.json). A fresh profile object per call rebuilds
-the table, and takes the place of the last one. Everything here is exact
-rational arithmetic.
+cap once and does that lookup: about 0.8 us in-process (best of 9
+timeit repeats, same machine), and the exact bench workload's stage2_s
+reads 3.46 ms (median of 10 pairs, BENCH_exact.json). A fresh profile
+object per call rebuilds the table, and takes the place of the last one.
+Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations

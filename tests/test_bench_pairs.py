@@ -137,3 +137,22 @@ def test_perfbench_row_keeps_its_keys(bench_pairs, monkeypatch, tmp_path):
     assert list(claimed["metrics"]) == ["setup_s", "wall_s", "stage1_s", "stage2_s", "peak_rss_mb"]
     assert claimed["metrics"]["peak_rss_mb"]["unit"] == "MB"
     assert claimed["metrics"]["wall_s"]["change_wins"] == 3
+
+
+def test_composed_runs_each_checkouts_own_script(bench_pairs, monkeypatch, tmp_path):
+    # the script resolves against the checkout run uses as its cwd, so the
+    # parent's run names the parent's script and the change's its own
+    parent = (tmp_path / "parent").resolve()
+    scripts = []
+
+    def run(cmd, checkout, **env):
+        scripts.append((checkout, (checkout / cmd[-1]).resolve()))
+        return json.dumps({"op_s": 1.0}), 0.1
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "machine", lambda checkout: MACHINE)
+    argv = ["--parent", str(parent), "--workload", "composed", "--seeds", "1-2",
+            "--change", "c", "--out", str(tmp_path / "BENCH_composed.json")]
+    assert bench_pairs.main(argv) == 0
+    assert scripts and all(script == checkout / bench_pairs.COMPOSED for checkout, script in scripts)
+    assert {checkout for checkout, _ in scripts} == {parent, bench_pairs.ROOT}

@@ -18,6 +18,7 @@ from inflatable import (
     render_svg,
     rotate,
 )
+import inflatable._kernel
 import inflatable.search
 from inflatable.cli import main, run
 from util import random_perm
@@ -335,7 +336,7 @@ def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
     # the partial result is still printed and written: a fake clock stands
     # still until a shard has returned hits and then passes the deadline,
     # so the run stops after the first hits whatever the scan's speed
-    scan_shard = inflatable.search._scan_shard
+    scan_shard = inflatable._kernel._scan_shard
     found = []
 
     def scan(*args):
@@ -343,7 +344,7 @@ def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
         found.extend(out[0])
         return out
 
-    monkeypatch.setattr(inflatable.search, "_scan_shard", scan)
+    monkeypatch.setattr(inflatable._kernel, "_scan_shard", scan)
     clock = SimpleNamespace(monotonic=lambda: 10.0 * bool(found))
     monkeypatch.setattr(inflatable.search, "time", clock)
     target = tmp_path / "hits.txt"

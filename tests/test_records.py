@@ -22,8 +22,9 @@ from inflatable import (
     block_partitions,
     check_3_inflatable,
     count_length3_all,
+    search_3_inflatable,
 )
-from inflatable import _fivesum, search
+from inflatable import _kernel
 from inflatable.cli import CommandResult
 from inflatable.montecarlo import GENERATOR_ID
 
@@ -195,20 +196,25 @@ def test_command_results_hold_their_own_payload_and_diagnostics():
     assert (b.payload, b.diagnostics) == ({}, [])
 
 
-def test_space_tail_is_computed_once_per_instance(monkeypatch):
-    plans = []
-    real = _fivesum.tail_plan
+def test_one_tail_plan_per_search(monkeypatch):
+    # a search builds its tail plan once, before its first shard scan, and
+    # every shard it scans (8 of the 16 central ones at n=17) completes by
+    # that plan; the next search builds its own
+    plans, tails = [], []
+    real_plan, real_scan = _kernel.tail_plan, _kernel._scan_shard
 
     def counted(*args):
-        plans.append(args)
-        return real(*args)
+        plans.append(real_plan(*args))
+        return plans[-1]
 
-    monkeypatch.setattr(_fivesum, "tail_plan", counted)
-    space = search._space(12, True)
-    first = space.tail
-    assert space.tail is first and len(plans) == 1
-    assert isinstance(first[1], _fivesum.Tail)
-    assert "tail" in vars(space)
-    again = search._space(12, True)
-    again.tail
-    assert len(plans) == 2
+    def scan(n, tv, space, first_u, tail, expired):
+        tails.append(tail[1])
+        return real_scan(n, tv, space, first_u, tail, expired)
+
+    monkeypatch.setattr(_kernel, "tail_plan", counted)
+    monkeypatch.setattr(_kernel, "_scan_shard", scan)
+    assert search_3_inflatable(SearchConfig(n=17)).found == 750
+    assert len(plans) == 1 and len(tails) == 8
+    assert isinstance(plans[0], _kernel.Tail) and all(t is plans[0] for t in tails)
+    search_3_inflatable(SearchConfig(n=17, limit=1))
+    assert len(plans) == 2 and tails[-1] is plans[1]

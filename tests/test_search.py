@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations, count, permutations, product
@@ -28,14 +27,21 @@ from inflatable import (
     space_size,
 )
 import inflatable.search
-import inflatable._fivesum
-from inflatable._fivesum import five_sums_of_targets, key_multipliers, key_terms, tail_plan
-from inflatable.search import (
+import inflatable._kernel
+from inflatable._kernel import (
     _TAIL,
-    _check_length,
-    _complement_targets,
+    _counts,
     _rule_prunes,
     _scan_shard,
+    _tail,
+    five_sums_of_targets,
+    key_multipliers,
+    key_terms,
+    tail_plan,
+)
+from inflatable.search import (
+    _check_length,
+    _complement_targets,
     _search_space,
     _space,
     _target_vector,
@@ -67,11 +73,16 @@ def complement(tau: Perm) -> Perm:
     return Perm(tuple(tau.n + 1 - v for v in tau))
 
 
+def scan_shard(n: int, tv: tuple, space, u: int, expired=lambda: False) -> tuple:
+    """One shard scan of space under tv, with its own tail plan."""
+    return _scan_shard(n, tv, space, u, _tail(space), expired)
+
+
 def run_shards(n: int, tv: tuple, central: bool) -> tuple:
     space = _space(n, central)
     hits, scanned = [], 0
     for u in space.values:
-        h, s, t = _scan_shard(n, tv, space, u, None)
+        h, s, t = scan_shard(n, tv, space, u)
         assert not t
         hits += [Perm(x) for x in h]
         scanned += s
@@ -294,7 +305,7 @@ def test_count_rules_equal_enumeration():
                 rows = random_rows(rng, space, d, 8)
                 # position-major, as the kernel stores blocks: W[j, s]
                 W = np.array(rows, dtype=np.int16).reshape(len(rows), d).T
-                got = space.counts(W)
+                got = _counts(space, W)
                 assert got.shape == (7, len(rows))
                 for row, vector in zip(rows, got.T.tolist()):
                     assert tuple(vector) == rule_counts_brute(n, row, central)
@@ -318,7 +329,7 @@ def test_count_rules_at_the_int32_edge():
             # one random state, the increasing one and the decreasing one
             rows = [shuffled, list(range(1, m + 1)), list(range(n, n - m, -1))]
             W = np.array(rows, dtype=np.int16).T
-            got = space.counts(W)
+            got = _counts(space, W)
             for row, vector in zip(rows, got.T.tolist()):
                 assert tuple(vector) == count_vector(Perm(space.as_hit(tuple(row))))
 
@@ -345,13 +356,13 @@ def test_levels_the_rule_cannot_prune_keep_every_state():
             for d in skip:
                 rows = random_rows(rng, space, d, 40)
                 rows += [tuple(range(1, d + 1)), tuple(range(n, n - d, -1))]
-                C = space.counts(np.array(rows, dtype=np.int16).T)
+                C = _counts(space, np.array(rows, dtype=np.int16).T)
                 assert ((C <= T) & (C + np.array(space.slack(d))[:, None] >= T)).all()
     assert skipped[17, True, _target_vector(17)] == [1, 2]
     assert skipped[17, False, _target_vector(17)] == [1, 2, 3, 4]
 
 
-def test_final_level_counts_only_the_tail_candidates():
+def test_final_level_counts_only_the_tail_candidates(monkeypatch):
     # one central n=12 shard: the count rule runs at the depths up to d0,
     # d0 = steps - _TAIL, where it can drop a state, and at the last level,
     # on no block between them; the last level sees only the completions
@@ -362,20 +373,20 @@ def test_final_level_counts_only_the_tail_candidates():
     tv = count_vector(tau)
     T = np.array(tv)[:, None]
     space = _space(12, True)
-    d0 = space.tail[0]
+    d0 = _tail(space)[0]
     rows = Counter()
     kept = 0
 
-    def counts(W):
+    def counts(space, W):
         nonlocal kept
         rows[W.shape[0]] += W.shape[1]
-        C = space.counts(W)
+        C = _counts(space, W)
         if W.shape[0] == d0:
             kept += ((C <= T) & (C + np.array(space.slack(d0))[:, None] >= T)).all(axis=0).sum()
         return C
 
-    counting = replaced(space, counts=counts)
-    hits, scanned, _ = _scan_shard(12, tv, counting, tau[0], None)
+    monkeypatch.setattr(inflatable._kernel, "_counts", counts)
+    hits, scanned, _ = scan_shard(12, tv, space, tau[0])
     assert tau in [Perm(h) for h in hits]
     assert scanned == space.leaves[1]
     assert d0 == space.steps - _TAIL >= 1
@@ -384,7 +395,7 @@ def test_final_level_counts_only_the_tail_candidates():
     assert len(hits) == 4 <= rows[space.steps] < kept * space.leaves[d0]
 
 
-def test_the_last_level_count_rule_decides_each_key_match():
+def test_the_last_level_count_rule_decides_each_key_match(monkeypatch):
     # the tail key is 16 bits wide, so it only filters: in the central n=12
     # shard of 5, under the counts of 5B37194C6A28, the join also hands the
     # last level 5C7A4B293618, whose key equals the targets' mod 2^16 while
@@ -396,12 +407,13 @@ def test_the_last_level_count_rule_decides_each_key_match():
     space = _space(12, True)
     last = []
 
-    def counts(W):
+    def counts(space, W):
         if W.shape[0] == space.steps:
             last.extend(Perm(space.as_hit(tuple(s))) for s in W.T.tolist())
-        return space.counts(W)
+        return _counts(space, W)
 
-    hits, _, _ = _scan_shard(12, tv, replaced(space, counts=counts), collision[0], None)
+    monkeypatch.setattr(inflatable._kernel, "_counts", counts)
+    hits, _, _ = scan_shard(12, tv, space, collision[0])
     assert collision in last
     assert collision not in [Perm(h) for h in hits]
 
@@ -479,7 +491,7 @@ def test_tail_join_equals_the_direct_five_sums():
     rng = random.Random(28)
     for n, central in ((13, True), (17, True), (9, False), (64, True)):
         space = _space(n, central)
-        d0, tail = space.tail
+        d0, tail = _tail(space)
         pool = [u for u in space.values if 2 * u < n + 1] if central else list(space.values)
         rows = []
         for _ in range(3 if n == 64 else 5):
@@ -549,7 +561,7 @@ def test_every_key_matching_leaves_the_results_unchanged(monkeypatch):
     # the real scan, on central n=12, unrestricted n=9 under random custom
     # targets and the impossible target
     cases, want = custom_scans()
-    monkeypatch.setattr(inflatable._fivesum, "key_multipliers", lambda n: (0,) * 5)
+    monkeypatch.setattr(inflatable._kernel, "key_multipliers", lambda n: (0,) * 5)
     assert [run_shards(n, tv, c) for n, tv, c in cases] == want
 
 
@@ -560,7 +572,7 @@ def test_counting_at_every_level_leaves_the_results_unchanged(monkeypatch):
     cases, want = custom_scans()
     for n, tv, c in cases[:2]:
         assert not _rule_prunes(n, tv, _space(n, c).slack(1))
-    monkeypatch.setattr(inflatable.search, "_rule_prunes", lambda n, tv, slack: True)
+    monkeypatch.setattr(inflatable._kernel, "_rule_prunes", lambda n, tv, slack: True)
     assert [run_shards(n, tv, c) for n, tv, c in cases] == want
 
 
@@ -581,11 +593,11 @@ def test_a_tiny_block_budget_leaves_the_results_unchanged(monkeypatch):
 
     default = scans()
     for cells in (64, 4096):
-        monkeypatch.setattr(inflatable.search, "_PATH_CELLS", cells)
+        monkeypatch.setattr(inflatable._kernel, "_PATH_CELLS", cells)
         for n, _, central in [(17, None, True)] + cases:
             space = _space(n, central)
-            assert space.steps * space.tail[0] <= cells
-        assert (_space(17, True).tail[1].per_pass == 1) == (cells == 64)
+            assert space.steps * _tail(space)[0] <= cells
+        assert (_tail(_space(17, True))[1].per_pass == 1) == (cells == 64)
         assert scans() == default
 
 
@@ -599,22 +611,22 @@ def test_blocks_are_position_major_int16_within_the_budget(monkeypatch):
     # not bound.
     blocks = []
 
-    def spied_space(n, central):
-        space = _space(n, central)
-        return replaced(space, counts=lambda W: blocks.append(W) or space.counts(W))
+    def spied_counts(space, W):
+        blocks.append(W)
+        return _counts(space, W)
 
-    matches = inflatable._fivesum.Tail.matches
+    matches = inflatable._kernel.Tail.matches
 
     def spied_matches(self, tv, W, used):
         blocks.append(W)
         return matches(self, tv, W, used)
 
-    monkeypatch.setattr(inflatable.search, "_rule_prunes", lambda n, tv, slack: True)
-    monkeypatch.setattr(inflatable.search, "_space", spied_space)
-    monkeypatch.setattr(inflatable._fivesum.Tail, "matches", spied_matches)
+    monkeypatch.setattr(inflatable._kernel, "_rule_prunes", lambda n, tv, slack: True)
+    monkeypatch.setattr(inflatable._kernel, "_counts", spied_counts)
+    monkeypatch.setattr(inflatable._kernel.Tail, "matches", spied_matches)
     steps = _space(17, True).steps
-    for cells in (inflatable.search._PATH_CELLS, 64, 4096):
-        monkeypatch.setattr(inflatable.search, "_PATH_CELLS", cells)
+    for cells in (inflatable._kernel._PATH_CELLS, 64, 4096):
+        monkeypatch.setattr(inflatable._kernel, "_PATH_CELLS", cells)
         blocks.clear()
         assert search_3_inflatable(SearchConfig(n=17)).found == 750
         assert all(W.dtype == np.int16 and W.flags.c_contiguous for W in blocks)
@@ -625,7 +637,7 @@ def test_blocks_are_position_major_int16_within_the_budget(monkeypatch):
 def test_tail_matches_refuses_states_of_another_dtype():
     # the key terms wrap mod 2^16 only in int16 arithmetic
     space = _space(17, True)
-    d0, tail = space.tail
+    d0, tail = _tail(space)
     W = np.array([[16, 3, 12, 7]], dtype=np.int16).T
     used = np.zeros((18, 1), dtype=bool)
     used[0] = True
@@ -695,11 +707,11 @@ def test_real_targets_scan_half_the_shards(monkeypatch):
     tv = _target_vector(17)
     calls = []
 
-    def stub(n, job_tv, job_space, first_u, deadline):
+    def stub(n, job_tv, job_space, first_u, tail, expired):
         calls.append((first_u, job_tv))
         return [], job_space.leaves[1], False
 
-    monkeypatch.setattr(inflatable.search, "_scan_shard", stub)
+    monkeypatch.setattr(inflatable._kernel, "_scan_shard", stub)
     hits, scanned = _search_space(17, tv, True, None, None)
     assert hits == [] and scanned == space_size(17, True)
     assert sorted(calls) == [(u, tv) for u in range(1, 9)]
@@ -712,16 +724,16 @@ def test_timed_out_hits_keep_shard_order(monkeypatch):
     # times out, so shards 1..5 contribute and nothing after them
     tv = _target_vector(17)
 
-    def stub(n, job_tv, job_space, first_u, deadline):
+    def stub(n, job_tv, job_space, first_u, tail, expired):
         rest = [v for v in range(1, n + 1) if v != first_u]
         orders = (rest, rest[::-1], rest[first_u:] + rest[:first_u])
         hits = sorted((first_u,) + tuple(order) for order in orders)
         return hits, 1, first_u == 5
 
-    monkeypatch.setattr(inflatable.search, "_scan_shard", stub)
+    monkeypatch.setattr(inflatable._kernel, "_scan_shard", stub)
     with pytest.raises(SearchTimeout) as info:
         _search_space(17, tv, True, None, None)
-    want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, u, None)[0]]
+    want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, u, None, None)[0]]
     assert info.value.hits == sorted(info.value.hits) == want
     assert info.value.scanned == 5
 
@@ -736,13 +748,8 @@ def test_search_space_finds_a_sampled_target():
     assert sample[137] in hits
 
 
-def test_search_starts_no_worker_processes():
-    script = (
-        "import sys, inflatable\n"
-        "from inflatable import SearchConfig, search_3_inflatable\n"
-        "search_3_inflatable(SearchConfig(n=17, central_only=True, limit=1))\n"
-        "print('multiprocessing' in sys.modules)\n"
-    )
+def run_fresh(script: str) -> str:
+    """The stdout of script, run in a new interpreter on this package."""
     src = str(Path(inflatable.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -754,7 +761,45 @@ def test_search_starts_no_worker_processes():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_search_starts_no_worker_processes():
+    script = (
+        "import sys, inflatable\n"
+        "from inflatable import SearchConfig, search_3_inflatable\n"
+        "search_3_inflatable(SearchConfig(n=17, central_only=True, limit=1))\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    assert run_fresh(script) == "False\n"
+
+
+def test_only_a_scan_loads_numpy_and_the_kernel():
+    # search calls that scan nothing leave numpy and the kernel unloaded:
+    # the config, the space size, the centrally symmetric enumeration, an
+    # inadmissible length through the API and through the CLI; the first
+    # scan, a limited one through the CLI, loads both
+    script = (
+        "import io, sys\n"
+        "from itertools import islice\n"
+        "import inflatable\n"
+        "from inflatable.cli import run\n"
+        "def loaded():\n"
+        "    return [m for m in ('numpy', 'inflatable._kernel') if m in sys.modules]\n"
+        "inflatable.SearchConfig(n=17, limit=1)\n"
+        "print(inflatable.space_size(17, True), len(list(islice(inflatable.enumerate_centrally_symmetric(17), 5))))\n"
+        "print(inflatable.search_3_inflatable(inflatable.SearchConfig(n=9)).status)\n"
+        "print(run(['search', '--n', '9'], stdout=io.StringIO()).payload['scanned'], loaded())\n"
+        "print(run(['search', '--n', '17', '--central', '--limit', '1'], stdout=io.StringIO()).payload['scanned'])\n"
+        "print(loaded())\n"
+    )
+    assert run_fresh(script).splitlines() == [
+        "10321920 5",
+        "inadmissible",
+        "0 []",
+        "1036295",
+        "['numpy', 'inflatable._kernel']",
+    ]
 
 
 def test_limit_cut_is_deterministic_and_a_subset():
@@ -845,7 +890,7 @@ def test_timeout_raises_with_partial_progress(monkeypatch):
 
 def test_a_shard_past_its_deadline_stops_as_its_first_block_enters():
     space = _space(17, True)
-    assert _scan_shard(17, _target_vector(17), space, 2, time.monotonic() - 1) == ([], 0, True)
+    assert scan_shard(17, _target_vector(17), space, 2, lambda: True) == ([], 0, True)
 
 
 def test_long_lengths_keep_int16_kernel_values_or_refuse(monkeypatch):
@@ -904,7 +949,7 @@ def test_known_hit_shard_length17():
     # known length-17 example and nothing that fails re-verification
     tv = _target_vector(17)
     assert tv == (102, 119, 119, 119, 119, 102, 68)
-    hits, scanned, timed_out = _scan_shard(17, tv, _space(17, True), 16, None)
+    hits, scanned, timed_out = scan_shard(17, tv, _space(17, True), 16)
     assert not timed_out
     assert scanned == space_size(17, True) // 16
     found = [Perm(h) for h in hits]
@@ -931,7 +976,7 @@ def test_full_length17_central_scan():
     e17 = Perm("E534BGA9HC2D1687F")
     assert not is_centrally_symmetric(e17) and e17 not in hits
     W = np.array(e17, dtype=np.int16)[:, None]
-    got = _space(17, False).counts(W)
+    got = _counts(_space(17, False), W)
     assert tuple(got[:, 0].tolist()) == _target_vector(17) == count_vector(e17)
 
 

@@ -17,9 +17,9 @@ the package from its own checkout's ``src``. The workloads:
   --seconds T --trace 0`` run, whose end-to-end metrics and their better
   direction come from the change's ``BENCHMARK.json``. A run whose answers
   are not all correct stops the script. Only these read ``--seconds``.
-- ``composed``: one ``python3 tools/bench_composed.py`` process, the
-  change's script on both sides, so both run the same operations; the
-  seconds of each operation.
+- ``composed``: one ``python3 tools/bench_composed.py`` process, each
+  checkout's own script, so a change may rename a library name the script
+  calls; the seconds of each operation.
 - ``startup``: four processes, each timed in seconds.
   ``setup_cached_s`` and ``search17_setup_cached_s`` are perfbench's setup
   probe for ``exact`` and for ``search17``, which also runs ``search``
@@ -93,7 +93,7 @@ def workload_measure(workload: str, seconds: float, sides: dict, cache: str) -> 
     (checkout, seed) -> {metric: value}."""
     if workload == "composed":
         def composed(checkout, seed):
-            return json.loads(run(["python3", str(ROOT / COMPOSED)], checkout)[0])
+            return json.loads(run(["python3", COMPOSED], checkout)[0])
 
         return f"python3 {COMPOSED}", composed
     if workload == "startup":
