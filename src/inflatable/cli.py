@@ -23,6 +23,7 @@ from typing import Callable, Optional
 from .core import (
     PATTERNS_3,
     Perm,
+    _echo_text,
     _occurrences,
     _record,
     density,
@@ -194,7 +195,9 @@ def _cmd_blocks(args, stream) -> CommandResult:
         for bp in partitions.block_partitions(pi)
     ]
     text = "\n".join(f"σ={part['sigma']} b={','.join(part['blocks'])}" for part in parts)
-    return CommandResult("ok", {"pi": str(pi), "partitions": parts}, text=text)
+    return CommandResult(
+        "ok", {"pi": _echo_text(args.pi, pi), "partitions": parts}, text=text
+    )
 
 
 def _cmd_limit(args, stream) -> CommandResult:
@@ -208,16 +211,21 @@ def _cmd_limit(args, stream) -> CommandResult:
         val = limits.limit_density_uniform(pi, tau)
     return CommandResult(
         "ok",
-        {"pattern": str(pi), "tau": str(tau), "limit_density": str(val)},
+        {
+            "pattern": _echo_text(args.pattern, pi),
+            "tau": _echo_text(args.tau, tau),
+            "limit_density": str(val),
+        },
     )
 
 
 def _cmd_check(args, stream) -> CommandResult:
-    rep = check_3_inflatable(parse_permutation(args.tau))
+    tau = parse_permutation(args.tau)
+    rep = check_3_inflatable(tau)
     return CommandResult(
         "ok",
         {
-            "tau": str(rep.tau),
+            "tau": _echo_text(args.tau, tau),
             "length": rep.length,
             "admissible_length": rep.admissible_length,
             "required": {str(p): str(v) for p, v in rep.required.items()},
@@ -253,7 +261,9 @@ def _cmd_compose(args, stream) -> CommandResult:
 
 def _cmd_rotate(args, stream) -> CommandResult:
     tau = parse_permutation(args.tau)
-    return CommandResult("ok", {"tau": str(tau), "rotated": str(rotate(tau))})
+    return CommandResult(
+        "ok", {"tau": _echo_text(args.tau, tau), "rotated": str(rotate(tau))}
+    )
 
 
 def _cmd_plot(args, stream) -> CommandResult:

@@ -265,6 +265,31 @@ def format_permutation(p: PermLike, style: str = "auto") -> str:
     raise ValueError(f"unknown style {style!r}")
 
 
+def _echo_text(text: str, p: Perm) -> str:
+    """format_permutation(p), for p as parse_permutation(text) read it.
+
+    A text longer than COMPACT_MAX entries is comma style, and when its
+    stripped form s is ASCII and as long as the comma text of 1..n, s is
+    returned as it is, with no pass over p. That s is then the canonical
+    text byte for byte: the parser read each of its n entries as an
+    optional "-" and decimal digits with whitespace around them, and
+    checked that the values are 1..n. Every entry is at least as long as
+    its value's canonical digits; a sign, whitespace or a leading zero
+    makes it longer, and a non-ASCII digit fails isascii. The n - 1 commas
+    are fixed, so a text of the canonical length has every entry
+    canonical. Any other text is printed afresh.
+    """
+    n = p.n
+    if n > COMPACT_MAX:
+        s = text.strip()
+        # n - 1 commas and the digits of 1..n: with d the digits of n, each
+        # k <= d counts one digit for every value >= 10**(k - 1)
+        d = len(str(n))
+        if s.isascii() and len(s) == n - 1 + d * (n + 1) - (10**d - 1) // 9:
+            return s
+    return format_permutation(p)
+
+
 def pattern_of(values: Sequence[int]) -> Perm:
     """The pattern (rank sequence) of a list of distinct integers.
 
@@ -308,7 +333,8 @@ def inflate(tau: PermLike, gamma: PermLike) -> Perm:
     t = as_perm(tau)
     g = as_perm(gamma)
     m = g.n
-    return tuple.__new__(Perm, [m * (tv - 1) + gv for tv in t for gv in g])
+    # each block's base is worked out once, not once per cell
+    return tuple.__new__(Perm, [b + gv for b in [m * (tv - 1) for tv in t] for gv in g])
 
 
 def generalized_inflate(tau: PermLike, blocks: Sequence[PermLike]) -> Perm:

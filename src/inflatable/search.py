@@ -101,6 +101,8 @@ class SearchResult:
     space size.
     status is "ok" or "inadmissible"; inadmissible lengths are decided
     without scanning (scanned = 0) and reason says why.
+    elapsed_ms is the scan's wall time on the clock a timeout reads, which
+    starts after the kernel is loaded.
     """
 
     hits: list
@@ -290,7 +292,7 @@ def _search_space(
     timeout: Optional[float],
     progress: Optional[Callable] = None,
 ) -> tuple:
-    """Run the sharded scan; returns (hits as Perms, scanned).
+    """Run the sharded scan; returns (hits as Perms, scanned, elapsed_ms).
 
     Shards are the first-placement choices, processed and merged in index
     order, so hits, scanned, and the limit cut are reproducible. Each
@@ -299,8 +301,9 @@ def _search_space(
     of its mirror n+1-u under the complemented targets, made when a shard
     first needs it. The shard that brings the hits to the limit is cut
     there and credited up to its last kept hit, so a limited run's scanned
-    is the lexicographic rank of its last hit. Raises SearchTimeout when
-    the deadline passes.
+    is the lexicographic rank of its last hit. elapsed_ms is read on the
+    deadline's clock, which starts once the kernel is loaded and the
+    tail's plan built. Raises SearchTimeout when the deadline passes.
     """
     # raises ValueError, then loads the kernel and numpy and builds the
     # tail's plan, before the clock starts
@@ -345,7 +348,7 @@ def _search_space(
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     if timed_out:
         raise SearchTimeout(hits, scanned, elapsed_ms)
-    return hits, scanned
+    return hits, scanned, elapsed_ms
 
 
 def search_3_inflatable(
@@ -389,7 +392,7 @@ def search_3_inflatable(
             ),
             elapsed_ms=int((time.monotonic() - t0) * 1000),
         )
-    hits, scanned = _search_space(
+    hits, scanned, elapsed_ms = _search_space(
         n, tv, config.central_only, limit, config.timeout, progress
     )
     return SearchResult(
@@ -398,5 +401,5 @@ def search_3_inflatable(
         found=len(hits),
         status="ok",
         reason=None,
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
+        elapsed_ms=elapsed_ms,
     )

@@ -12,6 +12,7 @@ from inflatable import (
     Perm,
     SearchConfig,
     SearchResult,
+    format_permutation,
     generalized_inflate,
     inflate,
     render_ascii,
@@ -19,6 +20,7 @@ from inflatable import (
     rotate,
 )
 import inflatable._kernel
+import inflatable.cli
 import inflatable.search
 from inflatable.cli import main, run
 from util import random_perm
@@ -130,6 +132,27 @@ def test_blocks_json_payload():
     assert {"sigma": "2413", "blocks": ["1", "1", "1", "1"], "sizes": [1, 1, 1, 1]} in payload["partitions"]
     assert {"sigma": "1", "blocks": ["2413"], "sizes": [4]} in payload["partitions"]
     assert len(payload["partitions"]) == 2  # 2413 is simple
+
+
+def test_echoed_inputs_print_as_format_permutation(monkeypatch):
+    # check, limit, rotate and blocks echo a parsed input, as given when its
+    # text is canonical: every spelling prints the bytes a fresh
+    # format_permutation of the input would
+    entries = format_permutation(inflate(Perm(G), Perm(E)), "comma").split(",")
+    host = ",".join(entries)
+    zero = ",".join(["0" + entries[0]] + entries[1:])
+    arabic = ",".join("٢" if e == "2" else e for e in entries)
+    spellings = [host, f" {host}\n", host.replace(",", ", "), zero, arabic]
+    argvs = [[cmd, t] for cmd in ("check", "rotate") for t in spellings]
+    argvs += [["limit", t, "--pattern", p] for t in spellings for p in ("132", " 1, 3,2")]
+    argvs += [["blocks", t] for t in ("2413", "2,4,1,3", " 0002, 4,1,3")]
+    argvs = [argv + flag for argv in argvs for flag in ([], ["--json"])]
+    echoed = [invoke(argv) for argv in argvs]
+    monkeypatch.setattr(inflatable.cli, "_echo_text", lambda text, p: format_permutation(p))
+    for argv, (result, out) in zip(argvs, echoed):
+        assert result.exit_code == 0
+        assert out == invoke(argv)[1], argv[:1] + argv[2:]
+    assert json.loads(echoed[1][1])["tau"] == host
 
 
 def test_limit_with_profile_file(tmp_path, capsys):

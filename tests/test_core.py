@@ -211,6 +211,61 @@ def test_comma_parser_matches_the_entry_by_entry_oracle():
     assert 600 < parsed < len(texts) - 600
 
 
+def long_texts(rng: random.Random) -> list:
+    """Comma texts of permutations of lengths 36 to 1100, the digit-count
+    boundaries among them: each canonical, spelled with fuzz_texts' pads
+    around the whole, or with one to three entries spelled as fuzz_texts
+    spells them (pads, signs, leading zeros, "٢" for 2, "+", "_")."""
+    pads = (" ", "\t", "\n", "\r", "\x0b")
+    forms = ("-{}", "0{}", "{}_0", "+{}", "00{}", "-0{}")
+    # each boundary takes all four spellings below
+    lengths = [n for n in (36, 99, 100, 101, 999, 1000, 1001) for _ in range(4)]
+    lengths += [rng.randint(36, 1100) for _ in range(150)]
+    texts = []
+    for i, n in enumerate(lengths):
+        entries = [str(v) for v in rng.sample(range(1, n + 1), n)]
+        if i % 4 == 1:
+            at = entries.index("2")
+            entries[at] = "٢"
+        elif i % 4 == 2:
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(n)
+                form = rng.choice(forms) if rng.random() < 0.5 else rng.choice(pads) + "{}"
+                entries[at] = form.format(entries[at])
+        text = ",".join(entries)
+        if i % 4 == 3:
+            text = rng.choice(pads) + text + rng.choice(("",) + pads)
+        texts.append(text)
+    return texts
+
+
+def test_echoed_text_is_the_printed_form(monkeypatch):
+    # a parsed text is echoed as given exactly when its stripped form is
+    # the canonical text; every other text is printed afresh, the short
+    # ones of fuzz_texts among them
+    reprinted = []
+
+    def spy(p, style="auto"):
+        reprinted.append(p)
+        return format_permutation(p, style)
+
+    monkeypatch.setattr(core, "format_permutation", spy)
+    echoed = fresh = 0
+    for text in long_texts(random.Random(38)) + fuzz_texts(random.Random(35), 3000):
+        try:
+            p = parse_permutation(text)
+        except ValueError:
+            continue
+        want = format_permutation(p)
+        before = len(reprinted)
+        assert core._echo_text(text, p) == want, text[:80]
+        was_echoed = len(reprinted) == before
+        assert was_echoed == (p.n > core.COMPACT_MAX and text.strip() == want), text[:80]
+        echoed += was_echoed
+        fresh += not was_echoed
+    assert echoed > 50 and fresh > 600
+
+
 def test_validation_matches_the_per_value_loop():
     pool = (0, 1, 2, 3, -1, True, False, 1.0, 2.5, Loud(1), Loud(2), "1", None)
     inputs = [()] + [v for k in (1, 2, 3) for v in product(pool, repeat=k)]

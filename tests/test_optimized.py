@@ -36,7 +36,7 @@ for tau in ("G54ABC319HF678ED2", "E534BGA9HC2D1687F"):
 central_tau = list(enumerate_centrally_symmetric(10))[1234]
 for central, tau in ((True, central_tau), (False, Perm("3617425"))):
     n, tv = tau.n, vector(tau)
-    hits, scanned = _search_space(n, tv, central, None, None)
+    hits, scanned, _ = _search_space(n, tv, central, None, None)
     if scanned != space_size(n, central):
         raise SystemExit(f"scanned {scanned} of {space_size(n, central)}")
     if tau not in hits:

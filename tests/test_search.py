@@ -211,7 +211,7 @@ def test_engines_agree_with_brute_force_central():
             assert hits == brute
             assert scanned == space_size(n, True)
             # the same through the search, whose upper shards are derived
-            got = _search_space(n, tv, True, None, None)
+            got = _search_space(n, tv, True, None, None)[:2]
             assert got == (brute, scanned)
             assert_hits_are_permutations(got[0], n, tv)
             # central targets have equal 231/312 entries, so the hit set
@@ -229,7 +229,7 @@ def test_engine_agrees_with_brute_force_full():
             hits, scanned = run_shards(n, tv, False)
             assert hits == brute
             assert scanned == factorial(n)
-            got = _search_space(n, tv, False, None, None)
+            got = _search_space(n, tv, False, None, None)[:2]
             assert got == (brute, scanned)
             assert_hits_are_permutations(got[0], n, tv)
 
@@ -698,7 +698,7 @@ def test_derived_shards_equal_their_own_scans():
         for tau in rng.sample(pool, 2):
             tv = count_vector(tau)
             assert _complement_targets(n, tv) == count_vector(complement(tau)) != tv
-            assert _search_space(n, tv, central, None, None) == run_shards(n, tv, central)
+            assert _search_space(n, tv, central, None, None)[:2] == run_shards(n, tv, central)
 
 
 def test_real_targets_scan_half_the_shards(monkeypatch):
@@ -712,7 +712,7 @@ def test_real_targets_scan_half_the_shards(monkeypatch):
         return [], job_space.leaves[1], False
 
     monkeypatch.setattr(inflatable._kernel, "_scan_shard", stub)
-    hits, scanned = _search_space(17, tv, True, None, None)
+    hits, scanned, _ = _search_space(17, tv, True, None, None)
     assert hits == [] and scanned == space_size(17, True)
     assert sorted(calls) == [(u, tv) for u in range(1, 9)]
 
@@ -743,7 +743,7 @@ def test_search_space_finds_a_sampled_target():
     gen = enumerate_centrally_symmetric(n)
     sample = [next(gen) for _ in range(200)]
     tv = count_vector(sample[137])
-    hits, scanned = _search_space(n, tv, True, None, None)
+    hits, scanned, _ = _search_space(n, tv, True, None, None)
     assert scanned == space_size(n, True)
     assert sample[137] in hits
 
@@ -805,7 +805,7 @@ def test_only_a_scan_loads_numpy_and_the_kernel():
 def test_limit_cut_is_deterministic_and_a_subset():
     n = 8
     tv = count_vector(Perm(tuple(range(1, n + 1))))  # identity: exactly one hit
-    full_hits, _ = _search_space(n, tv, True, None, None)
+    full_hits, _, _ = _search_space(n, tv, True, None, None)
     assert len(full_hits) == 1
     # a non-involution shares its count vector with its inverse, so its
     # fiber has at least two members
@@ -813,14 +813,14 @@ def test_limit_cut_is_deterministic_and_a_subset():
     sample = [next(gen) for _ in range(300)]
     tau = next(p for p in sample if inv_perm(p) != p)
     tv = count_vector(tau)
-    full_hits, full_scanned = _search_space(n, tv, True, None, None)
+    full_hits, full_scanned, _ = _search_space(n, tv, True, None, None)
     assert len(full_hits) >= 2
     for k in (1, 2):
-        lim_hits, lim_scanned = _search_space(n, tv, True, k, None)
+        lim_hits, lim_scanned, _ = _search_space(n, tv, True, k, None)
         assert len(lim_hits) == k
         assert set(lim_hits) <= set(full_hits)
         assert lim_scanned <= full_scanned
-        again = _search_space(n, tv, True, k, None)
+        again = _search_space(n, tv, True, k, None)[:2]
         assert again == (lim_hits, lim_scanned)
 
 
@@ -842,7 +842,7 @@ def test_limited_scan_matches_the_lexicographic_cut():
         for tv in targets:
             for limit in (1, 2, 3, 5):
                 want = lexicographic_cut(pool, vectors, tv, limit)
-                assert _search_space(n, tv, central, limit, None) == want
+                assert _search_space(n, tv, central, limit, None)[:2] == want
 
 
 def test_progress_callback_streams_every_hit():
@@ -857,7 +857,7 @@ def test_progress_callback_streams_every_hit():
         indices.append(index)
         seen.extend(batch)
 
-    hits, _ = _search_space(n, tv, True, None, None, progress)
+    hits, _, _ = _search_space(n, tv, True, None, None, progress)
     assert sorted(seen) == hits
     assert indices == sorted(indices)
 
@@ -886,6 +886,25 @@ def test_timeout_raises_with_partial_progress(monkeypatch):
         with pytest.raises(SearchTimeout) as exc:
             search_3_inflatable(SearchConfig(n=n, central_only=central, timeout=0.5))
         assert 500 <= exc.value.elapsed_ms < 750
+
+
+def test_elapsed_time_is_read_on_the_timeouts_clock(monkeypatch):
+    # loading the kernel and building the tail's plan happen before the
+    # deadline's clock starts, so they count toward neither: a fake clock
+    # jumps 10 s while the plan is built, and a search that finishes
+    # inside its 5-s timeout reports less than either
+    now = [0.0]
+    tail = inflatable._kernel._tail
+
+    def slow_tail(space):
+        now[0] += 10.0
+        return tail(space)
+
+    monkeypatch.setattr(inflatable._kernel, "_tail", slow_tail)
+    monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    res = search_3_inflatable(SearchConfig(n=17, limit=3, timeout=5))
+    assert res.found == 3
+    assert res.elapsed_ms < 5_000
 
 
 def test_a_shard_past_its_deadline_stops_as_its_first_block_enters():
