@@ -13,45 +13,46 @@ first attribute access: ``inflatable.search.SearchConfig``, or a name it
 gives the package, such as ``inflatable.SearchConfig`` or
 ``from inflatable import *``. As it runs, it and those names are bound
 here, so later lookups are plain attribute reads. First-use loading is
-single-threaded, like the rest of the package: on Python 3.10 and 3.11
-``LazyLoader`` takes no lock, so two threads that touch the same module
-before it has run could both run it.
+single-threaded, like the rest of the package: the ``LazyLoader`` of
+Python 3.10.13, 3.11.7 and 3.12.1 takes no lock (3.13.0's takes an
+``RLock``), so two threads that touch the same module before it has run
+could both run it.
 """
 
-import importlib.util as _util
 import sys as _sys
+from importlib import import_module as _import, util as _util
 
-from .core import (
-    COMPACT_MAX,
-    PATTERNS_3,
-    PatternCounts3,
-    Perm,
-    all_patterns,
-    as_perm,
-    count_length3_all,
-    count_occurrences,
-    density,
-    format_permutation,
-    generalized_inflate,
-    inflate,
-    is_centrally_symmetric,
-    parse_permutation,
-    pattern_of,
-    rotate,
-)
-from .criteria import (
-    InflatabilityReport,
-    admissible_residues,
-    check_3_inflatable,
-    compose_inflatables,
-    is_2_inflatable,
-    residue_multiplication_table,
-    target_counts_3,
-    target_densities_3,
-)
-
-# each submodule that runs on first use, and the names it gives the package
-_LAZY = {
+# each submodule and the names it gives the package, in __all__ order; core
+# and criteria run at import, the others on first use
+_NAMES = {
+    "core": (
+        "COMPACT_MAX",
+        "PATTERNS_3",
+        "PatternCounts3",
+        "Perm",
+        "all_patterns",
+        "as_perm",
+        "count_length3_all",
+        "count_occurrences",
+        "density",
+        "format_permutation",
+        "generalized_inflate",
+        "inflate",
+        "is_centrally_symmetric",
+        "parse_permutation",
+        "pattern_of",
+        "rotate",
+    ),
+    "criteria": (
+        "InflatabilityReport",
+        "admissible_residues",
+        "check_3_inflatable",
+        "compose_inflatables",
+        "is_2_inflatable",
+        "residue_multiplication_table",
+        "target_counts_3",
+        "target_densities_3",
+    ),
     "limits": (
         "DensityProfile",
         "abc_coefficients",
@@ -71,14 +72,21 @@ _LAZY = {
         "space_size",
     ),
 }
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+_OWNER = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def _bind(module):
+    """Bind a submodule that has run, and the names it gives the package, here."""
+    short = module.__name__.rpartition(".")[2]
+    globals()[short] = module
+    globals().update((name, getattr(module, name)) for name in _NAMES[short])
 
 
 class _BindingLoader:
     """Runs a submodule with its own loader, then binds it and its names here."""
 
-    def __init__(self, loader, names):
-        self.loader, self.names = loader, names
+    def __init__(self, loader):
+        self.loader = loader
 
     def __getattr__(self, attr):
         # get_source, get_filename, ... for tracebacks and inspect
@@ -86,26 +94,29 @@ class _BindingLoader:
 
     def exec_module(self, module):
         self.loader.exec_module(module)
-        globals()[module.__name__.rpartition(".")[2]] = module
-        globals().update((name, getattr(module, name)) for name in self.names)
+        _bind(module)
 
 
-# registered now, bound here when run: a module bound now would run when code
-# that walks this namespace touches it (doctest's finder does), and its names
-# would change the dict under the walk
-for _module, _names in _LAZY.items():
-    _spec = _util.find_spec(f"{__name__}.{_module}")
-    _spec.loader = _util.LazyLoader(_BindingLoader(_spec.loader, _names))
-    _sys.modules[_spec.name] = _util.module_from_spec(_spec)
-    _spec.loader.exec_module(_sys.modules[_spec.name])
-del _module, _names, _spec
+# the lazy ones are registered now, bound here when run: a module bound now
+# would run when code that walks this namespace touches it (doctest's finder
+# does), and its names would change the dict under the walk
+for _module in _NAMES:
+    _name = f"{__name__}.{_module}"
+    if _module in ("core", "criteria"):
+        _bind(_import(_name))
+    else:
+        _spec = _util.find_spec(_name)
+        _spec.loader = _util.LazyLoader(_BindingLoader(_spec.loader))
+        _sys.modules[_name] = _util.module_from_spec(_spec)
+        _spec.loader.exec_module(_sys.modules[_name])
+del _module, _name, _spec
 
 
 def __getattr__(name):
     # only a lazy submodule that has not run, or one of its names, gets here;
     # running it binds the name, so the module's own value is returned only
     # after a del
-    if name in _LAZY:
+    if name in _NAMES:
         return _sys.modules[f"{__name__}.{name}"]
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -114,54 +125,9 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_OWNER))
+    return sorted(set(globals()) | set(_NAMES) | set(_OWNER))
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COMPACT_MAX",
-    "PATTERNS_3",
-    "PatternCounts3",
-    "Perm",
-    "all_patterns",
-    "as_perm",
-    "count_length3_all",
-    "count_occurrences",
-    "density",
-    "format_permutation",
-    "generalized_inflate",
-    "inflate",
-    "is_centrally_symmetric",
-    "parse_permutation",
-    "pattern_of",
-    "rotate",
-    "InflatabilityReport",
-    "admissible_residues",
-    "check_3_inflatable",
-    "compose_inflatables",
-    "is_2_inflatable",
-    "residue_multiplication_table",
-    "target_counts_3",
-    "target_densities_3",
-    "DensityProfile",
-    "abc_coefficients",
-    "limit_density_inflation",
-    "limit_density_uniform",
-    "uniform_profile",
-    "EXACT_CELL_CAP",
-    "GENERATOR_ID",
-    "Estimate",
-    "estimate_limit_density",
-    "BlockPartition",
-    "block_partitions",
-    "render_ascii",
-    "render_svg",
-    "SearchConfig",
-    "SearchResult",
-    "SearchTimeout",
-    "enumerate_centrally_symmetric",
-    "search_3_inflatable",
-    "space_size",
-    "__version__",
-]
+__all__ = [*_OWNER, "__version__"]

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from math import isnan
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .core import (
     PATTERNS_3,
@@ -46,9 +46,9 @@ from . import limits, montecarlo, partitions, plotting, search
 __all__ = ["CommandResult", "run", "main"]
 
 
-@_record(frozen=False)
+@_record
 class CommandResult:
-    """Outcome of one CLI invocation.
+    """Outcome of one CLI invocation, a frozen record.
 
     status is "ok", "inadmissible", or "error"; payload is what is printed
     (an error prints it only when it is not empty, as for a search
@@ -59,9 +59,8 @@ class CommandResult:
     """
 
     status: str
-    # each result gets its own copy of these two (see core._record)
-    payload: dict = {}
-    diagnostics: list = []
+    payload: dict
+    diagnostics: Sequence[str] = ()
     text: Optional[str] = None
     out: Optional[str] = None
 
@@ -342,7 +341,7 @@ def run(argv: list, stdout=None) -> CommandResult:
     except SystemExit as exc:
         # argparse already printed its message (help or usage error)
         if exc.code in (0, None):
-            return CommandResult("ok", {}, [])
+            return CommandResult("ok", {})
         return CommandResult("error", {}, [f"argument parsing failed ({exc.code})"])
     try:
         result = args.handler(args, stream)

@@ -50,36 +50,25 @@ class FrozenInstanceError(AttributeError):
     """Raised on assigning to or deleting a field of a frozen record."""
 
 
-def _record(cls=None, *, frozen=True):
-    """Make cls a record of its annotated fields, as the standard library's
-    ``@dataclass`` would, without its import, which pulls inspect, ast and
-    dis into every start.
+def _record(cls):
+    """Make cls a frozen record of its annotated fields, as the standard
+    library's ``@dataclass(frozen=True)`` would, without its import, which
+    pulls inspect, ast and dis into every start.
 
     The class gets an ``__init__`` taking the fields in order, with the
-    class defaults as defaults (a dict or list default is copied for each
-    record), a ``Name(field=value, ...)`` repr, ``__eq__`` over the field
-    tuple for records of the same class, and ``__match_args__``. A frozen
-    record also hashes by its field tuple and raises FrozenInstanceError
-    on any assignment or deletion; a mutable one is unhashable.
+    class defaults as defaults, a ``Name(field=value, ...)`` repr,
+    ``__eq__`` over the field tuple for records of the same class, a hash
+    of that tuple, and ``__match_args__``. Any assignment or deletion
+    raises FrozenInstanceError.
     """
-    if cls is None:
-        return lambda cls: _record(cls, frozen=frozen)
     names = tuple(cls.__annotations__)
     defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
-    fresh = [f for f, d in defaults.items() if isinstance(d, (dict, list))]
-    for f in fresh:
-        delattr(cls, f)
     # __init__ is compiled for each class, so that building a record (one
     # per Monte Carlo exact-mode sample) binds its arguments as any call does
-    store = "_set(self, {0!r}, {1})" if frozen else "self.{0} = {1}"
-    body = [
-        store.format(f, f"{f}.copy() if {f} is _d[{f!r}] else {f}" if f in fresh else f)
-        for f in names
-    ]
     params = "".join(f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in names)
-    code = f"def __init__(self{params}):\n    " + "\n    ".join(body)
+    body = "\n    ".join(f"_set(self, {f!r}, {f})" for f in names)
     scope = {"_d": defaults, "_set": object.__setattr__}
-    exec(code, scope)
+    exec(f"def __init__(self{params}):\n    {body}", scope)
     fields = attrgetter(*names)
 
     def __repr__(self):
@@ -100,14 +89,9 @@ def _record(cls=None, *, frozen=True):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    methods = [scope["__init__"], __repr__, __eq__]
-    if frozen:
-        methods += [__hash__, __setattr__, __delattr__]
-    for method in methods:
+    for method in (scope["__init__"], __repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if not frozen:
-        cls.__hash__ = None
     cls.__match_args__ = names
     return cls
 
@@ -575,14 +559,14 @@ def _inflation_sums(k: int, outer: dict, inner: dict) -> dict:
     return {tuple.__new__(Perm, key): c for key, c in sums.items()}
 
 
-PATTERNS_3 = (
-    Perm((1, 2, 3)),
-    Perm((1, 3, 2)),
-    Perm((2, 1, 3)),
-    Perm((2, 3, 1)),
-    Perm((3, 1, 2)),
-    Perm((3, 2, 1)),
-)
+def all_patterns(k: int) -> list[Perm]:
+    """All permutations of length k in lexicographic order."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return [tuple.__new__(Perm, p) for p in permutations(range(1, k + 1))]
+
+
+PATTERNS_3 = tuple(all_patterns(3))
 
 
 @_record
@@ -673,10 +657,3 @@ def five_sums_of_targets(n: int, tv: tuple) -> tuple:
     q = 2 * (c123 + c213) + s
     h = (i2 - i1 + s + q) // 2
     return s, q, h - c231 - c321, h + s - c312 - c321, c132 - i2 + n * i1 + (q + s) // 2
-
-
-def all_patterns(k: int) -> list[Perm]:
-    """All permutations of length k in lexicographic order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return [tuple.__new__(Perm, p) for p in permutations(range(1, k + 1))]

@@ -1,7 +1,6 @@
 """The behaviour of the package's record classes, pinned field by field.
 
-Each public record is a frozen value (CommandResult alone is mutable): it
-builds from its fields by position or keyword, prints as
+Each public record is a frozen value: it builds from its fields by position or keyword, prints as
 ``Name(field=value, ...)``, compares equal to a record of the same class
 with equal fields and to nothing else, and hashes by its fields when they
 are all hashable.
@@ -73,9 +72,9 @@ CASES = [
         True,
     ),
     (
-        CommandResult("ok"),
-        ("ok", {}, [], None, None),
-        "CommandResult(status='ok', payload={}, diagnostics=[], text=None, out=None)",
+        CommandResult("ok", {}),
+        ("ok", {}, (), None, None),
+        "CommandResult(status='ok', payload={}, diagnostics=(), text=None, out=None)",
         False,
     ),
 ]
@@ -92,14 +91,12 @@ FIELDS = {
     Estimate: ("mean", "stderr", "samples", "j", "seed", "generator"),
     CommandResult: ("status", "payload", "diagnostics", "text", "out"),
 }
-# the defaults of the fields that have one, but for the FRESH ones, which
-# start as a new {} or [] for each record
-FRESH = {"payload", "diagnostics"}
+# the defaults of the fields that have one
 DEFAULTS = {
     SearchConfig: {"central_only": True, "limit": None, "threads": 1, "timeout": None},
     SearchResult: {"status": "ok", "reason": None, "elapsed_ms": 0},
     Estimate: {"generator": GENERATOR_ID},
-    CommandResult: {"text": None, "out": None},
+    CommandResult: {"diagnostics": (), "text": None, "out": None},
 }
 
 
@@ -113,7 +110,7 @@ def test_repr_and_construction(record, values, text, hashable):
     assert cls(**dict(zip(names, values))) == record
     assert cls.__match_args__ == names
     # every case holds its defaults, so the required fields alone rebuild it
-    required = len(names) - len(DEFAULTS.get(cls, {})) - len(FRESH.intersection(names))
+    required = len(names) - len(DEFAULTS.get(cls, {}))
     assert cls(*values[:required]) == record
 
 
@@ -139,9 +136,6 @@ def test_hash(record, values, text, hashable):
     if hashable:
         assert hash(record) == hash(cls(*values)) == hash(values)
         assert len({record, cls(*values)}) == 1
-    elif cls is CommandResult:
-        with pytest.raises(TypeError, match="unhashable type: 'CommandResult'"):
-            hash(record)
     else:
         with pytest.raises(TypeError, match="unhashable type: '(dict|list)'"):
             hash(record)
@@ -150,16 +144,6 @@ def test_hash(record, values, text, hashable):
 @pytest.mark.parametrize("record, values, text, hashable", CASES, ids=IDS)
 def test_frozen(record, values, text, hashable):
     cls = type(record)
-    if cls is CommandResult:
-        record = cls(*values)
-        record.status = "error"
-        assert record.exit_code == 2
-        # a deleted field reads its class default, when it has one
-        del record.text, record.payload
-        assert record.text is None
-        with pytest.raises(AttributeError):
-            record.payload
-        return
     first = FIELDS[cls][0]
     for name in (first, "extra"):
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$") as err:
@@ -177,23 +161,13 @@ def test_signature_and_argument_errors(cls):
     params = inspect.signature(cls).parameters
     assert tuple(params) == names
     defaults = {k: p.default for k, p in params.items() if p.default is not p.empty}
-    fresh = FRESH.intersection(names)
-    assert set(defaults) == set(DEFAULTS.get(cls, {})) | fresh
-    assert {k: v for k, v in defaults.items() if k not in fresh} == DEFAULTS.get(cls, {})
+    assert defaults == DEFAULTS.get(cls, {})
     with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{names[0]}'"):
         cls(**{f: None for f in names[1:]})
     with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
         cls(*[None] * len(names), bogus=1)
     with pytest.raises(TypeError, match="positional argument"):
         cls(*[None] * (len(names) + 1))
-
-
-def test_command_results_hold_their_own_payload_and_diagnostics():
-    a, b = CommandResult("ok"), CommandResult("ok")
-    assert a.payload is not b.payload and a.diagnostics is not b.diagnostics
-    a.payload["x"] = 1
-    a.diagnostics.append("note")
-    assert (b.payload, b.diagnostics) == ({}, [])
 
 
 def test_one_tail_plan_per_search(monkeypatch):

@@ -98,3 +98,19 @@ def test_no_start_loads_dataclasses_inspect_or_string():
         "print(loaded())\n"
     )
     assert out == ["[]"] * 3
+
+
+def test_every_name_in_the_table_is_its_modules_own():
+    # each name the package gives is in its submodule's __all__, and after
+    # a first touch the package holds the submodule's own object
+    out = fresh(
+        "for module, names in inflatable._NAMES.items():\n"
+        "    owner = sys.modules[f'inflatable.{module}']\n"
+        "    for name in names:\n"
+        "        if name not in owner.__all__:\n"
+        "            print('not exported', module, name)\n"
+        "        if getattr(inflatable, name) is not getattr(owner, name):\n"
+        "            print('not the same', module, name)\n"
+        "print(sorted(ran()))\n"
+    )
+    assert out == [str(sorted(LAZY))]
