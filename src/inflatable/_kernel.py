@@ -21,9 +21,13 @@ children on the count rule as it enters the next level, and descends
 into the survivors a block at a time, depth first, so the arrays it holds
 stay bounded. Near the root the rule covers too few triples and pairs to
 drop any state (each target lies between what it covers and what it
-leaves open), so those levels go uncounted. The last four steps skip the
-rule: they are completed by five-sum key (Tail), and only key matches
-meet the rule, at the last level. A block is stored position-major
+leaves open), so those levels go uncounted. At the first level where it
+can drop one, a block whose children one pass lists goes uncounted too:
+the next level counts those children in one call and drops every child
+of a state this level would drop (at length 17, 16 calls a full scan,
+not 24). The last four steps skip the rule: they are completed by
+five-sum key (Tail), and only key matches meet the rule, at the last
+level. A block is stored position-major
 (C-contiguous), one row per position and one column per state, so every
 sum over a state's positions is a few adds of contiguous vectors. One
 kernel serves both spaces, full scans (length 17, 10,321,920 centrally
@@ -211,6 +215,23 @@ def _counts(space, W: np.ndarray) -> np.ndarray:
     return _central_counts(space.n, W)
 
 
+def _counted_later(d: int, first: int, d0: int, N: int, chunk: int) -> bool:
+    """Whether a block of N states with d steps taken enters its level
+    uncounted, though the count rule could drop some of them there: the
+    block is at the shallowest depth, first, where the rule can drop a
+    state, above the tail's depth d0, and fits one chunk of its child step
+    (chunk states). Its children then form one block, which the next level
+    counts in one call, and that call drops every child of a state this
+    level would drop: a child's counts are at least its
+    parent's, and each count plus the child's slack is at most the
+    parent's count plus its slack. Deferring trades this level's call for
+    the children of the states it would drop, so it is kept to the depth
+    whose slack is the widest, where the rule drops the fewest. d0 and the
+    last level always count.
+    """
+    return d == first < d0 and N <= chunk
+
+
 def _rule_prunes(n: int, tv: tuple, slack: tuple) -> bool:
     """Whether the count rule, leaving slack open, can drop a state under
     the targets tv. A state's counts lie between 0 and what the rule
@@ -365,7 +386,9 @@ def _tail(space) -> tuple:
 def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) -> tuple:
     """Scan the subtree of space rooted at first value first_u.
 
-    Returns (hits, scanned, timed_out) with hits as sorted value tuples.
+    Returns (hits, scanned, timed_out) with hits as an int16 array, one
+    row of values per hit, sorted lexicographically with one lexsort and
+    expanded from the stored steps by space.as_hit in one pass.
     A block of N states with d steps taken is stored position-major, as a
     C-contiguous (d, N) int16 array, one column per state
     (search._check_length). Each block is counted as it enters, by the
@@ -373,7 +396,8 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
     overshoot a target nor fall short of it by more than the slack the
     rule leaves open; each dropped state is credited with its leaves. At
     the depths where no state can fail the rule (_rule_prunes), a block
-    enters whole and uncounted. A child step marks the values the kept
+    enters whole and uncounted, and so does a block that _counted_later
+    leaves to the next level's count. A child step marks the values the kept
     states use up in one mask, and lists the children of a chunk of kept
     states in one pass, value-major, as the (next value, state) pairs
     whose value uses up none of the state's. Their blocks, the states'
@@ -403,9 +427,10 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
         s = space.slack(d)
         if d == space.steps or _rule_prunes(n, tv, s):
             slack[d] = np.array(s, dtype=np.int32)[:, None]
+    first = min(slack)
     d0, plan = tail
     values = np.array(space.values, dtype=np.int16)
-    hit_blocks: list[np.ndarray] = []
+    hit_blocks = [np.empty((space.steps, 0), dtype=np.int16)]
     scanned = 0
     timed_out = False
 
@@ -415,7 +440,10 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
             timed_out = True
             return
         d, N = W.shape
-        if d in slack:  # elsewhere every state meets the rule
+        size = _PATH_CELLS // (space.steps * (d + 1))  # states in a child block
+        chunk = max(1, size // len(values))  # states whose children one pass lists
+        # where d is not in slack, every state meets the rule
+        if d in slack and not _counted_later(d, first, d0, N, chunk):
             C = _counts(space, W)
             W = W.compress(((C <= T) & (C + slack[d] >= T)).all(axis=0), axis=1)
         kept = W.shape[1]
@@ -423,7 +451,7 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
         if not kept:
             return
         if d == space.steps:
-            hit_blocks.append(W.T)
+            hit_blocks.append(W)
             scanned += kept
             return
         used = np.zeros((n + 1, kept), dtype=bool)
@@ -436,8 +464,6 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
             if len(s):
                 descend(np.concatenate([W.take(s, axis=1), placed]))
             return
-        size = _PATH_CELLS // (space.steps * (d + 1))
-        chunk = max(1, size // len(values))
         for a in range(0, kept, chunk):
             # the chunk's children, value-major: values[u] placed after state a + s
             u, s = np.nonzero(~used[values, a:a + chunk])
@@ -448,9 +474,9 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
                     return
 
     descend(np.full((1, 1), first_u, dtype=np.int16))
-    hits = sorted(
-        space.as_hit(tuple(row)) for block in hit_blocks for row in block.tolist()
-    )
+    L = np.concatenate(hit_blocks, axis=1)
+    # lexsort's last key leads, so the first position goes last
+    hits = space.as_hit(L[:, np.lexsort(L[::-1])].T)
     if not timed_out and scanned != space.leaves[1]:
         raise RuntimeError("shard coverage accounting is off")
     return hits, scanned, timed_out

@@ -26,7 +26,7 @@ table, about 10 ms for k = 6 on a 9-long host (2-vCPU Xeon VM, Python
 limit_density_uniform call reads its pattern and host once, checks the
 cap once and does that lookup: about 0.8 us in-process (best of 9
 timeit repeats, same machine), and the exact bench workload's stage2_s
-reads 3.46 ms (median of 10 pairs, BENCH_exact.json). A fresh profile
+reads 3.15 ms (median of 10 pairs, the latest rows of BENCH_exact.json). A fresh profile
 object per call rebuilds the table, and takes the place of the last one.
 Everything here is exact rational arithmetic.
 """

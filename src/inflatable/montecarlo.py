@@ -23,7 +23,7 @@ formula as a numpy vector and classifies all of a sample's subsets at
 once: a compare-exchange network sorts each block's rows on its k index
 columns (``_sorted_columns``), and a row is a hit when its host values,
 read in pi's value order, rise. The perfbench workload ``montecarlo``
-runs 20 subset-mode samples of 5,000 subsets in about 0.036 s
+runs 20 subset-mode samples of 5,000 subsets in about 0.033 s
 (``stage2_s``, median of 10 pairs on a 2-vCPU Intel Xeon VM with Python
 3.11.7, BENCH_montecarlo.json).
 

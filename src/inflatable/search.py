@@ -174,8 +174,9 @@ class _Space:
     A candidate of length n is built in `steps` steps of `per_step` values
     each; a state after d steps has leaves[d] candidates under it. A step
     chooses one of `values` not yet taken; taken(v) are the values a step
-    placing v uses up (v may be an array), and as_hit turns a state's
-    stored values into the candidate's value tuple. per_step 1 is the
+    placing v uses up (v may be an array), and as_hit turns a block of
+    states' stored values, one row per state, into the candidates' values,
+    one row per candidate, in one array expansion. per_step 1 is the
     unrestricted space and 2 the centrally symmetric one; the kernel picks
     the space's count rule by it.
     """
@@ -222,10 +223,20 @@ def _space(n: int, central: bool) -> _Space:
             leaves=_leaves(n, 1),
             values=tuple(range(1, nn1)),
             taken=lambda v: (v,),
-            as_hit=lambda row: row,
+            as_hit=lambda rows: rows,
         )
     m = n // 2
-    mid = (nn1 // 2,) if n & 1 else ()
+    # a hit's columns: the left half, a column for the center (odd n) and
+    # the left half reversed, whose values are then mirrored
+    cols = [*range(m), *[0] * (n & 1), *reversed(range(m))]
+
+    def as_hit(rows):
+        out = rows[:, cols]
+        out[:, m:] = nn1 - out[:, m:]
+        if n & 1:
+            out[:, m] = nn1 // 2
+        return out
+
     return _Space(
         n=n,
         steps=m,
@@ -233,7 +244,7 @@ def _space(n: int, central: bool) -> _Space:
         leaves=_leaves(m, 2),
         values=tuple(u for u in range(1, nn1) if 2 * u != nn1),
         taken=lambda v: (v, nn1 - v),
-        as_hit=lambda row: row + mid + tuple(map(nn1.__sub__, reversed(row))),
+        as_hit=as_hit,
     )
 
 
@@ -296,12 +307,14 @@ def _search_space(
 
     Shards are the first-placement choices, processed and merged in index
     order, so hits, scanned, and the limit cut are reproducible. Each
-    shard's hits come sorted and start with its first value, so the merged
-    hits are sorted as built. A shard u > n+1-u is derived from the scan
+    shard's hits come as a sorted array of value rows that start with its
+    first value, so the merged hits are sorted as built; each shard's rows
+    become Perms in one batch. A shard u > n+1-u is derived from the scan
     of its mirror n+1-u under the complemented targets, made when a shard
-    first needs it. The shard that brings the hits to the limit is cut
-    there and credited up to its last kept hit, so a limited run's scanned
-    is the lexicographic rank of its last hit. elapsed_ms is read on the
+    first needs it: its rows are n+1 less the mirror's, in reverse order.
+    The shard that brings the hits to the limit is cut there and credited
+    up to its last kept hit, so a limited run's scanned is the
+    lexicographic rank of its last hit. elapsed_ms is read on the
     deadline's clock, which starts once the kernel is loaded and the
     tail's plan built. Raises SearchTimeout when the deadline passes.
     """
@@ -329,16 +342,16 @@ def _search_space(
         shard_hits, shard_scanned, timed_out = scans[first_u, job_tv]
         if first_u != u:
             # complement reverses lexicographic order
-            shard_hits = [tuple(map((n + 1).__sub__, h)) for h in reversed(shard_hits)]
+            shard_hits = (n + 1) - shard_hits[::-1]
         room = None if limit is None else limit - len(hits)
         if room is not None and len(shard_hits) >= room:
             shard_hits = shard_hits[:room]
             if not timed_out:
-                shard_scanned = _covered_through(space, shard_hits[-1])
+                shard_scanned = _covered_through(space, shard_hits[-1].tolist())
         scanned += shard_scanned
         # the kernel places each value 1..n once and the count rule with
         # slack 0 decides each hit, so a hit is a permutation as built
-        batch = [tuple.__new__(Perm, h) for h in shard_hits]
+        batch = [tuple.__new__(Perm, h) for h in shard_hits.tolist()]
         hits.extend(batch)
         if progress is not None and batch:
             progress(i, batch)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,7 +120,8 @@ def test_perfbench_row_keeps_its_keys(bench_pairs, monkeypatch, tmp_path):
     # the parent is told apart by its exact path: the change's checkout may
     # itself sit under a directory named "parent"
     monkeypatch.setattr(bench_pairs, "run", fake_run(calls, (tmp_path / "parent").resolve()))
-    machines = [MACHINE, MACHINE, MACHINE, {**MACHINE, "nproc": 4}]
+    monkeypatch.setattr(bench_pairs, "head_commit", lambda checkout: "abcdef0123")
+    machines = [MACHINE, {**MACHINE, "nproc": 4}]
     monkeypatch.setattr(bench_pairs, "machine", lambda checkout: machines.pop(0))
     out = tmp_path / "BENCH_exact.json"
     argv = ["--parent", str(tmp_path / "parent"), "--workload", "exact", "--seeds", "1-3",
@@ -150,9 +152,37 @@ def test_composed_runs_each_checkouts_own_script(bench_pairs, monkeypatch, tmp_p
         return json.dumps({"op_s": 1.0}), 0.1
 
     monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "head_commit", lambda checkout: "abcdef0123")
     monkeypatch.setattr(bench_pairs, "machine", lambda checkout: MACHINE)
     argv = ["--parent", str(parent), "--workload", "composed", "--seeds", "1-2",
             "--change", "c", "--out", str(tmp_path / "BENCH_composed.json")]
     assert bench_pairs.main(argv) == 0
     assert scripts and all(script == checkout / bench_pairs.COMPOSED for checkout, script in scripts)
     assert {checkout for checkout, _ in scripts} == {parent, bench_pairs.ROOT}
+
+
+def test_a_parent_outside_git_is_refused_before_any_run(bench_pairs, monkeypatch, tmp_path):
+    # a git archive export has no .git: its commit cannot be read, so the
+    # script stops before the pairs, not with "unknown" in the row after them
+    started = []
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args: started.append(args))
+    export = tmp_path / "export"
+    export.mkdir()
+    argv = ["--parent", str(export), "--workload", "exact", "--seeds", "1-2",
+            "--change", "c", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit, match="not the top of a git checkout"):
+        bench_pairs.main(argv)
+    assert started == [] and not (tmp_path / "out.json").exists()
+
+
+def test_head_commit_reads_a_checkouts_own_head(bench_pairs, tmp_path):
+    # the top of a checkout gives its HEAD; a directory inside it, as an
+    # export unpacked into another repository would be, is refused
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "root"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True)
+    assert bench_pairs.head_commit(tmp_path) == head.stdout.strip()
+    (tmp_path / "export").mkdir()
+    with pytest.raises(SystemExit, match="not the top of a git checkout"):
+        bench_pairs.head_commit(tmp_path / "export")

@@ -84,7 +84,7 @@ def run_shards(n: int, tv: tuple, central: bool) -> tuple:
     for u in space.values:
         h, s, t = scan_shard(n, tv, space, u)
         assert not t
-        hits += [Perm(x) for x in h]
+        hits += [Perm(x) for x in h.tolist()]
         scanned += s
     return sorted(hits), scanned
 
@@ -99,6 +99,11 @@ def random_rows(rng: random.Random, space, d: int, count: int) -> list:
         else:
             rows.append(tuple(rng.sample(range(1, n + 1), d)))
     return rows
+
+
+def candidate(space, row) -> Perm:
+    """The candidate of space whose steps place the values row."""
+    return Perm(space.as_hit(np.array([row], dtype=np.int16))[0].tolist())
 
 
 def assert_hits_are_permutations(hits: list, n: int, tv: tuple) -> None:
@@ -331,7 +336,7 @@ def test_count_rules_at_the_int32_edge():
             W = np.array(rows, dtype=np.int16).T
             got = _counts(space, W)
             for row, vector in zip(rows, got.T.tolist()):
-                assert tuple(vector) == count_vector(Perm(space.as_hit(tuple(row))))
+                assert tuple(vector) == count_vector(candidate(space, row))
 
 
 def test_levels_the_rule_cannot_prune_keep_every_state():
@@ -387,7 +392,7 @@ def test_final_level_counts_only_the_tail_candidates(monkeypatch):
 
     monkeypatch.setattr(inflatable._kernel, "_counts", counts)
     hits, scanned, _ = scan_shard(12, tv, space, tau[0])
-    assert tau in [Perm(h) for h in hits]
+    assert tau in [Perm(h) for h in hits.tolist()]
     assert scanned == space.leaves[1]
     assert d0 == space.steps - _TAIL >= 1
     prunes = {d for d in range(1, d0 + 1) if _rule_prunes(12, tv, space.slack(d))}
@@ -409,13 +414,13 @@ def test_the_last_level_count_rule_decides_each_key_match(monkeypatch):
 
     def counts(space, W):
         if W.shape[0] == space.steps:
-            last.extend(Perm(space.as_hit(tuple(s))) for s in W.T.tolist())
+            last.extend(Perm(h) for h in space.as_hit(W.T).tolist())
         return _counts(space, W)
 
     monkeypatch.setattr(inflatable._kernel, "_counts", counts)
     hits, _, _ = scan_shard(12, tv, space, collision[0])
     assert collision in last
-    assert collision not in [Perm(h) for h in hits]
+    assert collision not in [Perm(h) for h in hits.tolist()]
 
 
 def rank_sums(p) -> tuple:
@@ -456,7 +461,7 @@ def test_five_sums_invert_the_counts(values):
         if len(left) < space.steps and v in space.values and v not in taken:
             left.append(v)
             taken.update(space.taken(v))
-    c = Perm(space.as_hit(tuple(left)))
+    c = candidate(space, left)
     assert is_centrally_symmetric(c)
     ranks = rank_sums(c)
     i = np.arange(space.steps + n % 2, dtype=np.int64)  # the center last
@@ -519,13 +524,13 @@ def test_tail_join_equals_the_direct_five_sums():
         plans = [tail, replaced(tail, per_pass=3)]
         plans += [replaced(tail, mult=m) for m in ((1, 0, 0, 0, 0), (0,) * 5)]
         sums = {
-            (s, rest): rank_sums(Perm(space.as_hit(rows[s] + rest)))
+            (s, rest): rank_sums(candidate(space, rows[s] + rest))
             for s in range(len(rows))
             for rest in ways[s]
         }
         # the first and the last state's own counts, and a random permutation's
         members = [(s, rng.choice(ways[s])) for s in (0, len(rows) - 1)]
-        targets = [count_vector(Perm(space.as_hit(rows[s] + rest))) for s, rest in members]
+        targets = [count_vector(candidate(space, rows[s] + rest)) for s, rest in members]
         members.append(None)
         targets.append(count_vector(Perm(tuple(rng.sample(range(1, n + 1), n)))))
         for member, tv in zip(members, targets):
@@ -573,7 +578,55 @@ def test_counting_at_every_level_leaves_the_results_unchanged(monkeypatch):
     for n, tv, c in cases[:2]:
         assert not _rule_prunes(n, tv, _space(n, c).slack(1))
     monkeypatch.setattr(inflatable._kernel, "_rule_prunes", lambda n, tv, slack: True)
+    monkeypatch.setattr(inflatable._kernel, "_counted_later", lambda *args: False)
     assert [run_shards(n, tv, c) for n, tv, c in cases] == want
+
+
+def counted_depths(monkeypatch, run) -> Counter:
+    """The _counts calls run() makes, by the depth of their blocks."""
+    depths = Counter()
+
+    def counts(space, W):
+        depths[W.shape[0]] += 1
+        return _counts(space, W)
+
+    monkeypatch.setattr(inflatable._kernel, "_counts", counts)
+    run()
+    return depths
+
+
+def test_a_one_chunk_block_at_the_first_pruning_depth_goes_uncounted(monkeypatch):
+    # at n=17 the central rule can first drop a state at depth 3, where
+    # each of the 8 scanned shards holds one block of 168 states, which
+    # fits one chunk of its child step: its children are counted at depth
+    # 4 in one call, so the full scan counts 8 blocks at depth 4 and 8 at
+    # the last level, 16 calls, not 24. With a budget of 4096 values a
+    # chunk holds 8 states, and depth 3 is counted again.
+    full = lambda: search_3_inflatable(SearchConfig(n=17))
+    tv = _target_vector(17)
+    space = _space(17, True)
+    assert min(d for d in range(1, 9) if _rule_prunes(17, tv, space.slack(d))) == 3
+    assert counted_depths(monkeypatch, full) == {4: 8, 8: 8}
+    monkeypatch.setattr(inflatable._kernel, "_PATH_CELLS", 4096)
+    assert 3 in counted_depths(monkeypatch, full)
+
+
+def test_only_the_first_pruning_depth_goes_uncounted(monkeypatch):
+    # under a random permutation's counts the unrestricted n=10 rule can
+    # drop a state from depth 2 on, and its blocks fit one chunk at depths
+    # 2 to 4 too; only depth 2 enters uncounted, since the deeper a level,
+    # the more states it drops, each of whose children the next level
+    # would count. The hits and scanned stay those of counting every level.
+    rng = random.Random(8)
+    tv = count_vector(Perm(tuple(rng.sample(range(1, 11), 10))))
+    space = _space(10, False)
+    assert [d for d in range(1, 11) if _rule_prunes(10, tv, space.slack(d))] == [*range(2, 11)]
+    results = []
+    scan = lambda: results.append(_search_space(10, tv, False, None, None)[:2])
+    assert {2, 3, 4} & set(counted_depths(monkeypatch, scan)) == {3, 4}
+    monkeypatch.setattr(inflatable._kernel, "_counted_later", lambda *args: False)
+    assert {2, 3, 4} <= set(counted_depths(monkeypatch, scan))
+    assert results[0] == results[1] and results[0][1] == factorial(10)
 
 
 def test_a_tiny_block_budget_leaves_the_results_unchanged(monkeypatch):
@@ -622,6 +675,7 @@ def test_blocks_are_position_major_int16_within_the_budget(monkeypatch):
         return matches(self, tv, W, used)
 
     monkeypatch.setattr(inflatable._kernel, "_rule_prunes", lambda n, tv, slack: True)
+    monkeypatch.setattr(inflatable._kernel, "_counted_later", lambda *args: False)
     monkeypatch.setattr(inflatable._kernel, "_counts", spied_counts)
     monkeypatch.setattr(inflatable._kernel.Tail, "matches", spied_matches)
     steps = _space(17, True).steps
@@ -709,7 +763,7 @@ def test_real_targets_scan_half_the_shards(monkeypatch):
 
     def stub(n, job_tv, job_space, first_u, tail, expired):
         calls.append((first_u, job_tv))
-        return [], job_space.leaves[1], False
+        return np.empty((0, n), dtype=np.int16), job_space.leaves[1], False
 
     monkeypatch.setattr(inflatable._kernel, "_scan_shard", stub)
     hits, scanned, _ = _search_space(17, tv, True, None, None)
@@ -728,12 +782,12 @@ def test_timed_out_hits_keep_shard_order(monkeypatch):
         rest = [v for v in range(1, n + 1) if v != first_u]
         orders = (rest, rest[::-1], rest[first_u:] + rest[:first_u])
         hits = sorted((first_u,) + tuple(order) for order in orders)
-        return hits, 1, first_u == 5
+        return np.array(hits, dtype=np.int16), 1, first_u == 5
 
     monkeypatch.setattr(inflatable._kernel, "_scan_shard", stub)
     with pytest.raises(SearchTimeout) as info:
         _search_space(17, tv, True, None, None)
-    want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, u, None, None)[0]]
+    want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, u, None, None)[0].tolist()]
     assert info.value.hits == sorted(info.value.hits) == want
     assert info.value.scanned == 5
 
@@ -909,7 +963,8 @@ def test_elapsed_time_is_read_on_the_timeouts_clock(monkeypatch):
 
 def test_a_shard_past_its_deadline_stops_as_its_first_block_enters():
     space = _space(17, True)
-    assert scan_shard(17, _target_vector(17), space, 2, lambda: True) == ([], 0, True)
+    hits, scanned, timed_out = scan_shard(17, _target_vector(17), space, 2, lambda: True)
+    assert hits.shape == (0, 17) and (scanned, timed_out) == (0, True)
 
 
 def test_long_lengths_keep_int16_kernel_values_or_refuse(monkeypatch):
@@ -971,7 +1026,7 @@ def test_known_hit_shard_length17():
     hits, scanned, timed_out = scan_shard(17, tv, _space(17, True), 16)
     assert not timed_out
     assert scanned == space_size(17, True) // 16
-    found = [Perm(h) for h in hits]
+    found = [Perm(h) for h in hits.tolist()]
     assert G17 in found
     for h in found:
         assert h[0] == 16

@@ -1,8 +1,10 @@
 """Alternating parent/change pairs of one bench workload, summarised as a BENCH_*.json row.
 
 Usage, from the root of the change's checkout, with a second checkout of the
-parent commit (``git clone`` it; perfbench reads the commit from its
-``.git``):
+parent commit (``git clone`` it or add it as a worktree; the row's
+``parent_commit`` is read with ``git -C PARENT_DIR rev-parse HEAD``, and a
+parent directory that is not the top of a git checkout, such as a ``git
+archive`` export, is refused before any run):
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --workload montecarlo \\
         --seeds 1301-1310 --seconds 30 --change "what the change does" \\
@@ -119,9 +121,30 @@ def workload_measure(workload: str, seconds: float, sides: dict, cache: str) -> 
         info, result = json.loads(lines[-2]), json.loads(lines[-1])
         if not result["correct"]:
             raise SystemExit(f"error: run in {checkout} gave wrong answers: {info['problems']}")
+        if "ops_raw_s" in info:  # logged only: the per-operation medians, uncalibrated
+            print(f"ops_raw_s {json.dumps(info['ops_raw_s'])}", file=sys.stderr)
         return {name: m["value"] for name, m in result["metrics"].items()}
 
     return " ".join(command(workload, "N", seconds)), perfbench
+
+
+def head_commit(checkout: Path) -> str:
+    """The commit checked out at ``checkout``, read by git, so clones and
+    worktrees alike; SystemExit when checkout is not the top of one, as a
+    ``git archive`` export inside no repository or inside another one is
+    not."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True,
+        )
+    except OSError as exc:  # no git to run
+        raise SystemExit(f"error: cannot read the commit of {checkout}: {exc}") from exc
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        raise SystemExit(f"error: {checkout} is not the top of a git checkout: "
+                         f"{proc.stderr.strip() or proc.stdout.strip()}")
+    return lines[1]
 
 
 def run_pairs(seeds: list, sides: dict, measure) -> dict:
@@ -167,7 +190,7 @@ def summarize(parent: list, change: list, metrics: list) -> dict:
 
 
 def machine(checkout: Path) -> dict:
-    """The machine and commit of ``checkout``, from its perfbench/run.py."""
+    """The machine of ``checkout``, from its perfbench/run.py."""
     spec = importlib.util.spec_from_file_location("perfbench_run", checkout / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -217,6 +240,7 @@ def main(argv=None) -> int:
         ap.error(f"--seeds names {len(args.seeds)} pairs; a summary needs at least 2")
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    parent_commit = head_commit(sides["parent"])
     with tempfile.TemporaryDirectory() as cache:
         cmd, measure = workload_measure(args.workload, args.seconds, sides, cache)
         runs = run_pairs(args.seeds, sides, measure)
@@ -226,7 +250,7 @@ def main(argv=None) -> int:
     metrics = [(name, *units.get(name, ("s", "lower"))) for name in runs["change"][0]]
     row = {
         "change": args.change,
-        "parent_commit": machine(sides["parent"])["commit"][:7],
+        "parent_commit": parent_commit[:7],
         "claimed": args.claim is not None,
     }
     if args.claim:
