@@ -21,13 +21,11 @@ children on the count rule as it enters the next level, and descends
 into the survivors a block at a time, depth first, so the arrays it holds
 stay bounded. Near the root the rule covers too few triples and pairs to
 drop any state (each target lies between what it covers and what it
-leaves open), so those levels go uncounted. At the first level where it
-can drop one, a block whose children one pass lists goes uncounted too:
-the next level counts those children in one call and drops every child
-of a state this level would drop (at length 17, 16 calls a full scan,
-not 24). The last four steps skip the rule: they are completed by
-five-sum key (Tail), and only key matches meet the rule, at the last
-level. A block is stored position-major
+leaves open); from the first level where it can, every level counts but
+that first one, whose children the next counts (depths 4 and 8 at length
+17). The last four steps skip the rule: they are completed by five-sum
+key (Tail), and only key matches meet the rule, at the last level. A
+block is stored position-major
 (C-contiguous), one row per position and one column per state, so every
 sum over a state's positions is a few adds of contiguous vectors. One
 kernel serves both spaces, full scans (length 17, 10,321,920 centrally
@@ -215,23 +213,6 @@ def _counts(space, W: np.ndarray) -> np.ndarray:
     return _central_counts(space.n, W)
 
 
-def _counted_later(d: int, first: int, d0: int, N: int, chunk: int) -> bool:
-    """Whether a block of N states with d steps taken enters its level
-    uncounted, though the count rule could drop some of them there: the
-    block is at the shallowest depth, first, where the rule can drop a
-    state, above the tail's depth d0, and fits one chunk of its child step
-    (chunk states). Its children then form one block, which the next level
-    counts in one call, and that call drops every child of a state this
-    level would drop: a child's counts are at least its
-    parent's, and each count plus the child's slack is at most the
-    parent's count plus its slack. Deferring trades this level's call for
-    the children of the states it would drop, so it is kept to the depth
-    whose slack is the widest, where the rule drops the fewest. d0 and the
-    last level always count.
-    """
-    return d == first < d0 and N <= chunk
-
-
 def _rule_prunes(n: int, tv: tuple, slack: tuple) -> bool:
     """Whether the count rule, leaving slack open, can drop a state under
     the targets tv. A state's counts lie between 0 and what the rule
@@ -240,6 +221,21 @@ def _rule_prunes(n: int, tv: tuple, slack: tuple) -> bool:
     slack of them, and no state fails."""
     full = (comb(n, 3),) * 6 + (comb(n, 2),)
     return any(not f - s <= t <= s for t, f, s in zip(tv, full, slack))
+
+
+def _counted_depths(n: int, tv: tuple, space, d0: int) -> tuple:
+    """The depths at which a shard scan counts its blocks under the targets
+    tv, d0 being the tail's depth. The slack only shrinks as d grows, so
+    the rule can drop a state (_rule_prunes) at every depth from the
+    shallowest such, first, on. first defers to the next level when above
+    d0: a child's counts are at least its parent's, and its counts plus
+    its slack at most its parent's plus the parent's slack, so the next
+    level drops every child of a state first would drop. Only first
+    defers: there the rule drops the fewest states, whose children the
+    next level then counts in their place."""
+    steps = space.steps
+    first = next((d for d in range(1, steps) if _rule_prunes(n, tv, space.slack(d))), steps)
+    return (*range(first + (first < d0), d0 + 1), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +390,9 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
     (search._check_length). Each block is counted as it enters, by the
     space's exact rule, and keeps only the states whose counts neither
     overshoot a target nor fall short of it by more than the slack the
-    rule leaves open; each dropped state is credited with its leaves. At
-    the depths where no state can fail the rule (_rule_prunes), a block
-    enters whole and uncounted, and so does a block that _counted_later
-    leaves to the next level's count. A child step marks the values the kept
+    rule leaves open; each dropped state is credited with its leaves. Only
+    the depths _counted_depths names count; at the others a block enters
+    whole. A child step marks the values the kept
     states use up in one mask, and lists the children of a chunk of kept
     states in one pass, value-major, as the (next value, state) pairs
     whose value uses up none of the state's. Their blocks, the states'
@@ -419,16 +414,9 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
     decides every one of them.
     """
     T = np.array(tv, dtype=np.int32)[:, None]
-    # the slack of each depth where the count rule can drop a state; the
-    # last level, where the slack is 0 and the rule decides each hit,
-    # always counts
-    slack = {}
-    for d in range(1, space.steps + 1):
-        s = space.slack(d)
-        if d == space.steps or _rule_prunes(n, tv, s):
-            slack[d] = np.array(s, dtype=np.int32)[:, None]
-    first = min(slack)
     d0, plan = tail
+    counted = _counted_depths(n, tv, space, d0)
+    slack = {d: np.array(space.slack(d), dtype=np.int32)[:, None] for d in counted}
     values = np.array(space.values, dtype=np.int16)
     hit_blocks = [np.empty((space.steps, 0), dtype=np.int16)]
     scanned = 0
@@ -440,10 +428,7 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
             timed_out = True
             return
         d, N = W.shape
-        size = _PATH_CELLS // (space.steps * (d + 1))  # states in a child block
-        chunk = max(1, size // len(values))  # states whose children one pass lists
-        # where d is not in slack, every state meets the rule
-        if d in slack and not _counted_later(d, first, d0, N, chunk):
+        if d in slack:
             C = _counts(space, W)
             W = W.compress(((C <= T) & (C + slack[d] >= T)).all(axis=0), axis=1)
         kept = W.shape[1]
@@ -464,6 +449,8 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
             if len(s):
                 descend(np.concatenate([W.take(s, axis=1), placed]))
             return
+        size = _PATH_CELLS // (space.steps * (d + 1))  # states in a child block
+        chunk = max(1, size // len(values))  # states whose children one pass lists
         for a in range(0, kept, chunk):
             # the chunk's children, value-major: values[u] placed after state a + s
             u, s = np.nonzero(~used[values, a:a + chunk])

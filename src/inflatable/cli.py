@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Sequence
 from math import isnan
-from typing import Callable, Optional, Sequence
 
 from .core import (
     PATTERNS_3,
@@ -61,8 +61,8 @@ class CommandResult:
     status: str
     payload: dict
     diagnostics: Sequence[str] = ()
-    text: Optional[str] = None
-    out: Optional[str] = None
+    text: str | None = None
+    out: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -134,9 +134,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("plot", "plot of a permutation (ascii or svg)", _cmd_plot)
     p.add_argument("tau")
-    p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+    p.add_argument("--format", type=_plot_format, default="ascii", metavar="{ascii,svg}")
 
+    # spelled out, as argparse wraps a long usage differently across Python
+    # versions; set last, as add_subparsers derives the subcommands' prog from it
+    indent = "\n" + " " * len("usage: inflatable ")
+    ap.usage = indent.join(["%(prog)s [-h]", "{" + ",".join(sub.choices) + "}", "..."])
     return ap
+
+
+def _plot_format(text: str) -> str:
+    # argparse words its own invalid-choice error differently across versions
+    if text not in ("ascii", "svg"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'ascii', 'svg')")
+    return text
 
 
 def _render_human(payload: dict) -> str:
@@ -327,7 +338,7 @@ def _cmd_search(args, stream) -> CommandResult:
 
 # built by the first run and kept: each build costs a few ms and leaves
 # reference cycles that only a full garbage collection frees
-_PARSER: Optional[argparse.ArgumentParser] = None
+_PARSER: argparse.ArgumentParser | None = None
 
 
 def run(argv: list, stdout=None) -> CommandResult:
@@ -373,7 +384,7 @@ def run(argv: list, stdout=None) -> CommandResult:
     return result
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     return result.exit_code
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, isqrt
 from operator import attrgetter, index, mul, sub
-from typing import Iterable, Sequence, Union
 
 __all__ = [
     "COMPACT_MAX",
@@ -157,7 +157,7 @@ class Perm(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, values: Union[str, Iterable[int]]) -> "Perm":
+    def __new__(cls, values: str | Iterable[int]) -> "Perm":
         if isinstance(values, str):
             return parse_permutation(values)
         return super().__new__(cls, _validate_values(tuple(values)))
@@ -173,7 +173,7 @@ class Perm(tuple):
         return format_permutation(self)
 
 
-PermLike = Union[Perm, str, Sequence[int]]
+PermLike = Perm | str | Sequence[int]
 
 
 def as_perm(p: PermLike) -> Perm:

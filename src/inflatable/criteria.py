@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from typing import Optional
 
 from .core import (
     PATTERNS_3,
@@ -69,7 +68,7 @@ def target_densities_3(n: int) -> dict:
     return out
 
 
-def target_counts_3(n: int) -> Optional[dict]:
+def target_counts_3(n: int) -> dict | None:
     """Integer occurrence counts matching the targets, or None.
 
     None means the length is inadmissible: at least one target density

@@ -37,7 +37,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from .core import (
     Perm,
@@ -65,7 +65,7 @@ LIMIT_PATTERN_MAX = 6
 # such call returns this one
 _ZERO = Fraction(0)
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def parse_rational(value: RationalLike) -> Fraction:

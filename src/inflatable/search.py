@@ -30,7 +30,7 @@ import time
 from itertools import accumulate
 from math import comb
 from operator import mul
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
 from .core import PATTERNS_3, Perm, _integer, _record
 from .criteria import admissible_residues, target_counts_3
@@ -84,9 +84,9 @@ class SearchConfig:
 
     n: int
     central_only: bool = True
-    limit: Optional[int] = None
+    limit: int | None = None
     threads: int = 1
-    timeout: Optional[float] = None
+    timeout: float | None = None
 
 
 @_record
@@ -109,7 +109,7 @@ class SearchResult:
     scanned: int
     found: int
     status: str = "ok"
-    reason: Optional[str] = None
+    reason: str | None = None
     elapsed_ms: int = 0
 
     def __iter__(self) -> Iterator:
@@ -160,7 +160,7 @@ def enumerate_centrally_symmetric(n: int) -> Iterator[Perm]:
     return rec(0)
 
 
-def _target_vector(n: int) -> Optional[tuple]:
+def _target_vector(n: int) -> tuple | None:
     tc = target_counts_3(n)
     if tc is None:
         return None
@@ -299,9 +299,9 @@ def _search_space(
     n: int,
     tv: tuple,
     central_only: bool,
-    limit: Optional[int],
-    timeout: Optional[float],
-    progress: Optional[Callable] = None,
+    limit: int | None,
+    timeout: float | None,
+    progress: Callable | None = None,
 ) -> tuple:
     """Run the sharded scan; returns (hits as Perms, scanned, elapsed_ms).
 
@@ -365,7 +365,7 @@ def _search_space(
 
 
 def search_3_inflatable(
-    config: SearchConfig, progress: Optional[Callable] = None
+    config: SearchConfig, progress: Callable | None = None
 ) -> SearchResult:
     """Find every length-n permutation meeting the 3-inflatability targets.
 

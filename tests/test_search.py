@@ -30,6 +30,7 @@ import inflatable.search
 import inflatable._kernel
 from inflatable._kernel import (
     _TAIL,
+    _counted_depths,
     _counts,
     _rule_prunes,
     _scan_shard,
@@ -343,8 +344,9 @@ def test_levels_the_rule_cannot_prune_keep_every_state():
     # at every depth where _rule_prunes says the count rule drops no state,
     # random states and the increasing and decreasing ones all meet the
     # rule, in both spaces, at the admissible lengths up to 64 and under
-    # custom targets; the last level is never skipped, and at n=17 the real
-    # targets skip the first two central depths and four unrestricted ones
+    # custom targets; the skipped depths are the first k, the last level is
+    # never skipped, and at n=17 the real targets skip the first two central
+    # depths and four unrestricted ones
     rng = random.Random(31)
     cases = [(n, _target_vector(n)) for n in (17, 64)]
     for n in (9, 12, 17, 40):
@@ -357,7 +359,7 @@ def test_levels_the_rule_cannot_prune_keep_every_state():
             space = _space(n, central)
             skip = [d for d in range(1, space.steps + 1) if not _rule_prunes(n, tv, space.slack(d))]
             skipped[n, central, tv] = skip
-            assert space.steps not in skip
+            assert skip == [*range(1, len(skip) + 1)] and space.steps not in skip
             for d in skip:
                 rows = random_rows(rng, space, d, 40)
                 rows += [tuple(range(1, d + 1)), tuple(range(n, n - d, -1))]
@@ -365,6 +367,19 @@ def test_levels_the_rule_cannot_prune_keep_every_state():
                 assert ((C <= T) & (C + np.array(space.slack(d))[:, None] >= T)).all()
     assert skipped[17, True, _target_vector(17)] == [1, 2]
     assert skipped[17, False, _target_vector(17)] == [1, 2, 3, 4]
+
+
+def test_the_slack_does_not_grow_with_depth():
+    # each count's slack does not increase from one depth to the next, in
+    # both spaces at every length from 3 to 64 and at 288, so the depths
+    # where the count rule can drop a state run from the first to the last
+    for n in (*range(3, 65), 288):
+        for central in (True, False):
+            space = _space(n, central)
+            slacks = [space.slack(d) for d in range(1, space.steps + 1)]
+            assert slacks[-1] == (0,) * 7
+            for shallow, deep in zip(slacks, slacks[1:]):
+                assert all(a <= b for a, b in zip(deep, shallow))
 
 
 def test_final_level_counts_only_the_tail_candidates(monkeypatch):
@@ -577,8 +592,7 @@ def test_counting_at_every_level_leaves_the_results_unchanged(monkeypatch):
     cases, want = custom_scans()
     for n, tv, c in cases[:2]:
         assert not _rule_prunes(n, tv, _space(n, c).slack(1))
-    monkeypatch.setattr(inflatable._kernel, "_rule_prunes", lambda n, tv, slack: True)
-    monkeypatch.setattr(inflatable._kernel, "_counted_later", lambda *args: False)
+    monkeypatch.setattr(inflatable._kernel, "_counted_depths", lambda n, tv, space, d0: range(1, space.steps + 1))
     assert [run_shards(n, tv, c) for n, tv, c in cases] == want
 
 
@@ -600,15 +614,17 @@ def test_a_one_chunk_block_at_the_first_pruning_depth_goes_uncounted(monkeypatch
     # each of the 8 scanned shards holds one block of 168 states, which
     # fits one chunk of its child step: its children are counted at depth
     # 4 in one call, so the full scan counts 8 blocks at depth 4 and 8 at
-    # the last level, 16 calls, not 24. With a budget of 4096 values a
-    # chunk holds 8 states, and depth 3 is counted again.
+    # the last level, 16 calls, not 24. With a budget of 4096 or 64 values
+    # the block spans several chunks, and depth 3 still goes uncounted.
     full = lambda: search_3_inflatable(SearchConfig(n=17))
     tv = _target_vector(17)
     space = _space(17, True)
     assert min(d for d in range(1, 9) if _rule_prunes(17, tv, space.slack(d))) == 3
+    assert _counted_depths(17, tv, space, _tail(space)[0]) == (4, 8)
     assert counted_depths(monkeypatch, full) == {4: 8, 8: 8}
-    monkeypatch.setattr(inflatable._kernel, "_PATH_CELLS", 4096)
-    assert 3 in counted_depths(monkeypatch, full)
+    for cells in (4096, 64):
+        monkeypatch.setattr(inflatable._kernel, "_PATH_CELLS", cells)
+        assert set(counted_depths(monkeypatch, full)) == {4, 8}
 
 
 def test_only_the_first_pruning_depth_goes_uncounted(monkeypatch):
@@ -624,7 +640,7 @@ def test_only_the_first_pruning_depth_goes_uncounted(monkeypatch):
     results = []
     scan = lambda: results.append(_search_space(10, tv, False, None, None)[:2])
     assert {2, 3, 4} & set(counted_depths(monkeypatch, scan)) == {3, 4}
-    monkeypatch.setattr(inflatable._kernel, "_counted_later", lambda *args: False)
+    monkeypatch.setattr(inflatable._kernel, "_counted_depths", lambda n, tv, space, d0: range(1, space.steps + 1))
     assert {2, 3, 4} <= set(counted_depths(monkeypatch, scan))
     assert results[0] == results[1] and results[0][1] == factorial(10)
 
@@ -674,8 +690,7 @@ def test_blocks_are_position_major_int16_within_the_budget(monkeypatch):
         blocks.append(W)
         return matches(self, tv, W, used)
 
-    monkeypatch.setattr(inflatable._kernel, "_rule_prunes", lambda n, tv, slack: True)
-    monkeypatch.setattr(inflatable._kernel, "_counted_later", lambda *args: False)
+    monkeypatch.setattr(inflatable._kernel, "_counted_depths", lambda n, tv, space, d0: range(1, space.steps + 1))
     monkeypatch.setattr(inflatable._kernel, "_counts", spied_counts)
     monkeypatch.setattr(inflatable._kernel.Tail, "matches", spied_matches)
     steps = _space(17, True).steps

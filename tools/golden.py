@@ -18,9 +18,10 @@ in an argv stand for values made per run: ``{out}`` is a fresh output path
 ``{bad_profile}`` are profile files holding ``FILES``, and ``{host_17_4}`` is
 the comma text of an 83,521-long composition. A search's ``elapsed_ms`` is
 masked. A text longer than ``LONG`` characters is stored as its sha256 and
-length. Three cases (no subcommand, ``--threads``, ``--format png``) pin
-argparse's own usage and error text as Python 3.11 prints it; another
-Python version may word it differently.
+length. Three cases (no subcommand, ``--threads``, ``--format png``) print
+a usage line and an argparse error; the top-level usage and the ``--format``
+error are spelled out by the CLI, as argparse wraps and words its own
+differently from one Python version to another.
 """
 
 from __future__ import annotations
