@@ -34,10 +34,10 @@ Everything here is exact rational arithmetic.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from collections.abc import Mapping
 
 from .core import (
     Perm,

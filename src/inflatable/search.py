@@ -27,10 +27,10 @@ which come in lexicographic order, at the limit.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterator
 from itertools import accumulate
 from math import comb
 from operator import mul
-from collections.abc import Callable, Iterator
 
 from .core import PATTERNS_3, Perm, _integer, _record
 from .criteria import admissible_residues, target_counts_3
