@@ -15,21 +15,25 @@ every triple with two points in its right block is the R-image of one
 with two points in its left block; the central rule counts the left ones
 and adds the image counts, which halves the work.
 
-A shard scan lists the children of a chunk of partial states, each state
-with every admissible next value, in one pass, tests each block of
-children on the count rule as it enters the next level, and descends
-into the survivors a block at a time, depth first, so the arrays it holds
-stay bounded. Near the root the rule covers too few triples and pairs to
-drop any state (each target lies between what it covers and what it
-leaves open); from the first level where it can, every level counts but
-that first one, whose children the next counts (depths 4 and 8 at length
-17). The last four steps skip the rule: they are completed by five-sum
-key (Tail), and only key matches meet the rule, at the last level. A
-block is stored position-major
+A shard scan starts from a root block of one or more shards' first
+values: a short unlimited scan's shards share one (the 8 of the full
+central length-17 scan), and each shard of a long or a limited scan has
+its own (_shards_per_block). It lists the children of a chunk of
+partial states, each state with every admissible next value, in one
+pass, tests each block of children on the count rule as it enters the
+next level, and descends into the survivors a block at a time, depth
+first, so the arrays it holds stay bounded. Near the root the rule
+covers too few triples and pairs to drop any state (each target lies
+between what it covers and what it leaves open); from the first level
+where it can, every level counts but that first one, whose children the
+next counts (depths 4 and 8 at length 17, one call each for the full
+central scan's one root block). The last four steps skip the rule: they
+are completed by five-sum key (Tail), and only key matches meet the
+rule, at the last level. A block is stored position-major
 (C-contiguous), one row per position and one column per state, so every
 sum over a state's positions is a few adds of contiguous vectors. One
 kernel serves both spaces, full scans (length 17, 10,321,920 centrally
-symmetric candidates, in about 0.03 s on one core; see
+symmetric candidates, in about 0.02 s on one core; see
 BENCH_search17.json) and scans cut by a limit or a timeout. The test
 suite checks both count rules against brute-force filtering.
 
@@ -66,6 +70,7 @@ from .search import _P12_IDX
 _RMAP = (0, 2, 1, 4, 3, 5, _P12_IDX)
 
 _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
+_JOIN_CELLS = 3 << 17  # most keys a tail pass compares with goals, within _PATH_CELLS
 _TAIL = 4  # last steps of a shard completed by five-sum key, not by the count rule
 
 
@@ -238,6 +243,17 @@ def _counted_depths(n: int, tv: tuple, space, d0: int) -> tuple:
     return (*range(first + (first < d0), d0 + 1), steps)
 
 
+def _shards_per_block(n: int, tv: tuple, space, d0: int) -> int:
+    """How many shards under the targets tv one root block scans: as many
+    as fit a child block at the first depth D that counts or completes by
+    key, where a shard holds leaves[1] // leaves[D] states, and at least
+    one. Down to D, the root block's descendants at each depth then hold
+    at most the cap at D, which the budget allows at every depth above."""
+    D = min(_counted_depths(n, tv, space, d0)[0], d0)
+    cap = _PATH_CELLS // (space.steps * D)
+    return max(1, cap // (space.leaves[1] // space.leaves[D]))
+
+
 # ---------------------------------------------------------------------------
 # five-sum tail
 
@@ -283,9 +299,11 @@ class Tail:
 
     The free values, the prefix values below each and so the tail keys of
     every completion depend only on a state's set of left values, not on
-    their order. So the states are grouped by that set, each set's tail
-    keys are made once, and each state meets its set's keys in a join,
-    per_pass states at a time. The join is a filter: the search's count
+    their order. So the states are grouped by that set, once, and taken
+    per_pass states at a time in set order: a pass makes the tail keys of
+    its states' sets, a set once (twice if it spans two passes), and each
+    state meets its set's keys in a join. per_pass bounds the keys a pass
+    makes and compares. The join is a filter: the search's count
     rule decides each state and completion it pairs.
     """
 
@@ -313,17 +331,18 @@ class Tail:
         target = _int16(sum(map(mul, self.mult, five_sums_of_targets(n, tv))))
         goal = target - prefix.sum(axis=0, dtype=np.int16)  # each state's tail key must meet it
         ids = np.sort(W, axis=0)  # a left value set's id: its values, ascending
+        order = np.lexsort(ids)  # the states, grouped by set
+        by_set = ids[:, order]
+        opens = np.ones(kept, dtype=bool)  # a state that opens its set
+        opens[1:] = (by_set[:, 1:] != by_set[:, :-1]).any(axis=0)
         row, pos, below = self.combos
         found = []
         for a in range(0, kept, self.per_pass):
-            part = slice(a, a + self.per_pass)
-            order = np.lexsort(ids[:, part])
-            by_set = ids[:, part][:, order]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = (by_set[:, 1:] != by_set[:, :-1]).any(axis=0)
-            inv = np.empty_like(order)  # each state's set
-            inv[order] = np.cumsum(first) - 1
-            sets = a + order[first]  # one state of each set
+            states = order[a:a + self.per_pass]
+            first = opens[a:a + self.per_pass].copy()
+            first[0] = True  # a set the last pass began opens this one too
+            inv = np.cumsum(first) - 1  # each state's set
+            sets = states[first]  # one state of each set
             X = np.nonzero(~used[:, sets].T)[1].astype(np.int16).reshape(len(sets), -1).T
             under = sum(W[i, sets] < X for i in range(d))  # prefix values below
             terms = key_terms(
@@ -333,9 +352,9 @@ class Tail:
             keys = terms[self.slots[0]]
             for t in self.slots[1:]:
                 keys += terms[t]
-            join = np.ascontiguousarray(keys.T)[inv] == goal[part, None]
+            join = np.ascontiguousarray(keys.T)[inv] == goal[states, None]
             s, p = np.divmod(np.flatnonzero(join), len(keys))
-            found.append((a + s, X[self.picks[:, p], inv[s]]))
+            found.append((states[s], X[self.picks[:, p], inv[s]]))
         s, rows = zip(*found)
         return np.concatenate(s), np.concatenate(rows, axis=1)
 
@@ -376,15 +395,19 @@ def _tail(space) -> tuple:
     """(d0, plan): a shard of space completes the states it keeps at depth
     d0 = max(1, steps - _TAIL) by plan.matches."""
     d0 = max(1, space.steps - _TAIL)
-    return d0, tail_plan(space.n, space.steps, space.per_step == 2, d0, _PATH_CELLS)
+    return d0, tail_plan(space.n, space.steps, space.per_step == 2, d0, min(_JOIN_CELLS, _PATH_CELLS))
 
 
-def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) -> tuple:
-    """Scan the subtree of space rooted at first value first_u.
+def _scan_shard(n: int, tv: tuple, space, firsts, tail: tuple, expired) -> tuple:
+    """Scan the subtrees of space rooted at the first values firsts, from
+    one root block of len(firsts) states, one per shard: search gives
+    a root block as many shards as _shards_per_block allows.
 
     Returns (hits, scanned, timed_out) with hits as an int16 array, one
     row of values per hit, sorted lexicographically with one lexsort and
-    expanded from the stored steps by space.as_hit in one pass.
+    expanded from the stored steps by space.as_hit in one pass, and
+    scanned the leaves credited to all of firsts' shards together (a
+    whole scan credits len(firsts) * leaves[1]).
     A block of N states with d steps taken is stored position-major, as a
     C-contiguous (d, N) int16 array, one column per state
     (search._check_length). Each block is counted as it enters, by the
@@ -402,7 +425,7 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
     _PATH_CELLS / (steps * d) states, and a chunk's index arrays list at
     most as many children (at least one state's), so the blocks and index
     arrays held along one descent path hold O(_PATH_CELLS) values at any
-    length. The last level's block holds one tail pass's key matches,
+    length. The last level's block holds one depth-d0 block's key matches,
     which the budget does not bound. The kernel calls expired() once as
     each block enters, and stops as soon as it returns True.
 
@@ -431,6 +454,7 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
         if d in slack:
             C = _counts(space, W)
             W = W.compress(((C <= T) & (C + slack[d] >= T)).all(axis=0), axis=1)
+            del C  # not held down the descent
         kept = W.shape[1]
         scanned += (N - kept) * space.leaves[d]
         if not kept:
@@ -460,10 +484,10 @@ def _scan_shard(n: int, tv: tuple, space, first_u: int, tail: tuple, expired) ->
                 if timed_out:
                     return
 
-    descend(np.full((1, 1), first_u, dtype=np.int16))
+    descend(np.array([firsts], dtype=np.int16))
     L = np.concatenate(hit_blocks, axis=1)
     # lexsort's last key leads, so the first position goes last
     hits = space.as_hit(L[:, np.lexsort(L[::-1])].T)
-    if not timed_out and scanned != space.leaves[1]:
+    if not timed_out and scanned != len(firsts) * space.leaves[1]:
         raise RuntimeError("shard coverage accounting is off")
     return hits, scanned, timed_out

@@ -358,7 +358,9 @@ def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
         assert any("timed out" in d for d in result.diagnostics)
     # the partial result is still printed and written: a fake clock stands
     # still until a shard has returned hits and then passes the deadline,
-    # so the run stops after the first hits whatever the scan's speed
+    # so the run stops after the first hits whatever the scan's speed. A
+    # limit has the kernel scan one shard per call; without one, it scans
+    # all 8 central n=17 shards in its first call.
     scan_shard = inflatable._kernel._scan_shard
     found = []
 
@@ -372,8 +374,8 @@ def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
     monkeypatch.setattr(inflatable.search, "time", clock)
     target = tmp_path / "hits.txt"
     result, out = invoke([
-        "search", "--n", "17", "--central", "--timeout", "0.15",
-        "--json", "--out", str(target),
+        "search", "--n", "17", "--central", "--limit", "1000000000",
+        "--timeout", "0.15", "--json", "--out", str(target),
     ])
     assert result.exit_code == 2
     payload = json.loads(out)

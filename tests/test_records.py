@@ -172,23 +172,24 @@ def test_signature_and_argument_errors(cls):
 
 def test_one_tail_plan_per_search(monkeypatch):
     # a search builds its tail plan once, before its first shard scan, and
-    # every shard it scans (8 of the 16 central ones at n=17) completes by
-    # that plan; the next search builds its own
-    plans, tails = [], []
+    # every shard it scans (8 of the 16 central ones at n=17, in one root
+    # block) completes by that plan; the next search builds its own
+    plans, tails, blocks = [], [], []
     real_plan, real_scan = _kernel.tail_plan, _kernel._scan_shard
 
     def counted(*args):
         plans.append(real_plan(*args))
         return plans[-1]
 
-    def scan(n, tv, space, first_u, tail, expired):
+    def scan(n, tv, space, firsts, tail, expired):
         tails.append(tail[1])
-        return real_scan(n, tv, space, first_u, tail, expired)
+        blocks.append(tuple(firsts))
+        return real_scan(n, tv, space, firsts, tail, expired)
 
     monkeypatch.setattr(_kernel, "tail_plan", counted)
     monkeypatch.setattr(_kernel, "_scan_shard", scan)
     assert search_3_inflatable(SearchConfig(n=17)).found == 750
-    assert len(plans) == 1 and len(tails) == 8
+    assert len(plans) == 1 and blocks == [tuple(range(1, 9))]
     assert isinstance(plans[0], _kernel.Tail) and all(t is plans[0] for t in tails)
     search_3_inflatable(SearchConfig(n=17, limit=1))
     assert len(plans) == 2 and tails[-1] is plans[1]

@@ -76,7 +76,7 @@ def complement(tau: Perm) -> Perm:
 
 def scan_shard(n: int, tv: tuple, space, u: int, expired=lambda: False) -> tuple:
     """One shard scan of space under tv, with its own tail plan."""
-    return _scan_shard(n, tv, space, u, _tail(space), expired)
+    return _scan_shard(n, tv, space, (u,), _tail(space), expired)
 
 
 def run_shards(n: int, tv: tuple, central: bool) -> tuple:
@@ -611,20 +611,48 @@ def counted_depths(monkeypatch, run) -> Counter:
 
 def test_a_one_chunk_block_at_the_first_pruning_depth_goes_uncounted(monkeypatch):
     # at n=17 the central rule can first drop a state at depth 3, where
-    # each of the 8 scanned shards holds one block of 168 states, which
-    # fits one chunk of its child step: its children are counted at depth
-    # 4 in one call, so the full scan counts 8 blocks at depth 4 and 8 at
-    # the last level, 16 calls, not 24. With a budget of 4096 or 64 values
-    # the block spans several chunks, and depth 3 still goes uncounted.
+    # the root block of the 8 scanned shards holds one block of 8 * 168
+    # states, which fits one chunk of its child step: its children are
+    # counted at depth 4 in one call, so the full scan counts 1 block at
+    # depth 4 and 1 at the last level, 2 calls, not 3. With a budget of
+    # 4096 or 64 values a root block holds one shard, whose block spans
+    # several chunks, and depth 3 still goes uncounted.
     full = lambda: search_3_inflatable(SearchConfig(n=17))
     tv = _target_vector(17)
     space = _space(17, True)
     assert min(d for d in range(1, 9) if _rule_prunes(17, tv, space.slack(d))) == 3
     assert _counted_depths(17, tv, space, _tail(space)[0]) == (4, 8)
-    assert counted_depths(monkeypatch, full) == {4: 8, 8: 8}
+    assert counted_depths(monkeypatch, full) == {4: 1, 8: 1}
     for cells in (4096, 64):
         monkeypatch.setattr(inflatable._kernel, "_PATH_CELLS", cells)
         assert set(counted_depths(monkeypatch, full)) == {4, 8}
+
+
+def test_work_counters_of_the_length17_scans(monkeypatch):
+    # the full central n=17 scan counts its one root block at depth 4 and
+    # the key matches at the last level, 2 count-rule calls over 13,833
+    # columns, and joins its depth-4 states with their tail keys once (one
+    # shard per root block made 16 calls over the same columns and 8
+    # joins); the limit-3 scan, one shard per root block, makes 4 calls
+    # over 3,377 columns and 2 joins
+    work = Counter()
+    matches = inflatable._kernel.Tail.matches
+
+    def counts(space, W):
+        work["calls"] += 1
+        work["columns"] += W.shape[1]
+        return _counts(space, W)
+
+    def joins(self, tv, W, used):
+        work["joins"] += 1
+        return matches(self, tv, W, used)
+
+    monkeypatch.setattr(inflatable._kernel, "_counts", counts)
+    monkeypatch.setattr(inflatable._kernel.Tail, "matches", joins)
+    for limit, want in ((None, (2, 13_833, 1)), (3, (4, 3_377, 2))):
+        work.clear()
+        search_3_inflatable(SearchConfig(n=17, limit=limit))
+        assert (work["calls"], work["columns"], work["joins"]) == want, limit
 
 
 def test_only_the_first_pruning_depth_goes_uncounted(monkeypatch):
@@ -772,28 +800,33 @@ def test_derived_shards_equal_their_own_scans():
 
 def test_real_targets_scan_half_the_shards(monkeypatch):
     # the real targets are complement-invariant, so at n=17 the 8 lower
-    # shards are scanned and the 8 upper ones derived from them
+    # shards are scanned, in one root block or, under a limit, one block
+    # each, and the 8 upper ones derived from them
     tv = _target_vector(17)
     calls = []
 
-    def stub(n, job_tv, job_space, first_u, tail, expired):
-        calls.append((first_u, job_tv))
-        return np.empty((0, n), dtype=np.int16), job_space.leaves[1], False
+    def stub(n, job_tv, job_space, firsts, tail, expired):
+        calls.append((tuple(firsts), job_tv))
+        return np.empty((0, n), dtype=np.int16), len(firsts) * job_space.leaves[1], False
 
     monkeypatch.setattr(inflatable._kernel, "_scan_shard", stub)
-    hits, scanned, _ = _search_space(17, tv, True, None, None)
-    assert hits == [] and scanned == space_size(17, True)
-    assert sorted(calls) == [(u, tv) for u in range(1, 9)]
+    for limit, want in ((None, [(tuple(range(1, 9)), tv)]), (10**9, [((u,), tv) for u in range(1, 9)])):
+        calls.clear()
+        hits, scanned, _ = _search_space(17, tv, True, limit, None)
+        assert hits == [] and scanned == space_size(17, True)
+        assert calls == want
 
 
 def test_timed_out_hits_keep_shard_order(monkeypatch):
     # the merge never sorts: each shard's hits arrive sorted and start with
     # its first value, so a partial result is the scanned shards' hits
     # concatenated in shard order, and sorted; the job for first value 5
-    # times out, so shards 1..5 contribute and nothing after them
+    # times out, so shards 1..5 contribute and nothing after them. A limit
+    # has each root block hold one shard.
     tv = _target_vector(17)
 
-    def stub(n, job_tv, job_space, first_u, tail, expired):
+    def stub(n, job_tv, job_space, firsts, tail, expired):
+        (first_u,) = firsts
         rest = [v for v in range(1, n + 1) if v != first_u]
         orders = (rest, rest[::-1], rest[first_u:] + rest[:first_u])
         hits = sorted((first_u,) + tuple(order) for order in orders)
@@ -801,10 +834,95 @@ def test_timed_out_hits_keep_shard_order(monkeypatch):
 
     monkeypatch.setattr(inflatable._kernel, "_scan_shard", stub)
     with pytest.raises(SearchTimeout) as info:
-        _search_space(17, tv, True, None, None)
-    want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, u, None, None)[0].tolist()]
+        _search_space(17, tv, True, 10**9, None)
+    want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, (u,), None, None)[0].tolist()]
     assert info.value.hits == sorted(info.value.hits) == want
     assert info.value.scanned == 5
+
+
+def spied_blocks(monkeypatch) -> list:
+    """The first values of each root block the kernel scans, as tuples,
+    appended as the scans run."""
+    blocks = []
+    real_scan = inflatable._kernel._scan_shard
+
+    def scan(n, tv, space, firsts, tail, expired):
+        blocks.append(tuple(firsts))
+        return real_scan(n, tv, space, firsts, tail, expired)
+
+    monkeypatch.setattr(inflatable._kernel, "_scan_shard", scan)
+    return blocks
+
+
+def test_root_blocks_scan_as_one_shard_per_block_does(monkeypatch):
+    # without a limit the jobs of one targets go k to a root block; under
+    # a limit each block holds one shard. Both return the same hits in the
+    # same order and the same scanned: in both spaces at n=6 to 12 under a
+    # random member's counts that complement does not fix, one root block
+    # per targets, and in the real central n=17 scan, one root block
+    rng = random.Random(42)
+    cases = [(17, _target_vector(17), True)]
+    for central, n in product((True, False), range(6, 13)):
+        pool = list(enumerate_centrally_symmetric(n)) if central else None
+        tv = None
+        while tv is None or _complement_targets(n, tv) == tv:
+            tau = rng.choice(pool) if central else Perm(tuple(rng.sample(range(1, n + 1), n)))
+            tv = count_vector(tau)
+        cases.append((n, tv, central))
+    blocks = spied_blocks(monkeypatch)
+    for n, tv, central in cases:
+        blocks.clear()
+        batched = _search_space(n, tv, central, None, None)[:2]
+        assert len(blocks) == (1 if n == 17 else 2)
+        jobs = sorted(u for block in blocks for u in block)
+        blocks.clear()
+        assert _search_space(n, tv, central, 10**9, None)[:2] == batched
+        assert {len(block) for block in blocks} == {1}
+        assert sorted(u for (u,) in blocks) == jobs
+        assert n != 17 or (len(batched[0]), batched[1]) == (750, space_size(17, True))
+
+
+def test_only_short_unlimited_scans_share_root_blocks(monkeypatch):
+    # a root block holds as many jobs as fit a child block at the first
+    # depth that counts or completes by key: all 8 of central n=17 (up to
+    # 78). One unrestricted n=17 or central n=64 or n=80 shard fills it
+    # alone, so those long scans keep one shard per root block, as every
+    # scan does under a limit
+    def per_block(n, central):
+        space = _space(n, central)
+        return inflatable._kernel._shards_per_block(n, _target_vector(n), space, _tail(space)[0])
+
+    assert per_block(17, True) == 78
+    assert per_block(17, False) == per_block(64, True) == per_block(80, True) == 1
+    blocks = spied_blocks(monkeypatch)
+    for limit in (1, 3, 750, 10**9):
+        blocks.clear()
+        assert search_3_inflatable(SearchConfig(n=17, limit=limit)).found == min(limit, 750)
+        assert {len(block) for block in blocks} == {1}
+
+
+def test_a_timed_out_root_block_raises_with_its_own_hits(monkeypatch):
+    # a root block that times out raises with the hits it has confirmed,
+    # sorted, and the leaves it has credited, and no mirrored shard's hits.
+    # Counting at every level, a shard holds one state at the first counted
+    # depth, so at a 4096-value budget all 8 central n=17 jobs share a root
+    # block, which reaches its last level in many small blocks; a fake
+    # clock moving 1 ms at each read passes the deadline after about a
+    # third of the scan's 285 reads
+    monkeypatch.setattr(inflatable._kernel, "_counted_depths", lambda n, tv, space, d0: range(1, space.steps + 1))
+    monkeypatch.setattr(inflatable._kernel, "_PATH_CELLS", 4096)
+    blocks = spied_blocks(monkeypatch)
+    ticks = count(0, 0.001)
+    monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(SearchTimeout) as exc:
+        search_3_inflatable(SearchConfig(n=17, timeout=0.1))
+    hits = exc.value.hits
+    assert blocks == [tuple(range(1, 9))]
+    assert hits == sorted(hits)
+    firsts = {h[0] for h in hits}  # several of the block's shards, no mirror
+    assert len(firsts) > 1 and firsts <= set(range(1, 9))
+    assert 0 < exc.value.scanned < space_size(17, True)
+    assert_hits_are_permutations(hits, 17, _target_vector(17))
 
 
 def test_search_space_finds_a_sampled_target():
@@ -935,9 +1053,10 @@ def test_timeout_raises_with_partial_progress(monkeypatch):
     # the kernel reads the clock as each block enters, with or without a
     # limit, so it stops at the first block after the deadline. The whole
     # central n=17 scan can end inside these timeouts, so a fake clock
-    # moves 1 ms at each read: the whole scan reads it about 44 times, and
-    # the deadline passes mid-scan, after the same reads whatever the
-    # scan's speed
+    # moves 1 ms at each read: the scan one shard per root block (under a
+    # limit) reads it about 44 times, the one-block scan 5 times, once per
+    # depth 1 to 4 and once at the last level, and the deadline passes
+    # mid-scan, after the same reads whatever the scan's speed
     ticks = count(0, 0.001)
     monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(SearchTimeout) as exc:
@@ -945,8 +1064,9 @@ def test_timeout_raises_with_partial_progress(monkeypatch):
     assert exc.value.scanned > 0
     assert isinstance(exc.value.hits, list)
     assert exc.value.elapsed_ms >= 0
-    with pytest.raises(SearchTimeout):
-        search_3_inflatable(SearchConfig(n=17, timeout=0.01))
+    with pytest.raises(SearchTimeout) as exc:
+        search_3_inflatable(SearchConfig(n=17, timeout=0.0045))
+    assert 0 < exc.value.scanned < space_size(17, True)
     monkeypatch.undo()
     # real 0.5-s timeouts: the whole central n=17 scan ends well inside
     # them, so the central leg runs at the next admissible length, 64,
@@ -1031,6 +1151,22 @@ def test_a_long_timed_scan_keeps_its_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 48 << 20, peak
+
+
+def test_the_full_length17_central_scan_keeps_its_memory_small():
+    # one root block holds the 8 central n=17 shards' 13,440 depth-4
+    # states, and the tail joins its kept states with their keys a bounded
+    # run at a time, so the scan's traced peak stays at about 2.6 MiB,
+    # against 2.1 MiB with one shard per root block. One join of every
+    # kept state at once peaked at 12 MiB.
+    search_3_inflatable(SearchConfig(n=17, limit=1))  # numpy's imports stay untraced
+    tracemalloc.start()
+    try:
+        search_3_inflatable(SearchConfig(n=17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
 
 
 def test_known_hit_shard_length17():
