@@ -17,8 +17,8 @@ and adds the image counts, which halves the work.
 
 A shard scan starts from a root block of one or more shards' first
 values: a short unlimited scan's shards share one (the 8 of the full
-central length-17 scan), and each shard of a long or a limited scan has
-its own (_shards_per_block). It lists the children of a chunk of
+central length-17 scan), and each shard of a long, a limited or a timed
+scan has its own (_shards_per_block). It lists the children of a chunk of
 partial states, each state with every admissible next value, in one
 pass, tests each block of children on the count rule as it enters the
 next level, and descends into the survivors a block at a time, depth
@@ -70,7 +70,6 @@ from .search import _P12_IDX
 _RMAP = (0, 2, 1, 4, 3, 5, _P12_IDX)
 
 _PATH_CELLS = 1 << 22  # most values held in kernel blocks along one descent path
-_JOIN_CELLS = 3 << 17  # most keys a tail pass compares with goals, within _PATH_CELLS
 _TAIL = 4  # last steps of a shard completed by five-sum key, not by the count rule
 
 
@@ -315,13 +314,17 @@ class Tail:
     slots: np.ndarray
     per_pass: int
 
-    def matches(self, tv: tuple, W, used) -> tuple:
+    def matches(self, tv: tuple, W, used, shards: int = 1) -> tuple:
         """(s, rows): the completions of the position-major int16 states W
         whose key equals that of the counts tv, as their states' columns s
         and the int16 values they place, one row per step. They include
         every completion with the counts tv. used[v, s] marks the values
-        state s uses up, and 0. The keys wrap mod 2^16 in int16 only, so a
-        W of another dtype raises TypeError."""
+        state s uses up, and 0. W holds states of a root block of shards
+        shards, taken per_pass // shards at a time: a one-shard block
+        joins in the passes the budget allows, and a block of several
+        shards, whose states one pass would otherwise hold all at once,
+        in passes as many times shorter. The keys wrap mod 2^16 in int16
+        only, so a W of another dtype raises TypeError."""
         if W.dtype != np.int16:
             raise TypeError(f"states must be int16, not {W.dtype}")
         n, (d, kept) = self.n, W.shape
@@ -336,10 +339,11 @@ class Tail:
         opens = np.ones(kept, dtype=bool)  # a state that opens its set
         opens[1:] = (by_set[:, 1:] != by_set[:, :-1]).any(axis=0)
         row, pos, below = self.combos
+        per_pass = max(1, self.per_pass // shards)
         found = []
-        for a in range(0, kept, self.per_pass):
-            states = order[a:a + self.per_pass]
-            first = opens[a:a + self.per_pass].copy()
+        for a in range(0, kept, per_pass):
+            states = order[a:a + per_pass]
+            first = opens[a:a + per_pass].copy()
             first[0] = True  # a set the last pass began opens this one too
             inv = np.cumsum(first) - 1  # each state's set
             sets = states[first]  # one state of each set
@@ -395,7 +399,7 @@ def _tail(space) -> tuple:
     """(d0, plan): a shard of space completes the states it keeps at depth
     d0 = max(1, steps - _TAIL) by plan.matches."""
     d0 = max(1, space.steps - _TAIL)
-    return d0, tail_plan(space.n, space.steps, space.per_step == 2, d0, min(_JOIN_CELLS, _PATH_CELLS))
+    return d0, tail_plan(space.n, space.steps, space.per_step == 2, d0, _PATH_CELLS)
 
 
 def _scan_shard(n: int, tv: tuple, space, firsts, tail: tuple, expired) -> tuple:
@@ -454,7 +458,6 @@ def _scan_shard(n: int, tv: tuple, space, firsts, tail: tuple, expired) -> tuple
         if d in slack:
             C = _counts(space, W)
             W = W.compress(((C <= T) & (C + slack[d] >= T)).all(axis=0), axis=1)
-            del C  # not held down the descent
         kept = W.shape[1]
         scanned += (N - kept) * space.leaves[d]
         if not kept:
@@ -468,7 +471,7 @@ def _scan_shard(n: int, tv: tuple, space, firsts, tail: tuple, expired) -> tuple
         for taken in space.taken(W):
             used[taken, np.arange(kept)] = True
         if d == d0:
-            s, placed = plan.matches(tv, W, used)
+            s, placed = plan.matches(tv, W, used, len(firsts))
             scanned += kept * space.leaves[d] - len(s)
             if len(s):
                 descend(np.concatenate([W.take(s, axis=1), placed]))

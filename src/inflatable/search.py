@@ -21,14 +21,14 @@ by complementing the hits (at length 17, 8 scans serve the 16 central
 shards). Targets that complement does not fix, as in the tests, get a
 scan of the mirror under the complemented targets, by the same rule.
 The kernel scans the jobs of one targets from root blocks of one or more
-first values. Without a limit a block holds as many shards as fit the
-kernel's block budget at the first level it counts (all 8 at central
-length 17, one at unrestricted length 17 and central 64), and the block's
-sorted hits are split by first value. Under a limit each shard has its
-own block, since any shard may end the run: every scanned shard is
-scanned whole, and the limit cuts the run's hits, which come in
-lexicographic order, at the limit. A block that times out ends the run
-with its own confirmed hits and credited leaves, as one shard's.
+first values. Without a limit or a timeout a block holds as many shards
+as fit the kernel's block budget at the first level it counts (all 8 at
+central length 17, one at unrestricted length 17 and central 64), and
+the block's sorted hits are split by first value. Under a limit or a
+timeout each shard has its own block, since any shard may end the run:
+every shard is scanned whole, unless the deadline passes in it, and the
+limit cuts the run's hits, which come in lexicographic order, at the
+limit.
 """
 
 from __future__ import annotations
@@ -316,15 +316,13 @@ def _search_space(
     order, so hits, scanned, and the limit cut are reproducible. A shard's
     job is scanned in a root block of first values under the same
     targets, when a shard first needs it (k per block, from
-    _kernel._shards_per_block, or 1 under a limit); the block's hits come
-    as a sorted array of value rows, split by first value with one
-    searchsorted, so each shard's hits start with its first value and the
-    merged hits are sorted as built; each shard's rows become Perms in
-    one batch. A shard u > n+1-u is derived from the scan of its mirror
-    n+1-u under the complemented targets: its rows are n+1 less the
-    mirror's, in reverse order. A block that times out stands for the
-    shard that started it: its hits, all sorted, and its credited leaves
-    join the run's, which ends there.
+    _kernel._shards_per_block, or 1 under a limit or a timeout); the
+    block's hits come as a sorted array of value rows, split by first
+    value with one searchsorted, so each shard's hits start with its first
+    value and the merged hits are sorted as built; each shard's rows
+    become Perms in one batch. A shard u > n+1-u is derived from the scan
+    of its mirror n+1-u under the complemented targets: its rows are n+1
+    less the mirror's, in reverse order.
     The shard that brings the hits to the limit is cut there and credited
     up to its last kept hit, so a limited run's scanned is the
     lexicographic rank of its last hit. elapsed_ms is read on the
@@ -347,12 +345,12 @@ def _search_space(
     # each shard's job: a scan of its first value under tv, or of its
     # mirror's under the complemented targets. The jobs of one targets, in
     # the order shards first need them, are scanned k to a root block; k
-    # is 1 under a limit, since any shard may end the run.
+    # is 1 under a limit or a timeout, since any shard may end the run.
     jobs = [(u, tv) if u <= n + 1 - u else (n + 1 - u, _complement_targets(n, tv)) for u in space.values]
     blocks: dict = {}  # job -> the first values of its root block, ascending
     for job_tv in dict.fromkeys(t for _, t in jobs):
         firsts = list(dict.fromkeys(f for f, t in jobs if t == job_tv))
-        k = 1 if limit is not None else _kernel._shards_per_block(n, job_tv, space, tail[0])
+        k = 1 if limit is not None or timeout is not None else _kernel._shards_per_block(n, job_tv, space, tail[0])
         for a in range(0, len(firsts), k):
             block = tuple(sorted(firsts[a:a + k]))
             blocks.update({(f, job_tv): block for f in block})
@@ -365,12 +363,11 @@ def _search_space(
         if job not in scans:
             block = blocks[job]
             rows, block_scanned, timed_out = _kernel._scan_shard(n, job[1], space, block, tail, expired)
-            if timed_out:  # the block's hits and credit, as this shard's
-                scans[job] = rows, block_scanned, True
-            else:  # its sorted rows, split by first value; every shard scanned whole
-                cuts = [0, *rows[:, 0].searchsorted(block[1:]).tolist(), len(rows)]
-                for f, a, b in zip(block, cuts, cuts[1:]):
-                    scans[f, job[1]] = rows[a:b], block_scanned // len(block), False
+            # its sorted rows, split by first value; only a one-shard block
+            # can time out, so a block of several is scanned whole
+            cuts = [0, *rows[:, 0].searchsorted(block[1:]).tolist(), len(rows)]
+            for f, a, b in zip(block, cuts, cuts[1:]):
+                scans[f, job[1]] = rows[a:b], block_scanned // len(block), timed_out
         shard_hits, shard_scanned, timed_out = scans[job]
         if job[0] != u:
             # complement reverses lexicographic order

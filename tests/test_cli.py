@@ -320,6 +320,24 @@ def test_search_emit_all_json_and_out(monkeypatch, tmp_path):
     assert target.read_text() == f"{G}\n{E}\n"
 
 
+def test_search_emit_all_labels_each_hit_with_its_own_subtree(monkeypatch):
+    # each streamed hit carries the index of the shard whose first value
+    # it starts with: in the full central n=17 scan, whose shards share one
+    # root block, and in a run stopped mid-scan by a timeout (a fake clock
+    # moves 1 ms at each read) after hits from several shards
+    values = inflatable.search._space(17, True).values
+    for timeout in ([], ["--timeout", "0.03"]):
+        ticks = count(0, 0.001)
+        monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        result, out = invoke(["search", "--n", "17", "--central", "--emit-all", "--json", *timeout])
+        monkeypatch.undo()
+        *streamed, payload = map(json.loads, out.splitlines())
+        assert result.exit_code == (2 if timeout else 0)
+        assert len(streamed) == payload["found"] == (payload["found"] if timeout else 750)
+        assert all(line["subtree"] == values.index(Perm(line["hit"])[0]) for line in streamed)
+        assert len({line["subtree"] for line in streamed}) > 1
+
+
 def test_search_thread_env(monkeypatch, capsys):
     # search takes no thread count: the old flag is an unknown argument,
     # and the old environment variable is not read
@@ -358,9 +376,7 @@ def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
         assert any("timed out" in d for d in result.diagnostics)
     # the partial result is still printed and written: a fake clock stands
     # still until a shard has returned hits and then passes the deadline,
-    # so the run stops after the first hits whatever the scan's speed. A
-    # limit has the kernel scan one shard per call; without one, it scans
-    # all 8 central n=17 shards in its first call.
+    # so the run stops after the first hits whatever the scan's speed
     scan_shard = inflatable._kernel._scan_shard
     found = []
 
@@ -374,8 +390,8 @@ def test_search_timeout_maps_to_error(tmp_path, monkeypatch):
     monkeypatch.setattr(inflatable.search, "time", clock)
     target = tmp_path / "hits.txt"
     result, out = invoke([
-        "search", "--n", "17", "--central", "--limit", "1000000000",
-        "--timeout", "0.15", "--json", "--out", str(target),
+        "search", "--n", "17", "--central", "--timeout", "0.15",
+        "--json", "--out", str(target),
     ])
     assert result.exit_code == 2
     payload = json.loads(out)
