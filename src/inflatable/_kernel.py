@@ -319,12 +319,12 @@ class Tail:
         whose key equals that of the counts tv, as their states' columns s
         and the int16 values they place, one row per step. They include
         every completion with the counts tv. used[v, s] marks the values
-        state s uses up, and 0. W holds states of a root block of shards
-        shards, taken per_pass // shards at a time: a one-shard block
-        joins in the passes the budget allows, and a block of several
-        shards, whose states one pass would otherwise hold all at once,
-        in passes as many times shorter. The keys wrap mod 2^16 in int16
-        only, so a W of another dtype raises TypeError."""
+        state s uses up, and 0. W holds states of a root block of the
+        given number of shards, taken per_pass // shards at a time: a
+        one-shard block joins in the passes the block budget allows, and
+        a block of several shards, whose kept states would otherwise meet
+        in one pass, in passes that many times shorter. The keys wrap mod
+        2^16 in int16 only, so a W of another dtype raises TypeError."""
         if W.dtype != np.int16:
             raise TypeError(f"states must be int16, not {W.dtype}")
         n, (d, kept) = self.n, W.shape
