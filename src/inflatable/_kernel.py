@@ -16,20 +16,21 @@ with two points in its left block; the central rule counts the left ones
 and adds the image counts, which halves the work.
 
 A shard scan starts from a root block of one or more shards' first
-values: a short unlimited scan's shards share one (the 8 of the full
-central length-17 scan), and each shard of a long, a limited or a timed
-scan has its own (_shards_per_block). It lists the children of a chunk of
-partial states, each state with every admissible next value, in one
-pass, tests each block of children on the count rule as it enters the
-next level, and descends into the survivors a block at a time, depth
-first, so the arrays it holds stay bounded. Near the root the rule
-covers too few triples and pairs to drop any state (each target lies
-between what it covers and what it leaves open); from the first level
-where it can, every level counts but that first one, whose children the
-next counts (depths 4 and 8 at length 17, one call each for the full
-central scan's one root block). The last four steps skip the rule: they
-are completed by five-sum key (Tail), and only key matches meet the
-rule, at the last level. A block is stored position-major
+values: an unlimited, untimed scan's root block holds as many shards as
+fit one child block at the tail's depth (_shards_per_block: all 8 at
+central length 17, one at unrestricted length 17 and central 64), and
+each shard of a limited or a timed scan has its own. It lists the
+children of a chunk of partial states, each state with every admissible
+next value, in one pass, tests each block of children on the count rule
+as it enters the next level, and descends into the survivors a block at
+a time, depth first, so the arrays it holds stay bounded. Near the root
+the rule covers too few triples and pairs to drop any state (each target
+lies between what it covers and what it leaves open); from the first
+level where it can, every level counts but that first one, whose
+children the next counts (depths 4 and 8 at length 17, one call each for
+the full central scan's one root block). The last four steps skip the
+rule: they are completed by five-sum key (Tail), and only key matches
+meet the rule, at the last level. A block is stored position-major
 (C-contiguous), one row per position and one column per state, so every
 sum over a state's positions is a few adds of contiguous vectors. One
 kernel serves both spaces, full scans (length 17, 10,321,920 centrally
@@ -242,15 +243,14 @@ def _counted_depths(n: int, tv: tuple, space, d0: int) -> tuple:
     return (*range(first + (first < d0), d0 + 1), steps)
 
 
-def _shards_per_block(n: int, tv: tuple, space, d0: int) -> int:
-    """How many shards under the targets tv one root block scans: as many
-    as fit a child block at the first depth D that counts or completes by
-    key, where a shard holds leaves[1] // leaves[D] states, and at least
-    one. Down to D, the root block's descendants at each depth then hold
-    at most the cap at D, which the budget allows at every depth above."""
-    D = min(_counted_depths(n, tv, space, d0)[0], d0)
-    cap = _PATH_CELLS // (space.steps * D)
-    return max(1, cap // (space.leaves[1] // space.leaves[D]))
+def _shards_per_block(space, d0: int) -> int:
+    """How many shards of space one root block scans: as many as fit one
+    child block at the tail's depth d0, where a shard holds
+    leaves[1] // leaves[d0] states, and at least one. Down to d0, the root
+    block's descendants at each depth then hold at most the cap at d0,
+    which the budget allows at every depth above."""
+    cap = _PATH_CELLS // (space.steps * d0)
+    return max(1, cap // (space.leaves[1] // space.leaves[d0]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +404,9 @@ def _tail(space) -> tuple:
 
 def _scan_shard(n: int, tv: tuple, space, firsts, tail: tuple, expired) -> tuple:
     """Scan the subtrees of space rooted at the first values firsts, from
-    one root block of len(firsts) states, one per shard: search gives
-    a root block as many shards as _shards_per_block allows.
+    one root block of len(firsts) states, one per shard: search gives a
+    root block as many shards as fit one child block at the tail's depth
+    (_shards_per_block), or one under a limit or a timeout.
 
     Returns (hits, scanned, timed_out) with hits as an int16 array, one
     row of values per hit, sorted lexicographically with one lexsort and

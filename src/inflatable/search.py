@@ -22,9 +22,9 @@ shards). Targets that complement does not fix, as in the tests, get a
 scan of the mirror under the complemented targets, by the same rule.
 The kernel scans the jobs of one targets from root blocks of one or more
 first values. Without a limit or a timeout a block holds as many shards
-as fit the kernel's block budget at the first level it counts (all 8 at
-central length 17, one at unrestricted length 17 and central 64), and
-the block's sorted hits are split by first value. Under a limit or a
+as fit one child block at the tail's depth, a fact of the space alone
+(all 8 at central length 17, one at unrestricted length 17 and central
+64), and the block's sorted hits are split by first value. Under a limit or a
 timeout each shard has its own block, since any shard may end the run:
 every shard is scanned whole, unless the deadline passes in it, and the
 limit cuts the run's hits, which come in lexicographic order, at the
@@ -107,7 +107,8 @@ class SearchResult:
     when it stops there; one with fewer hits than its limit reports the
     space size.
     status is "ok" or "inadmissible"; inadmissible lengths are decided
-    without scanning (scanned = 0) and reason says why.
+    without scanning or reading a clock (scanned = 0, elapsed_ms = 0) and
+    reason says why.
     elapsed_ms is the scan's wall time on the clock a timeout reads, which
     starts after the kernel is loaded.
     """
@@ -313,14 +314,17 @@ def _search_space(
     """Run the sharded scan; returns (hits as Perms, scanned, elapsed_ms).
 
     Shards are the first-placement choices, processed and merged in index
-    order, so hits, scanned, and the limit cut are reproducible. A shard's
-    job is scanned in a root block of first values under the same
-    targets, when a shard first needs it (k per block, from
-    _kernel._shards_per_block, or 1 under a limit or a timeout); the
-    block's hits come as a sorted array of value rows, split by first
-    value with one searchsorted, so each shard's hits start with its first
-    value and the merged hits are sorted as built; each shard's rows
-    become Perms in one batch. A shard u > n+1-u is derived from the scan
+    order, so hits, scanned, and the limit cut are reproducible. When a
+    shard first needs its job, the next k unscanned jobs of its targets,
+    in the order shards first need them, are scanned in one root block of
+    their first values, sorted: k is as many shards as fit one child
+    block at the tail's depth (_kernel._shards_per_block), or 1 under a
+    limit or a timeout. The block's hits come as a sorted array of value
+    rows, split by first value with one searchsorted, so each shard's hits
+    start with its first value and the merged hits are sorted as built;
+    each shard's rows become Perms in one batch. A shard scanned whole is
+    credited its leaves, and the one-shard block that times out what the
+    kernel covered. A shard u > n+1-u is derived from the scan
     of its mirror n+1-u under the complemented targets: its rows are n+1
     less the mirror's, in reverse order.
     The shard that brings the hits to the limit is cut there and credited
@@ -343,32 +347,28 @@ def _search_space(
         return deadline is not None and time.monotonic() > deadline
 
     # each shard's job: a scan of its first value under tv, or of its
-    # mirror's under the complemented targets. The jobs of one targets, in
-    # the order shards first need them, are scanned k to a root block; k
-    # is 1 under a limit or a timeout, since any shard may end the run.
+    # mirror's under the complemented targets. A root block scans k jobs
+    # of one targets; k is 1 under a limit or a timeout, since any shard
+    # may end the run.
     jobs = [(u, tv) if u <= n + 1 - u else (n + 1 - u, _complement_targets(n, tv)) for u in space.values]
-    blocks: dict = {}  # job -> the first values of its root block, ascending
-    for job_tv in dict.fromkeys(t for _, t in jobs):
-        firsts = list(dict.fromkeys(f for f, t in jobs if t == job_tv))
-        k = 1 if limit is not None or timeout is not None else _kernel._shards_per_block(n, job_tv, space, tail[0])
-        for a in range(0, len(firsts), k):
-            block = tuple(sorted(firsts[a:a + k]))
-            blocks.update({(f, job_tv): block for f in block})
-
-    scans: dict = {}  # job -> (hits, scanned, timed_out)
+    k = 1 if limit is not None or timeout is not None else _kernel._shards_per_block(space, tail[0])
+    scans: dict = {}  # job -> its hits, a sorted array of value rows
     hits: list = []
     scanned = 0
     timed_out = False
     for i, (u, job) in enumerate(zip(space.values, jobs)):
         if job not in scans:
-            block = blocks[job]
+            # the next k unscanned jobs of its targets, as shards first need them
+            todo = [f for f, t in dict.fromkeys(jobs[i:]) if t == job[1] and (f, t) not in scans]
+            block = sorted(todo[:k])
             rows, block_scanned, timed_out = _kernel._scan_shard(n, job[1], space, block, tail, expired)
-            # its sorted rows, split by first value; only a one-shard block
-            # can time out, so a block of several is scanned whole
+            # its sorted rows, split by first value
             cuts = [0, *rows[:, 0].searchsorted(block[1:]).tolist(), len(rows)]
             for f, a, b in zip(block, cuts, cuts[1:]):
-                scans[f, job[1]] = rows[a:b], block_scanned // len(block), timed_out
-        shard_hits, shard_scanned, timed_out = scans[job]
+                scans[f, job[1]] = rows[a:b]
+        shard_hits = scans[job]
+        # a shard scanned whole covers its leaves; only a one-shard block times out
+        shard_scanned = block_scanned if timed_out else space.leaves[1]
         if job[0] != u:
             # complement reverses lexicographic order
             shard_hits = (n + 1) - shard_hits[::-1]
@@ -419,7 +419,6 @@ def search_3_inflatable(
         raise ValueError("timeout must be a number of seconds, not a bool")
     if config.timeout is not None and not config.timeout > 0:
         raise ValueError("timeout must be > 0 when given")
-    t0 = time.monotonic()
     tv = _target_vector(n)
     if tv is None:
         residues = admissible_residues()
@@ -432,7 +431,6 @@ def search_3_inflatable(
                 f"length {n} is inadmissible: the exact targets are "
                 f"not integer counts (admissible residues mod 144: {residues})"
             ),
-            elapsed_ms=int((time.monotonic() - t0) * 1000),
         )
     hits, scanned, elapsed_ms = _search_space(
         n, tv, config.central_only, limit, config.timeout, progress

@@ -268,6 +268,20 @@ def test_search_inadmissible_cli():
     assert result.exit_code == 2
 
 
+def test_search_inadmissible_json_reports_no_elapsed_time(monkeypatch):
+    # an inadmissible length scans nothing and reads no clock, so --json
+    # prints elapsed_ms 0 in either space
+    def clock():
+        raise AssertionError("an inadmissible length read the clock")
+
+    monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=clock))
+    for space in (["--central"], []):
+        result, out = invoke(["search", "--n", "9", *space, "--json"])
+        assert result.exit_code == 0
+        payload = json.loads(out.splitlines()[0])
+        assert (payload["found"], payload["elapsed_ms"]) == (0, 0)
+
+
 def test_search_out_file_empty_when_no_hits(tmp_path):
     target = tmp_path / "hits.txt"
     invoke(["search", "--n", "9", "--central", "--out", str(target)])

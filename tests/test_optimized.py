@@ -5,6 +5,7 @@ same answers and the same failures have to show up in an optimized
 interpreter.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -69,3 +70,15 @@ def test_invariants_hold_without_asserts():
     )
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert proc.stdout == "ok\n"
+
+
+def test_no_package_module_holds_an_assert():
+    # -O strips asserts, so an invariant written as one would vanish
+    # there; every check in the package is a real raise
+    package = Path(inflatable.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name} asserts at lines {asserts}"

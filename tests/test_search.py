@@ -829,7 +829,9 @@ def test_timed_out_hits_keep_shard_order(monkeypatch):
     # its first value, so a partial result is the scanned shards' hits
     # concatenated in shard order, and sorted; the job for first value 5
     # times out, so shards 1..5 contribute and nothing after them. Under a
-    # timeout each root block holds one shard.
+    # timeout each root block holds one shard. Shards 1..4, scanned whole,
+    # are credited their leaves, and shard 5 the 1 its timed-out scan
+    # credits.
     tv = _target_vector(17)
 
     def stub(n, job_tv, job_space, firsts, tail, expired):
@@ -844,29 +846,37 @@ def test_timed_out_hits_keep_shard_order(monkeypatch):
         _search_space(17, tv, True, None, 3600.0)
     want = [Perm(h) for u in range(1, 6) for h in stub(17, tv, None, (u,), None, None)[0].tolist()]
     assert info.value.hits == sorted(info.value.hits) == want
-    assert info.value.scanned == 5
+    assert info.value.scanned == 4 * _space(17, True).leaves[1] + 1
 
 
 def spied_blocks(monkeypatch) -> list:
-    """The first values of each root block the kernel scans, as tuples,
-    appended as the scans run."""
+    """(first values as a tuple, targets) of each root block the kernel
+    scans, appended as the scans run."""
     blocks = []
     real_scan = inflatable._kernel._scan_shard
 
     def scan(n, tv, space, firsts, tail, expired):
-        blocks.append(tuple(firsts))
+        blocks.append((tuple(firsts), tv))
         return real_scan(n, tv, space, firsts, tail, expired)
 
     monkeypatch.setattr(inflatable._kernel, "_scan_shard", scan)
     return blocks
 
 
+def root_block_width(n: int, central: bool) -> int:
+    """The shards of one root block of an unlimited, untimed scan."""
+    space = _space(n, central)
+    return inflatable._kernel._shards_per_block(space, _tail(space)[0])
+
+
 def test_root_blocks_scan_as_one_shard_per_block_does(monkeypatch):
-    # without a limit the jobs of one targets go k to a root block; under
-    # a limit each block holds one shard. Both return the same hits in the
-    # same order and the same scanned: in both spaces at n=6 to 12 under a
-    # random member's counts that complement does not fix, one root block
-    # per targets, and in the real central n=17 scan, one root block
+    # without a limit the jobs of one targets go k to a root block, so
+    # ceil(jobs / k) blocks per targets; under a limit each block holds one
+    # shard. Both return the same hits in the same order and the same
+    # scanned: in both spaces at n=6 to 12 under a random member's counts
+    # that complement does not fix (unrestricted n=11 and 12 run one shard
+    # per block either way), and in the real central n=17 scan, one root
+    # block
     rng = random.Random(42)
     cases = [(17, _target_vector(17), True)]
     for central, n in product((True, False), range(6, 13)):
@@ -878,29 +888,28 @@ def test_root_blocks_scan_as_one_shard_per_block_does(monkeypatch):
         cases.append((n, tv, central))
     blocks = spied_blocks(monkeypatch)
     for n, tv, central in cases:
+        k = root_block_width(n, central)
         blocks.clear()
         batched = _search_space(n, tv, central, None, None)[:2]
-        assert len(blocks) == (1 if n == 17 else 2)
-        jobs = sorted(u for block in blocks for u in block)
+        jobs = Counter(t for firsts, t in blocks for _ in firsts)
+        assert Counter(t for _, t in blocks) == {t: -(-j // k) for t, j in jobs.items()}
+        assert (k == 1) == (not central and n >= 11)
+        batched_jobs = sorted((u, t) for firsts, t in blocks for u in firsts)
         blocks.clear()
         assert _search_space(n, tv, central, 10**9, None)[:2] == batched
-        assert {len(block) for block in blocks} == {1}
-        assert sorted(u for (u,) in blocks) == jobs
+        assert {len(firsts) for firsts, _ in blocks} == {1}
+        assert sorted((u, t) for (u,), t in blocks) == batched_jobs
         assert n != 17 or (len(batched[0]), batched[1]) == (750, space_size(17, True))
 
 
 def test_only_short_unlimited_scans_share_root_blocks(monkeypatch):
-    # a root block holds as many jobs as fit a child block at the first
-    # depth that counts or completes by key: all 8 of central n=17 (up to
-    # 78). One unrestricted n=17 or central n=64 or n=80 shard fills it
-    # alone, so those long scans keep one shard per root block, as every
-    # scan does under a limit or a timeout
-    def per_block(n, central):
-        space = _space(n, central)
-        return inflatable._kernel._shards_per_block(n, _target_vector(n), space, _tail(space)[0])
-
-    assert per_block(17, True) == 78
-    assert per_block(17, False) == per_block(64, True) == per_block(80, True) == 1
+    # a root block holds as many jobs as fit one child block at the tail's
+    # depth: all 8 of central n=17 (up to 78). One unrestricted n=17 or
+    # central n=64 or n=80 shard fills it alone, so those long scans keep
+    # one shard per root block, as every scan does under a limit or a
+    # timeout
+    assert root_block_width(17, True) == 78
+    assert root_block_width(17, False) == root_block_width(64, True) == root_block_width(80, True) == 1
     # a one-shard block joins per_pass states a pass, as the budget allows
     for n, central, per_pass in ((17, False, 174_762), (17, True, 10_922), (64, True, 10_922)):
         assert _tail(_space(n, central))[1].per_pass == per_pass
@@ -909,7 +918,70 @@ def test_only_short_unlimited_scans_share_root_blocks(monkeypatch):
         blocks.clear()
         found = search_3_inflatable(SearchConfig(n=17, limit=limit, timeout=timeout)).found
         assert found == min(limit or 750, 750)
-        assert {len(block) for block in blocks} == {1}
+        assert {len(firsts) for firsts, _ in blocks} == {1}
+
+
+def test_every_admissible_length_past_17_scans_one_shard_per_root_block():
+    # the width reads the space alone: one shard of unrestricted n=17, and
+    # of n=64, 80 and 81 in either space, fills a child block at the
+    # tail's depth by itself
+    for n, central in [(17, False), *product((64, 80, 81), (True, False))]:
+        assert root_block_width(n, central) == 1, (n, central)
+
+
+def random_central(rng: random.Random, n: int) -> Perm:
+    """A random centrally symmetric permutation of length n."""
+    left = [rng.choice((p, n + 1 - p)) for p in rng.sample(range(1, n // 2 + 1), n // 2)]
+    return Perm(tuple(left + [(n + 1) // 2] * (n & 1) + [n + 1 - v for v in reversed(left)]))
+
+
+def test_every_short_central_scan_puts_each_targets_jobs_in_one_root_block(monkeypatch):
+    # at central n=3 to 17 a root block fits every shard, so a full scan
+    # under a random member's counts scans one root block per targets: one
+    # where complement fixes the targets, else one under each
+    rng = random.Random(17)
+    blocks = spied_blocks(monkeypatch)
+    for n in range(3, 18):
+        tau = random_central(rng, n)
+        assert is_centrally_symmetric(tau)
+        tv = count_vector(tau)
+        assert root_block_width(n, True) >= len(_space(n, True).values)
+        blocks.clear()
+        hits, scanned, _ = _search_space(n, tv, True, None, None)
+        assert tau in hits and scanned == space_size(n, True)
+        assert len(blocks) == len({t for _, t in blocks}) == 1 + (_complement_targets(n, tv) != tv)
+
+
+def test_root_blocks_take_jobs_as_shards_first_need_them(monkeypatch):
+    # at unrestricted n=10 a root block holds 4 shards. Under targets that
+    # complement does not fix, shards 1..5 need jobs under the targets and
+    # shards 6..10 those of first values 5 down to 1 under the complemented
+    # ones, so the blocks are (1, 2, 3, 4) and (5,), then (2, 3, 4, 5) and
+    # (1,), each sorted; the hits and scanned are those of one shard per
+    # block
+    rng = random.Random(10)
+    tv = None
+    while tv is None or _complement_targets(10, tv) == tv:
+        tv = count_vector(Perm(tuple(rng.sample(range(1, 11), 10))))
+    mirror = _complement_targets(10, tv)
+    assert root_block_width(10, False) == 4
+    blocks = spied_blocks(monkeypatch)
+    batched = _search_space(10, tv, False, None, None)[:2]
+    assert blocks == [((1, 2, 3, 4), tv), ((5,), tv), ((2, 3, 4, 5), mirror), ((1,), mirror)]
+    assert batched[1] == factorial(10)
+    assert _search_space(10, tv, False, 10**9, None)[:2] == batched
+
+
+def test_an_inadmissible_length_reads_no_clock(monkeypatch):
+    # the short-circuit scans nothing and times nothing: elapsed_ms keeps
+    # its default of 0, and a clock that raises is never read
+    def clock():
+        raise AssertionError("an inadmissible length read the clock")
+
+    monkeypatch.setattr(inflatable.search, "time", SimpleNamespace(monotonic=clock))
+    for central in (True, False):
+        res = search_3_inflatable(SearchConfig(n=9, central_only=central))
+        assert (res.status, res.scanned, res.elapsed_ms) == ("inadmissible", 0, 0)
 
 
 def test_search_space_finds_a_sampled_target():
