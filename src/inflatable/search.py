@@ -24,11 +24,11 @@ The kernel scans the jobs of one targets from root blocks of one or more
 first values. Without a limit or a timeout a block holds as many shards
 as fit one child block at the tail's depth, a fact of the space alone
 (all 8 at central length 17, one at unrestricted length 17 and central
-64), and the block's sorted hits are split by first value. Under a limit or a
-timeout each shard has its own block, since any shard may end the run:
-every shard is scanned whole, unless the deadline passes in it, and the
-limit cuts the run's hits, which come in lexicographic order, at the
-limit.
+64), and the block's sorted hits are split by first value. Under a
+limit or a timeout each shard has its own block, since any shard may
+end the run: every shard is scanned whole, unless the deadline passes
+in it, and the limit cuts the run's hits, which come in lexicographic
+order, at the limit.
 """
 
 from __future__ import annotations
@@ -324,9 +324,9 @@ def _search_space(
     start with its first value and the merged hits are sorted as built;
     each shard's rows become Perms in one batch. A shard scanned whole is
     credited its leaves, and the one-shard block that times out what the
-    kernel covered. A shard u > n+1-u is derived from the scan
-    of its mirror n+1-u under the complemented targets: its rows are n+1
-    less the mirror's, in reverse order.
+    kernel covered. A shard u > n+1-u is derived from the scan of its
+    mirror n+1-u under the complemented targets: its rows are n+1 less
+    the mirror's, in reverse order.
     The shard that brings the hits to the limit is cut there and credited
     up to its last kept hit, so a limited run's scanned is the
     lexicographic rank of its last hit. elapsed_ms is read on the

@@ -921,7 +921,7 @@ def test_only_short_unlimited_scans_share_root_blocks(monkeypatch):
         assert {len(firsts) for firsts, _ in blocks} == {1}
 
 
-def test_every_admissible_length_past_17_scans_one_shard_per_root_block():
+def test_long_scans_keep_one_shard_per_root_block():
     # the width reads the space alone: one shard of unrestricted n=17, and
     # of n=64, 80 and 81 in either space, fills a child block at the
     # tail's depth by itself
